@@ -2,10 +2,12 @@
 
 Measures the same campaign executed several ways — the serial
 ``FaultInjectionCampaign`` loop, the sharded engine with 2 and 4 worker
-processes, and the 4-worker engine against a cold then warm golden artifact
+processes, and the widest engine against a cold then warm golden artifact
 cache — verifying bit-identical results while reporting throughput and
-speedup.  A machine-readable summary is written to ``BENCH_engine.json``
-next to this file (override with ``REPRO_BENCH_OUTPUT``).
+speedup.  Job counts are capped at the host's CPU count, so no run is
+oversubscribed; the summary records the host.  A machine-readable summary
+is written to ``BENCH_engine.json`` next to this file (override with
+``REPRO_BENCH_OUTPUT``).
 
 Scale with ``REPRO_BENCH_SCALE`` like the other harnesses; at the default
 scale this is a small campaign so the whole file stays in CI budget.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import platform
 import tempfile
 import time
 from pathlib import Path
@@ -26,9 +29,12 @@ from repro.faults import CampaignConfig, FaultInjectionCampaign
 from benchmarks.conftest import SEED, scaled
 
 N_INJECTIONS = scaled(600)
-#: Acceptance floor for the golden artifact cache: a warm 4-worker run must
-#: beat the cacheless 4-worker run by this factor (zero captures + retired
-#: translation pre-warm vs full capture cost).
+NPROC = len(os.sched_getaffinity(0))
+#: Pooled job counts, capped at the host's CPUs.
+JOBS = sorted({min(jobs, NPROC) for jobs in (2, 4)})
+#: Acceptance floor for the golden artifact cache: a warm run at the widest
+#: job count must beat the cacheless run at that count by this factor (zero
+#: captures vs full capture cost; every pool of the process forks hot).
 TARGET_WARM_SPEEDUP = 1.5
 OUTPUT = Path(
     os.environ.get("REPRO_BENCH_OUTPUT", Path(__file__).parent / "BENCH_engine.json")
@@ -55,7 +61,7 @@ def test_engine_throughput_and_speedup():
         "serial", lambda: FaultInjectionCampaign(config).run()
     )
     runs.append(serial_stats)
-    for jobs in (2, 4):
+    for jobs in JOBS:
         stats, result = _timed(
             f"jobs={jobs}",
             lambda jobs=jobs: CampaignEngine(
@@ -69,19 +75,20 @@ def test_engine_throughput_and_speedup():
         )
         runs.append(stats)
 
-    # Golden artifact cache: the same 4-worker campaign against a cold then
-    # a warm content-addressed cache.  The warm run must execute zero golden
-    # captures (manifest hit rate 1.0) and its speedup over the no-cache
-    # 4-worker run is the headline number of the cache.
-    no_cache_jobs4 = runs[-1]
+    # Golden artifact cache: the widest campaign against a cold then a warm
+    # content-addressed cache.  The warm run must execute zero golden
+    # captures (manifest hit rate 1.0) and its speedup over the no-cache run
+    # at the same job count is the headline number of the cache.
+    jobs = JOBS[-1]
+    no_cache = runs[-1]
     with tempfile.TemporaryDirectory() as tmp:
         cached = dataclasses.replace(config, artifacts=str(Path(tmp) / "cache"))
         for phase in ("cold-cache", "warm-cache"):
             telemetry = EngineTelemetry()
             stats, result = _timed(
-                f"jobs=4 {phase}",
+                f"jobs={jobs} {phase}",
                 lambda: CampaignEngine(
-                    cached, jobs=4, n_shards=8, telemetry=telemetry
+                    cached, jobs=jobs, n_shards=2 * jobs, telemetry=telemetry
                 ).run(),
             )
             # The cache must never change the science either.
@@ -92,7 +99,7 @@ def test_engine_throughput_and_speedup():
                 serial_stats["elapsed_seconds"] / stats["elapsed_seconds"]
             )
             stats["speedup_vs_no_cache"] = (
-                no_cache_jobs4["elapsed_seconds"] / stats["elapsed_seconds"]
+                no_cache["elapsed_seconds"] / stats["elapsed_seconds"]
             )
             runs.append(stats)
         assert cache["hit_rate"] == 1.0, cache
@@ -104,8 +111,13 @@ def test_engine_throughput_and_speedup():
 
     summary = {
         "format": "xentry-bench-engine-v2",
+        "host": {
+            "nproc": NPROC,
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
         "n_injections": len(serial),
-        "n_shards_planned": plan_campaign(config, 8).n_shards,
+        "n_shards_planned": plan_campaign(config, 2 * jobs).n_shards,
         "seed": SEED,
         "runs": runs,
         "warm_cache_speedup_vs_no_cache": runs[-1]["speedup_vs_no_cache"],
@@ -113,7 +125,8 @@ def test_engine_throughput_and_speedup():
     }
     OUTPUT.write_text(json.dumps(summary, indent=1))
 
-    print(f"\nengine throughput — {len(serial)} injections, seed {SEED}")
+    print(f"\nengine throughput — {len(serial)} injections, seed {SEED}, "
+          f"nproc {NPROC}")
     print(f"{'config':<18} {'elapsed':>9} {'trials/s':>10} {'speedup':>9}")
     for stats in runs:
         speedup = stats.get("speedup_vs_serial", 1.0)
@@ -123,7 +136,7 @@ def test_engine_throughput_and_speedup():
         )
     warm = runs[-1]
     print(
-        f"warm cache vs no cache (jobs=4): "
+        f"warm cache vs no cache (jobs={jobs}): "
         f"{warm['speedup_vs_no_cache']:.2f}x "
         f"(capture {warm['golden_cache'].get('golden_capture_seconds', 0.0):.2f}s, "
         f"load {warm['golden_cache'].get('golden_load_seconds', 0.0):.2f}s)"

@@ -12,9 +12,9 @@ The harness deliberately runs unmodified on the pre-optimization code
 lock-step batch APIs), so every committed baseline was produced by this
 exact file against its pre-change tree.  An untimed warm-up pass runs the
 whole workload once first, so the timed region measures the steady state
-campaigns actually see (production pool workers are pre-warmed at fork
-and the translation cache is process-wide); the baselines were all
-re-measured through the same warm-up.  Three gates: the
+campaigns actually see (the translation cache is process-wide, and
+production pool workers fork with the blocks earlier workers compiled);
+the baselines were all re-measured through the same warm-up.  Three gates: the
 checkpoint/fast-forward work must hold ≥ 3× the interpreter-era baseline,
 the basic-block translation cache must hold ≥ 1.5× the pre-translation
 tree (plus carry > 50% of retired instructions, so the cache can't "pass"
@@ -160,11 +160,12 @@ def _aged_machine() -> XenHypervisor:
 
 def test_machine_trial_throughput():
     # Untimed warm-up: one full pass on a throwaway machine, so the timed
-    # region below measures the steady state campaigns actually see.
-    # Production pool workers are pre-warmed at fork (engine/pool.py
-    # ``warm_worker``) and the translation cache is process-wide, so heat
-    # carries across machines; without this pass the measurement would be
-    # dominated by one-time trace compilation and heat-gate crossings.
+    # region below measures the steady state campaigns actually see.  The
+    # translation cache is process-wide, so heat carries across machines,
+    # and production pool workers fork with the blocks earlier workers
+    # compiled (engine/pool.py ``warm_worker``); without this pass the
+    # measurement would be dominated by one-time trace compilation and
+    # heat-gate crossings.
     _run_workload(_aged_machine())
 
     hv = _aged_machine()

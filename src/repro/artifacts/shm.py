@@ -49,36 +49,42 @@ __all__ = [
 SEGMENT_MAGIC = b"XENTSHM\x01"
 
 
+def _layout(blobs: dict[str, bytes]) -> tuple[bytes, dict[str, list[int]], int]:
+    """``(header, extents, size)`` of the segment image packing ``blobs``."""
+    extents: dict[str, list[int]] = {}
+    offset = 0
+    for digest in sorted(blobs):
+        offset += (-offset) % 8
+        extents[digest] = [offset, len(blobs[digest])]
+        offset += len(blobs[digest])
+    toc = json.dumps(extents, sort_keys=True, separators=(",", ":")).encode()
+    header = SEGMENT_MAGIC + len(toc).to_bytes(8, "little") + toc
+    header += b"\x00" * ((-len(header)) % 8)
+    return header, extents, len(header) + offset
+
+
+def _fill(buf, blobs: dict[str, bytes], header: bytes,
+          extents: dict[str, list[int]]) -> None:
+    """Write the image laid out by :func:`_layout` into zeroed ``buf``."""
+    buf[: len(header)] = header
+    base = len(header)
+    for digest, (offset, length) in extents.items():
+        buf[base + offset : base + offset + length] = blobs[digest]
+
+
 def build_segment(blobs: dict[str, bytes]) -> bytes:
     """Pack ``digest -> artifact bytes`` into one segment image.
 
     Layout: magic, u64 TOC length, JSON TOC (digest -> [offset, length]
     relative to the 8-aligned blob area), padding, blobs (each 8-aligned so
     int64 TwinPlan columns inside the artifacts stay mappable).
+    :meth:`SegmentPublisher.prepare` writes the same image straight into the
+    shared mapping.
     """
-    extents: dict[str, list[int]] = {}
-    chunks: list[bytes] = []
-    offset = 0
-    for digest in sorted(blobs):
-        pad = (-offset) % 8
-        if pad:
-            chunks.append(b"\x00" * pad)
-            offset += pad
-        blob = blobs[digest]
-        extents[digest] = [offset, len(blob)]
-        chunks.append(blob)
-        offset += len(blob)
-    toc = json.dumps(extents, sort_keys=True, separators=(",", ":")).encode()
-    prefix_len = len(SEGMENT_MAGIC) + 8 + len(toc)
-    return b"".join(
-        [
-            SEGMENT_MAGIC,
-            len(toc).to_bytes(8, "little"),
-            toc,
-            b"\x00" * ((-prefix_len) % 8),
-            *chunks,
-        ]
-    )
+    header, extents, size = _layout(blobs)
+    image = bytearray(size)
+    _fill(image, blobs, header, extents)
+    return bytes(image)
 
 
 class SegmentView:
@@ -200,12 +206,12 @@ class SegmentPublisher:
             return held.name
         if not blobs:
             return None
-        payload = build_segment(blobs)
+        header, extents, size = _layout(blobs)
         for _ in range(8):
             name = f"xgold-{secrets.token_hex(6)}"
             try:
                 segment = shared_memory.SharedMemory(
-                    create=True, size=len(payload), name=name
+                    create=True, size=size, name=name
                 )
                 break
             except FileExistsError:  # pragma: no cover - 48-bit collision
@@ -214,10 +220,13 @@ class SegmentPublisher:
                 return None
         else:  # pragma: no cover - eight collisions in a row
             return None
-        segment.buf[: len(payload)] = payload
+        # Written in place: a joined copy of the image would stay in this
+        # process's heap after it is freed, and every pool forked later
+        # inherits that heap.
+        _fill(segment.buf, blobs, header, extents)
         self._segments[shard_index] = segment
         self.stats["shm_segments"] += 1
-        self.stats["shm_bytes"] += len(payload)
+        self.stats["shm_bytes"] += size
         return segment.name
 
     def finished(self, shard_index: int) -> None:

@@ -53,11 +53,10 @@ from repro.engine import (
     stderr_progress,
 )
 from repro.engine.journal import JOURNAL_FORMAT
+from repro.engine.telemetry import machine_counters, summarize_machine
 from repro.errors import CampaignConfigError
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 from repro.hypervisor import ExitCategory, REGISTRY, XenHypervisor
-from repro.machine import lockstep
-from repro.machine.translator import CACHE
 from repro.ml import compile_tree
 from repro.persist import load_model, load_records, save_model, save_records, save_rules
 from repro.scenarios import load_scenario
@@ -204,10 +203,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
           f"FP {model.false_positive_rate:.2%}")
     detector = VMTransitionDetector.from_classifier(model.classifier)
     # Detector training above also runs guest code through the process-wide
-    # translation cache; snapshot its counters so the summary reports the
-    # campaign phase alone (under --no-translate it must read 0% translated).
-    pre_campaign = CACHE.stats()
-    pre_lockstep = lockstep.stats()
+    # translation cache; snapshot its counters so a serial summary reports
+    # the campaign phase alone (under --no-translate it must read 0%
+    # translated).  Engine runs report the sum of their shards' deltas.
+    pre_machine = machine_counters()
     pre_artifacts = artifacts_runtime.stats()
     config = CampaignConfig(
         n_injections=args.injections, seed=args.seed, trace=args.trace,
@@ -243,6 +242,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
         result = engine.run(resume=args.resume)
         astats = dict(telemetry.artifact_stats)
+        mstats = dict(telemetry.machine_stats)
         if args.journal:
             print(f"journal at {args.journal} "
                   f"(manifest: {args.journal}.manifest.json)")
@@ -260,6 +260,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             for k in post_artifacts
             if post_artifacts[k] != pre_artifacts[k]
         }
+        mstats = {k: v - pre_machine[k] for k, v in machine_counters().items()}
     print(f"\n{len(result)} injections, {len(result.manifested)} manifested "
           f"({time.time() - t0:.0f}s)")
     capture = astats.get("golden_capture_seconds", 0.0)
@@ -270,30 +271,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         cache_note = f", cache {hits}/{consulted} hits" if consulted else ""
         print(f"golden capture: {capture:.2f}s capturing live, "
               f"{load:.2f}s loading cached artifacts{cache_note}")
-    tstats = {
-        k: v - pre_campaign[k]
-        for k, v in CACHE.stats().items()
-        if k != "block_hit_rate"
-    }
-    if tstats["block_executions"]:
-        mix = tstats["translated_instructions"] + tstats["interpreted_instructions"]
-        share = tstats["translated_instructions"] / mix if mix else 0.0
-        hit_rate = (
-            (tstats["block_executions"] - tstats["blocks_compiled"])
-            / tstats["block_executions"]
-        )
-        print(f"translation cache: {tstats['blocks_compiled']} blocks compiled "
-              f"({tstats['blocks_prewarmed']} pre-warmed, "
-              f"{tstats['blocks_compiled_cold']} cold), "
-              f"hit rate {hit_rate:.1%}, "
-              f"{share:.1%} of instructions translated")
-    lstats = {k: v - pre_lockstep[k] for k, v in lockstep.stats().items()}
-    if lstats["twins"]:
-        dead_share = lstats["dead_twins"] / lstats["twins"]
-        print(f"twin batching: {lstats['twins']} twins in "
-              f"{lstats['twin_batches']} batches, "
-              f"{lstats['dead_twins']} settled without execution "
-              f"({dead_share:.1%}), {lstats['peeled_twins']} peeled")
+    _print_machine(summarize_machine(mstats), pooled=args.jobs > 1)
     if args.output:
         save_records(result.records, args.output)
         print(f"records written to {args.output}")
@@ -309,6 +287,27 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"(analysis skipped on degraded records: {exc})")
     print(f"\nDEGRADED: {result.summary()}", file=sys.stderr)
     return 3
+
+
+def _print_machine(stats: dict, *, pooled: bool) -> None:
+    """The campaign summary's translation-cache and twin-batching lines."""
+    if stats.get("block_executions"):
+        compiled = f"{stats['blocks_compiled']} blocks compiled"
+        if pooled:
+            compiled += (f" in workers, {stats.get('blocks_adopted', 0)} adopted "
+                         "by the coordinator")
+            prefork = stats.get("blocks_compiled_prefork", 0)
+            if prefork:
+                compiled += f" ({prefork} compiled before forking)"
+        print(f"translation cache: {compiled}, "
+              f"hit rate {stats['block_hit_rate']:.1%}, "
+              f"{stats['translated_share']:.1%} of instructions translated")
+    if stats.get("twins"):
+        dead_share = stats["dead_twins"] / stats["twins"]
+        print(f"twin batching: {stats['twins']} twins in "
+              f"{stats['twin_batches']} batches, "
+              f"{stats['dead_twins']} settled without execution "
+              f"({dead_share:.1%}), {stats['peeled_twins']} peeled")
 
 
 def _report_records(records) -> int:

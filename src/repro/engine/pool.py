@@ -6,7 +6,9 @@ deterministic shards (:mod:`repro.engine.planner`), hands them to a
 ``concurrent.futures`` process pool (or runs them inline when ``jobs=1``)
 with retry, watchdog and quarantine semantics, journals every finished shard
 durably (:mod:`repro.engine.journal`), and narrates progress through
-:mod:`repro.engine.telemetry`.  The merged result is bit-identical to
+:mod:`repro.engine.telemetry`.  Pools fork hot: the translation blocks
+earlier workers compiled are compiled once in this process first
+(:func:`warm_worker`).  The merged result is bit-identical to
 :meth:`FaultInjectionCampaign.run` with the same seed — including runs that
 needed retries — and a campaign killed mid-flight resumes from its journal
 with completed shards skipped.  A campaign whose shards exhaust their retry
@@ -46,73 +48,29 @@ from repro.faults.campaign import (
 )
 from repro.faults.injector import TransitionDetector
 from repro.faults.outcomes import TrialRecord
-from repro.hypervisor.xen import Activation, XenHypervisor
-from repro.machine import lockstep
-from repro.machine.translator import CACHE, COMPILE_THRESHOLD
+from repro.hypervisor.xen import XenHypervisor
+from repro.machine.translator import CACHE
 
-__all__ = ["CampaignEngine", "execute_shard", "store_fully_warm", "warm_worker"]
+__all__ = ["CampaignEngine", "execute_shard", "warm_worker"]
 
 
-def warm_worker(config: CampaignConfig) -> None:
-    """Process-pool initializer: pre-warm the process-wide translation cache.
+def warm_worker(config) -> int:
+    """Compile the adopted translation entries of ``config``'s image here.
 
-    A fresh pool worker starts with an empty :data:`~repro.machine.translator.CACHE`
-    and cold per-entry heat counters, so its first shard pays the full
-    trace-compilation cost on the campaign's critical path.  Running every
-    exit reason of the campaign's program image past the warmth gate here
-    compiles the handler blocks once, before any trial executes; the shards
-    that follow attach to the already-compiled translation by text digest.
-    ``CACHE.mark_prewarmed`` records the hand-off point, splitting the
-    manifest's compile counts into warm (initializer) and cold (mid-campaign)
-    shares.  Trial records are invariant under translation, so warming can
-    never change campaign results.
+    The coordinator's step right before it forks a pool (see
+    :mod:`repro.engine.supervisor`): the entries earlier pool workers of this
+    process compiled were adopted into :data:`~repro.machine.translator.CACHE`,
+    and compiling them from this process's own image means every worker of
+    the next pool inherits them compiled.  ``config`` is a campaign or a
+    training config (its ``n_domains`` fixes the image).  A process that
+    forks a single pool has adopted nothing yet and pays nothing; trial
+    records are invariant under translation, so warmth never changes them.
+    Returns the number of blocks compiled.
     """
-    if not config.translate:
-        return
-    compiled_before = CACHE.stats()["blocks_compiled"]
-    hv = XenHypervisor(
-        n_domains=config.n_domains, seed=config.seed, translate=True,
-    )
-    domain_id = min(1, hv.n_domains - 1)
-    for seq, reason in enumerate(hv.registry):
-        activation = Activation(
-            vmer=reason.vmer, args=(3, 1), domain_id=domain_id, seq=seq
-        )
-        # One-dispatch-per-run entries (handler prologues) need their heat
-        # pushed past the compile threshold; loop bodies cross it within a
-        # single run.
-        for _ in range(COMPILE_THRESHOLD + 2):
-            hv.execute(activation)
-    CACHE.mark_prewarmed(since=compiled_before)
-
-
-def store_fully_warm(config: CampaignConfig, pending: list[ShardPlan]) -> bool:
-    """True when every golden group of ``pending`` is already cached on disk.
-
-    Decides whether worker pre-warm (:func:`warm_worker`) still pays for
-    itself: the initializer exists to amortize first-*capture* translation
-    latency, and a fully-warm store has no captures left to amortize — twin
-    replays warm each worker's translation cache organically, off the
-    critical path.  The check is one ``stat`` per group, so it costs
-    microseconds against the half-second-per-worker initializer it can
-    retire.  Deliberately conservative the other way: one missing artifact
-    keeps the pre-warm (the capture path is about to run), and a present-
-    but-corrupt artifact merely means an unwarmed live capture — slower,
-    never different (records are invariant under translation warmth).
-    """
-    if (
-        not config.artifacts
-        or not getattr(config, "golden_cache", True)
-        or config.trace
-    ):
-        return False
-    store = GoldenStore(config.artifacts)
-    return all(
-        store.contains(golden_digest(config, s.benchmark, group))
-        for shard in pending
-        for s in shard.slices
-        for group in range(s.group_start, s.group_stop)
-    )
+    if not CACHE.adopted or not getattr(config, "translate", True):
+        return 0
+    hv = XenHypervisor(n_domains=config.n_domains, seed=config.seed)
+    return CACHE.compile_adopted(hv.program)
 
 
 def execute_shard(
@@ -337,18 +295,6 @@ class CampaignEngine:
                         shard=index, n_trials=len(trials), elapsed=0.0, resumed=True
                     )
                 )
-            # A fully-warm artifact store retires the translation pre-warm:
-            # nothing will be captured, so there is no first-capture latency
-            # for the initializer to hide (see store_fully_warm).
-            fully_warm = store_fully_warm(self.config, pending)
-            if fully_warm:
-                self.telemetry.record_artifact_stats(
-                    {"translation_prewarm_skipped": 1}
-                )
-            if self.jobs == 1 and pending and not fully_warm:
-                # Inline runs execute shards in this process: warm it the
-                # same way a pool worker would be.
-                warm_worker(self.config)
             if (
                 self.jobs > 1
                 and pending
@@ -367,16 +313,9 @@ class CampaignEngine:
                 chaos=self.chaos,
                 telemetry=self.telemetry,
                 journal=journal,
-                warm=None if fully_warm else warm_worker,
                 segments=segments,
             )
             failures = supervisor.run(pending, done)
-            # Translation-cache/lock-step telemetry is per-process state;
-            # this covers serial and inline (jobs=1) runs completely and the
-            # coordinating process otherwise (see record_machine_stats).
-            self.telemetry.record_machine_stats(
-                {**CACHE.stats(), **lockstep.stats()}
-            )
         finally:
             # Segment teardown first: /dev/shm must be clean on every exit
             # path, and the publication counters have to land before the

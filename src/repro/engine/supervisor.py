@@ -26,6 +26,15 @@ and quarantines:
   engine returns a :class:`DegradedCampaignResult` carrying every surviving
   record plus per-shard error reports.
 
+**Hot forks.**  Every shard attempt runs through :func:`run_shard`, which
+ships the attempt's simulated-machine counter deltas and the translation
+entries it compiled back with its result.  The supervisor sums the deltas
+into the run's telemetry and adopts the entries into this process's
+translation cache; right before it forks a pool — the first one and every
+rebuild — ``repro.engine.pool.warm_worker`` compiles the adopted entries
+here, so the new workers inherit them compiled instead of compiling them
+again each.
+
 The journal append runs under the same retry policy with its own attempt
 counter; a journal that stays unwritable is fatal (:class:`JournalError`) —
 durability is the journal's whole contract, so the engine dies loudly rather
@@ -58,11 +67,13 @@ from repro.engine.telemetry import (
     ShardRetried,
     ShardStarted,
     WorkerCrashed,
+    machine_counters,
 )
 from repro.errors import CampaignConfigError, EngineError, JournalError
 from repro.faults.campaign import CampaignConfig, CampaignResult
 from repro.faults.injector import TransitionDetector
 from repro.faults.outcomes import TrialRecord
+from repro.machine.translator import CACHE
 
 __all__ = [
     "AttemptFailure",
@@ -70,7 +81,28 @@ __all__ = [
     "RetryPolicy",
     "ShardFailure",
     "ShardSupervisor",
+    "run_shard",
 ]
+
+
+def run_shard(execute: Callable, *args, **kwargs):
+    """Run one shard attempt; return ``(result, machine, compiled)``.
+
+    ``machine`` is the attempt's delta of
+    :func:`~repro.engine.telemetry.machine_counters` and ``compiled`` the
+    translation entries it compiled, as text digest -> entry indices.
+    Module-level so a process pool can pickle it; inline shards run through
+    it too, so a run's machine totals are sums of shard deltas in every mode.
+    """
+    before = machine_counters()
+    marks = CACHE.compile_marks()
+    result = execute(*args, **kwargs)
+    after = machine_counters()
+    return (
+        result,
+        {key: after[key] - before[key] for key in after},
+        CACHE.compiled_since(marks),
+    )
 
 
 @dataclass(frozen=True)
@@ -227,7 +259,6 @@ class ShardSupervisor:
         chaos: ChaosPolicy | None = None,
         telemetry: EngineTelemetry | None = None,
         journal: TrialJournal | None = None,
-        warm: Callable | None = None,
         segments=None,
     ) -> None:
         if shard_timeout is not None and shard_timeout <= 0:
@@ -241,11 +272,6 @@ class ShardSupervisor:
         self.chaos = chaos
         self.telemetry = telemetry or EngineTelemetry()
         self.journal = journal
-        #: Optional pool-worker initializer (e.g. pool.warm_worker), called
-        #: once per worker process with the campaign config before any shard
-        #: runs there.  Injected like ``execute`` to stay pickle-friendly
-        #: and import-cycle-free.
-        self.warm = warm
         #: Optional shared-memory golden-segment provider (the engine's
         #: ``_ShardSegments``): ``acquire(shard)`` publishes the shard's
         #: cached golden artifacts and returns the segment name (or ``None``),
@@ -257,14 +283,15 @@ class ShardSupervisor:
         self._state = _SupervisedState()
 
     def _make_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        """A worker pool with the pre-warm initializer attached (if any)."""
-        if self.warm is None:
-            return ProcessPoolExecutor(max_workers=max_workers)
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=self.warm,
-            initargs=(self.config,),
-        )
+        """A fresh worker pool, forked hot (see the module docstring)."""
+        # Looked up on the module at every fork; the import is deferred
+        # because repro.engine.pool imports this module.
+        from repro.engine import pool as engine_pool
+
+        compiled = engine_pool.warm_worker(self.config)
+        if compiled:
+            self.telemetry.record_machine_stats({"blocks_compiled_prefork": compiled})
+        return ProcessPoolExecutor(max_workers=max_workers)
 
     # -- public entry ---------------------------------------------------------
 
@@ -297,8 +324,8 @@ class ShardSupervisor:
             while True:
                 t0 = time.monotonic()
                 try:
-                    trials = self._normalize(self.execute(
-                        self.config, shard, self.detector,
+                    trials = self._absorb(run_shard(
+                        self.execute, self.config, shard, self.detector,
                         chaos=self.chaos, attempt=attempt, allow_hard=False,
                     ))
                 except Exception as exc:  # noqa: BLE001 — every worker fault funnels here
@@ -367,8 +394,8 @@ class ShardSupervisor:
                 kwargs["segment"] = self.segments.acquire(run.shard)
             try:
                 future = pool.submit(
-                    self.execute, self.config, run.shard, self.detector,
-                    **kwargs,
+                    run_shard, self.execute, self.config, run.shard,
+                    self.detector, **kwargs,
                 )
             except BrokenProcessPool:
                 # The pool died between batches.  This run never started, so
@@ -404,7 +431,7 @@ class ShardSupervisor:
         for future in finished:
             run = inflight.pop(future)
             try:
-                completed.append((run, self._normalize(future.result())))
+                completed.append((run, self._absorb(future.result())))
             except BrokenProcessPool:
                 broken.append(run)
             except Exception as exc:  # noqa: BLE001 — worker failure, retried
@@ -493,14 +520,18 @@ class ShardSupervisor:
 
     # -- shared failure/finish plumbing ---------------------------------------
 
-    def _normalize(self, result):
-        """Unpack a shard result that carries an artifact-stats sidecar.
+    def _absorb(self, outcome):
+        """Fold one :func:`run_shard` outcome into telemetry; return its trials.
 
-        ``execute_shard`` returns ``(trials, stats_delta)`` so worker-side
-        golden-cache counters survive the process boundary; older executors
-        (and the training-sample path) return a bare trial list.  Either way
-        the caller gets just the trials.
+        The machine delta joins the run's totals and the compiled entries
+        are adopted for the next fork.  ``execute_shard`` returns
+        ``(trials, stats_delta)`` so worker-side golden-cache counters
+        survive the process boundary; other executors (the training-sample
+        path) return a bare item list.  Either way the caller gets the items.
         """
+        result, machine, compiled = outcome
+        machine["blocks_adopted"] = CACHE.adopt(compiled)
+        self.telemetry.record_machine_stats(machine)
         if (
             isinstance(result, tuple)
             and len(result) == 2

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.faults.outcomes import TrialRecord
+from repro.machine import lockstep
+from repro.machine.translator import CACHE
 
 __all__ = [
     "CampaignFinished",
@@ -31,10 +33,46 @@ __all__ = [
     "ShardRetried",
     "ShardStarted",
     "WorkerCrashed",
+    "machine_counters",
     "stderr_progress",
+    "summarize_machine",
 ]
 
 MANIFEST_FORMAT = "xentry-manifest-v1"
+
+
+def machine_counters() -> dict[str, int]:
+    """This process's simulated-machine totals: translation cache and
+    lock-step twins.
+
+    Every value is a process-wide running count, so the difference of two
+    snapshots is the work done between them; shards ship such differences
+    on their results (:func:`repro.engine.supervisor.run_shard`).
+    """
+    cache = CACHE.stats()
+    return {
+        "blocks_compiled": cache["blocks_compiled"],
+        "translated_instructions": cache["translated_instructions"],
+        "interpreted_instructions": cache["interpreted_instructions"],
+        "block_executions": cache["block_executions"],
+        **lockstep.stats(),
+    }
+
+
+def summarize_machine(counters: dict[str, int]) -> dict[str, int | float]:
+    """Machine counters plus the derived block-cache hit rate (block
+    executions served by an already-compiled block) and translated share."""
+    executions = counters.get("block_executions", 0)
+    compiled = counters.get("blocks_compiled", 0)
+    translated = counters.get("translated_instructions", 0)
+    executed = translated + counters.get("interpreted_instructions", 0)
+    return {
+        **counters,
+        "block_hit_rate": (
+            (executions - compiled) / executions if executions > compiled else 0.0
+        ),
+        "translated_share": translated / executed if executed else 0.0,
+    }
 
 
 @dataclass(frozen=True)
@@ -197,13 +235,12 @@ class EngineTelemetry:
         self.worker_crashes = 0
         self.failed_attempts: list[ShardFailed] = []
         self.quarantined: list[ShardQuarantined] = []
-        #: Simulated-machine execution telemetry (translation-cache hit rate,
-        #: translated/interpreted instruction mix); see record_machine_stats.
-        self.machine_stats: dict[str, int | float] = {}
+        #: Simulated-machine counters of this run (translation cache,
+        #: lock-step twins, translation entries adopted from pool workers);
+        #: see record_machine_stats.
+        self.machine_stats: dict[str, int] = {}
         #: Golden artifact-cache counters (hits, misses, corrupt artifacts,
         #: bytes moved, capture-vs-load seconds); see record_artifact_stats.
-        #: Unlike machine stats these are shipped per shard as worker-side
-        #: deltas, so pool runs are covered completely.
         self.artifact_stats: dict[str, int | float] = {}
 
     # -- event plumbing ------------------------------------------------------
@@ -261,20 +298,16 @@ class EngineTelemetry:
                 _features, label = record
                 self.label_counts["incorrect" if label else "correct"] += 1
 
-    def record_machine_stats(self, stats: dict[str, int | float]) -> None:
-        """Attach simulated-machine execution counters to the run summary.
+    def record_machine_stats(self, stats: dict[str, int]) -> None:
+        """Fold one simulated-machine counter delta into the run totals.
 
-        Counters are summed across calls (hit rates and other non-count
-        fields take the latest value), so the engine can fold in stats from
-        several hypervisors.  With worker processes (``jobs > 1``) the
-        counters cover the coordinating process only — the translation cache
-        is per-process state.
+        Every shard ships the delta of :func:`machine_counters` over its own
+        execution, whichever process ran it, and the supervisor adds the
+        coordinator's adoption counts, so the totals are exact for this run
+        under any ``--jobs`` and never include an earlier run's work.
         """
         for key, value in stats.items():
-            if key.endswith("_rate") or key not in self.machine_stats:
-                self.machine_stats[key] = value
-            else:
-                self.machine_stats[key] += value
+            self.machine_stats[key] = self.machine_stats.get(key, 0) + value
 
     def record_artifact_stats(self, stats: dict[str, int | float]) -> None:
         """Fold one golden artifact-cache stats delta into the run totals.
@@ -368,7 +401,7 @@ class EngineTelemetry:
                     for e in self.quarantined
                 ],
             },
-            "machine": dict(self.machine_stats),
+            "machine": summarize_machine(self.machine_stats),
             "golden_cache": self.golden_cache_summary(),
             "shards": [
                 {

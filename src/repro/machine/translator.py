@@ -44,7 +44,9 @@ injection index creates one) never pay the compile cost.
 Compiled traces are shared process-wide through :data:`CACHE`, keyed by
 ``(text digest, entry address)`` — all trials of a golden group, every
 ``resume_execution`` rung, and even separate :class:`XenHypervisor`
-instances with identical images reuse one compiled set.
+instances with identical images reuse one compiled set.  Pool workers
+inherit the set of the process that forked them, which compiles the entries
+its earlier workers reported before each fork (:meth:`TranslationCache.adopt`).
 """
 
 from __future__ import annotations
@@ -682,7 +684,7 @@ class ProgramTranslation:
     """
 
     __slots__ = ("base", "instructions", "blocks", "digest", "heat",
-                 "compiled_blocks", "uncompilable_blocks")
+                 "compiled", "uncompilable_blocks")
 
     def __init__(self, program: Program) -> None:
         self.base = program.base
@@ -694,8 +696,15 @@ class ProgramTranslation:
         #: pay the trace-compilation cost.
         self.heat = [0] * len(program.instructions)
         self.digest = program.text_digest()
-        self.compiled_blocks = 0
+        #: Entries compiled into blocks, in compile order (an append-only
+        #: log: a slice past an earlier length is what a shard compiled).
+        self.compiled: list[int] = []
         self.uncompilable_blocks = 0
+
+    @property
+    def compiled_blocks(self) -> int:
+        """Blocks compiled so far."""
+        return len(self.compiled)
 
     def compile_block(self, index: int):
         """Compile (and memoize) the block entered at instruction ``index``."""
@@ -703,7 +712,7 @@ class ProgramTranslation:
         if entry is False:
             self.uncompilable_blocks += 1
         else:
-            self.compiled_blocks += 1
+            self.compiled.append(index)
         self.blocks[index] = entry
         return entry
 
@@ -723,7 +732,15 @@ class ProgramTranslation:
 
 
 class TranslationCache:
-    """Process-wide registry of program translations, keyed by text digest."""
+    """Process-wide registry of program translations, keyed by text digest.
+
+    It also carries compiled entries between processes.  A forked pool
+    worker inherits every block its parent compiled, so a coordinator takes
+    the entries its workers report (text digest plus entry indices: compiled
+    code never crosses the process boundary) into :meth:`adopt` and, right
+    before it forks its next pool, compiles them from its own image with
+    :meth:`compile_adopted`.  Only the first pool of a process starts cold.
+    """
 
     def __init__(self, max_programs: int = 64) -> None:
         self.max_programs = max_programs
@@ -738,21 +755,9 @@ class TranslationCache:
         self.translated_instructions = 0
         self.interpreted_instructions = 0
         self.block_executions = 0
-        #: Blocks compiled inside a warming pass (the pool-worker
-        #: initializer); compiles beyond this count happened cold, on a
-        #: campaign's critical path.  A monotone counter, so snapshot
-        #: deltas stay meaningful even when warming runs mid-process.
-        self.blocks_prewarmed = 0
-
-    def mark_prewarmed(self, since: int = 0) -> None:
-        """Credit blocks compiled after the ``since`` count to warming.
-
-        Callers snapshot ``stats()["blocks_compiled"]`` before warming and
-        pass it here, so only the warming pass's own compiles count — in a
-        fresh pool worker ``since`` is simply 0.
-        """
-        compiled = sum(t.compiled_blocks for t in self._programs.values())
-        self.blocks_prewarmed += max(0, compiled - since)
+        #: Entries other processes compiled and this one has not yet: text
+        #: digest -> entry indices, waiting for :meth:`compile_adopted`.
+        self.adopted: dict[str, set[int]] = {}
 
     def get(self, program: Program) -> ProgramTranslation:
         """The (shared) translation for ``program``, creating it on miss."""
@@ -774,6 +779,53 @@ class TranslationCache:
         program._translation = translation
         return translation
 
+    # -- carrying compiled entries across a fork ---------------------------------
+
+    def compile_marks(self) -> dict[str, int]:
+        """Per-text compile-log positions, for :meth:`compiled_since`."""
+        return {digest: len(t.compiled) for digest, t in self._programs.items()}
+
+    def compiled_since(self, marks: dict[str, int]) -> dict[str, list[int]]:
+        """Entries compiled after ``marks`` was taken: digest -> indices."""
+        return {
+            digest: t.compiled[marks.get(digest, 0):]
+            for digest, t in self._programs.items()
+            if len(t.compiled) > marks.get(digest, 0)
+        }
+
+    def adopt(self, entries: dict[str, list[int]]) -> int:
+        """Queue entries another process compiled; return how many are new.
+
+        Entries this process already compiled, or already holds, are skipped.
+        """
+        new = 0
+        for digest, indices in entries.items():
+            translation = self._programs.get(digest)
+            held = self.adopted.setdefault(digest, set())
+            for index in indices:
+                if index in held or (
+                    translation is not None and translation.blocks[index] is not None
+                ):
+                    continue
+                held.add(index)
+                new += 1
+            if not held:
+                del self.adopted[digest]
+        return new
+
+    def compile_adopted(self, program: Program) -> int:
+        """Compile the adopted entries of ``program``'s text; return how many
+        blocks that compiled."""
+        indices = self.adopted.pop(program.text_digest(), None)
+        if not indices:
+            return 0
+        translation = self.get(program)
+        before = translation.compiled_blocks
+        for index in sorted(indices):
+            if translation.blocks[index] is None:
+                translation.compile_block(index)
+        return translation.compiled_blocks - before
+
     def stats(self) -> dict[str, int | float]:
         """Process-wide counters: program attaches, compiled blocks, and the
         translated/interpreted execution mix with the block-cache hit rate
@@ -785,8 +837,6 @@ class TranslationCache:
             "program_hits": self.hits,
             "program_misses": self.misses,
             "blocks_compiled": compiled,
-            "blocks_prewarmed": min(self.blocks_prewarmed, compiled),
-            "blocks_compiled_cold": max(0, compiled - self.blocks_prewarmed),
             "translated_instructions": self.translated_instructions,
             "interpreted_instructions": self.interpreted_instructions,
             "block_executions": executions,

@@ -22,14 +22,52 @@ hypervisor execution is re-initiated."
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationLimitExceeded
+from repro.hypervisor.layout import Slot
 from repro.hypervisor.xen import Activation, ActivationResult
 from repro.machine.exceptions import AssertionViolation, HardwareException
+from repro.machine.memory import Memory
 from repro.xentry.framework import ProtectionVerdict, Xentry
 
-__all__ = ["RecoveryOutcome", "RecoveryManager"]
+__all__ = ["CriticalCopy", "RecoveryOutcome", "RecoveryManager", "merge_extents"]
+
+
+def merge_extents(slots: Iterable[Slot]) -> tuple[tuple[int, int], ...]:
+    """``(address, size)`` byte extents covering ``slots``, with adjacent
+    and overlapping slots merged into one extent each."""
+    merged: list[list[int]] = []
+    for slot in sorted(slots, key=lambda s: s.address):
+        if merged and slot.address <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], slot.end)
+        else:
+            merged.append([slot.address, slot.end])
+    return tuple((start, end - start) for start, end in merged)
+
+
+class CriticalCopy:
+    """The per-VM-exit redundant copy of every layout slot (Section VI).
+
+    Snapshot and restore move each merged extent as one block
+    (``Memory.read_block``/``write_block``), the way the shim copies
+    the structures, instead of word by word.  The block copy is not a CPU
+    store, so it leaves ``Memory.store_count`` alone.
+    """
+
+    def __init__(self, memory: Memory, slots: Iterable[Slot]) -> None:
+        self.memory = memory
+        self.extents = merge_extents(slots)
+
+    def snapshot(self) -> tuple[bytes, ...]:
+        """Copy every critical extent (call with the state to preserve live)."""
+        return tuple(self.memory.read_block(address, size) for address, size in self.extents)
+
+    def restore(self, snapshot: tuple[bytes, ...]) -> None:
+        """Write a :meth:`snapshot` back."""
+        for (address, _size), data in zip(self.extents, snapshot, strict=True):
+            self.memory.write_block(address, data)
 
 
 @dataclass(frozen=True)
@@ -56,33 +94,25 @@ class RecoveryManager:
     exits_protected: int = 0
     recoveries: int = 0
     unrecoverable: int = 0
-    _critical_slots: tuple = field(init=False, repr=False, default=())
+    _critical: CriticalCopy = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        layout = self.xentry.hv.layout
+        hv = self.xentry.hv
         # "Critical hypervisor data (e.g. VCPU and domain information) and
         # the VM exit reason" — plus bookkeeping, so that re-execution is
         # bit-identical to a fault-free first attempt.  (Scratch buffers are
         # cheap; what matters for correctness is that nothing the handler
         # reads can differ between the attempts.)
-        self._critical_slots = tuple(layout.all_slots.values())
+        self._critical = CriticalCopy(hv.memory, hv.layout.all_slots.values())
 
     # -- the copy the paper prices at ~1,900 ns --------------------------------
 
-    def snapshot_critical(self) -> dict[int, int]:
+    def snapshot_critical(self) -> tuple[bytes, ...]:
         """Copy every critical word (the per-VM-exit redundant copy)."""
-        memory = self.xentry.hv.memory
-        snapshot: dict[int, int] = {}
-        for slot in self._critical_slots:
-            for w in range(slot.words):
-                addr = slot.word_address(w)
-                snapshot[addr] = memory.read_u64(addr)
-        return snapshot
+        return self._critical.snapshot()
 
-    def restore_critical(self, snapshot: dict[int, int]) -> None:
-        memory = self.xentry.hv.memory
-        for addr, value in snapshot.items():
-            memory.write_u64(addr, value)
+    def restore_critical(self, snapshot: tuple[bytes, ...]) -> None:
+        self._critical.restore(snapshot)
 
     # -- protect + recover ------------------------------------------------------
 

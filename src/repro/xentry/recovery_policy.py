@@ -46,6 +46,7 @@ from repro import rng as rng_mod
 from repro.errors import CampaignConfigError, SimulationLimitExceeded
 from repro.faults.outcomes import FaultSpec, RecoveryRecord
 from repro.machine.exceptions import AssertionViolation, HardwareException
+from repro.xentry.recovery_exec import CriticalCopy
 
 __all__ = [
     "RecoveryAction",
@@ -186,8 +187,8 @@ class RecoveryExecutor:
         self.hazard_rate = hazard_rate
         # The per-VM-exit redundant copy of the Section VI scheme covers
         # every layout slot (domain/VCPU structures + hypervisor control).
-        self._critical_slots = tuple(hv.layout.all_slots.values())
-        self._critical: dict[int, int] | None = None
+        self._copy = CriticalCopy(hv.memory, hv.layout.all_slots.values())
+        self._critical: tuple[bytes, ...] | None = None
         self._group: int = -1
         self._activation = None
         self._golden = None
@@ -197,17 +198,11 @@ class RecoveryExecutor:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def snapshot_critical(self) -> dict[int, int]:
+    def snapshot_critical(self) -> tuple[bytes, ...]:
         """Copy every critical word (call with the pre-run state live)."""
-        memory = self.hv.memory
-        snapshot: dict[int, int] = {}
-        for slot in self._critical_slots:
-            for w in range(slot.words):
-                addr = slot.word_address(w)
-                snapshot[addr] = memory.read_u64(addr)
-        return snapshot
+        return self._copy.snapshot()
 
-    def arm(self, critical: dict[int, int] | None = None) -> None:
+    def arm(self, critical: tuple[bytes, ...] | None = None) -> None:
         """Install the per-VM-exit critical copy (defaults to a fresh one)."""
         self._critical = critical if critical is not None else self.snapshot_critical()
 
@@ -289,15 +284,10 @@ class RecoveryExecutor:
 
     # -- rungs -----------------------------------------------------------------
 
-    def _restore_critical(self) -> None:
-        memory = self.hv.memory
-        for addr, value in self._critical.items():
-            memory.write_u64(addr, value)
-
     def _reexecute(self, hazard: FaultSpec | None) -> _Attempt:
         """Section VI: restore the critical copy and re-initiate the handler."""
         hv = self.hv
-        self._restore_critical()
+        self._copy.restore(self._critical)
         hv.cpu.clear_injection()
         if hazard is not None:
             hv.cpu.schedule_register_flip(hazard.dynamic_index, hazard.register, hazard.bit)

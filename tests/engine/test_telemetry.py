@@ -4,6 +4,7 @@ import io
 import json
 
 from repro.engine import (
+    CampaignEngine,
     CampaignFinished,
     CampaignStarted,
     EngineTelemetry,
@@ -140,6 +141,40 @@ class TestManifest:
         assert manifest["shards"] == [
             {"shard": 0, "n_trials": 25, "elapsed_seconds": 5.0, "resumed": False}
         ]
+
+
+class TestMachineCounters:
+    """The manifest's ``machine`` section sums this run's shard deltas."""
+
+    CONFIG = CampaignConfig(benchmarks=("mcf", "postmark"), n_injections=64, seed=9)
+
+    def _machine(self, jobs: int) -> dict:
+        telemetry = EngineTelemetry()
+        CampaignEngine(self.CONFIG, jobs=jobs, n_shards=2, telemetry=telemetry).run()
+        return telemetry.manifest()["machine"]
+
+    @staticmethod
+    def _executed(machine: dict) -> int:
+        return machine["translated_instructions"] + machine["interpreted_instructions"]
+
+    def test_pool_run_counts_what_an_inline_run_counts(self):
+        inline = self._machine(1)
+        pooled = self._machine(2)
+        assert self._executed(pooled) == self._executed(inline) > 0
+        for key in ("twins", "dead_twins"):
+            assert pooled[key] == inline[key] > 0
+
+    def test_a_second_run_counts_only_itself(self):
+        first, second = self._machine(1), self._machine(1)
+        assert self._executed(second) == self._executed(first)
+        assert second["twins"] == first["twins"]
+
+    def test_derived_rates(self):
+        machine = self._machine(1)
+        assert machine["translated_share"] == (
+            machine["translated_instructions"] / self._executed(machine)
+        )
+        assert 0.0 < machine["block_hit_rate"] <= 1.0
 
 
 class TestProgressLine:

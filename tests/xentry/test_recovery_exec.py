@@ -1,11 +1,16 @@
 """The working recovery implementation (Section VI, executed for real)."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
+from repro.hypervisor.layout import Slot, ValueKind
 from repro.ml import CORRECT, Dataset, DecisionTreeClassifier
 from repro.xentry import VMTransitionDetector, Xentry
-from repro.xentry.recovery_exec import RecoveryManager
+from repro.xentry.recovery_exec import CriticalCopy, RecoveryManager, merge_extents
 
 
 def permissive_detector() -> VMTransitionDetector:
@@ -37,6 +42,70 @@ class TestCleanPath:
         before = hv.memory.checkpoint()
         manager.restore_critical(snapshot)
         assert hv.memory.checkpoint() == before
+
+
+@functools.lru_cache(maxsize=1)
+def aged_machine() -> XenHypervisor:
+    hv = XenHypervisor(seed=33)
+    for seq, name in enumerate(("xen_version", "event_channel_op", "sched_op")):
+        hv.execute(act(name, 3, 1, seq=seq))
+    return hv
+
+
+def slot(address: int, words: int) -> Slot:
+    return Slot(f"s{address:#x}", address, words, -1, ValueKind.CONTROL)
+
+
+class TestCriticalCopy:
+    """One block per merged slot extent, equal to the word-by-word copy."""
+
+    def test_adjacent_and_overlapping_slots_merge(self):
+        slots = [slot(0x100, 2), slot(0x110, 1), slot(0x200, 4), slot(0x208, 1),
+                 slot(0x300, 1)]
+        assert merge_extents(reversed(slots)) == ((0x100, 24), (0x200, 32), (0x300, 8))
+
+    def test_layout_is_covered_word_for_word(self):
+        slots = aged_machine().layout.all_slots.values()
+        covered = {
+            address + offset
+            for address, size in merge_extents(slots)
+            for offset in range(0, size, 8)
+        }
+        assert covered == {s.word_address(w) for s in slots for w in range(s.words)}
+
+    @given(st.lists(st.tuples(st.integers(0, 2047), st.integers(0, 2**64 - 1)),
+                    max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_block_restore_equals_wordwise_restore(self, corruption):
+        """Words anywhere in the 16 KiB heap — inside the 805 slot words and
+        past them — are corrupted; both restores must leave equal pages."""
+        hv = aged_machine()
+        memory = hv.memory
+        slots = tuple(hv.layout.all_slots.values())
+        copy = CriticalCopy(memory, slots)
+        pristine = memory.checkpoint()
+        block = copy.snapshot()
+        words = {
+            s.word_address(w): memory.read_u64(s.word_address(w))
+            for s in slots for w in range(s.words)
+        }
+
+        def corrupt() -> None:
+            for word, value in corruption:
+                memory.write_u64(hv.memory_map.heap_base + 8 * word, value)
+
+        try:
+            corrupt()
+            copy.restore(block)
+            by_block = memory.checkpoint()
+            memory.restore(pristine)
+            corrupt()
+            for address, value in words.items():
+                memory.write_u64(address, value)
+            by_word = memory.checkpoint()
+        finally:
+            memory.restore(pristine)
+        assert by_block == by_word
 
 
 class TestRecoveryFromRealFaults:
