@@ -4,7 +4,10 @@ Measures the same campaign executed several ways — the serial
 ``FaultInjectionCampaign`` loop, the sharded engine with 2 and 4 worker
 processes, and the widest engine against a cold then warm golden artifact
 cache — verifying bit-identical results while reporting throughput and
-speedup.  Job counts are capped at the host's CPU count, so no run is
+speedup.  The widest engine's no-cache, cold-cache and warm-cache runs are
+each timed as the median of ``REPS`` alternating repetitions (a fresh store
+per cold run), so the warm-over-no-cache ratio does not swing with one
+noisy run.  Job counts are capped at the host's CPU count, so no run is
 oversubscribed; the summary records the host.  A machine-readable summary
 is written to ``BENCH_engine.json`` next to this file (override with
 ``REPRO_BENCH_OUTPUT``).
@@ -19,6 +22,7 @@ import dataclasses
 import json
 import os
 import platform
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -36,6 +40,8 @@ JOBS = sorted({min(jobs, NPROC) for jobs in (2, 4)})
 #: job count must beat the cacheless run at that count by this factor (zero
 #: captures vs full capture cost; every pool of the process forks hot).
 TARGET_WARM_SPEEDUP = 1.5
+#: Alternating repetitions behind each widest-engine phase's median.
+REPS = 3
 OUTPUT = Path(
     os.environ.get("REPRO_BENCH_OUTPUT", Path(__file__).parent / "BENCH_engine.json")
 )
@@ -53,6 +59,22 @@ def _timed(label: str, fn):
     }, result
 
 
+def _median_run(label: str, reps: list[tuple[float, int, dict | None]]) -> dict:
+    """One phase's summary: the median of its repetitions' wall times."""
+    elapsed = statistics.median(seconds for seconds, _, _ in reps)
+    stats = {
+        "label": label,
+        "elapsed_seconds": elapsed,
+        "repetitions": [seconds for seconds, _, _ in reps],
+        "trials": reps[0][1],
+        "trials_per_sec": reps[0][1] / elapsed if elapsed > 0 else 0.0,
+    }
+    cache = reps[-1][2]
+    if cache is not None:
+        stats["golden_cache"] = cache
+    return stats
+
+
 def test_engine_throughput_and_speedup():
     config = CampaignConfig(n_injections=N_INJECTIONS, seed=SEED)
     runs = []
@@ -61,7 +83,7 @@ def test_engine_throughput_and_speedup():
         "serial", lambda: FaultInjectionCampaign(config).run()
     )
     runs.append(serial_stats)
-    for jobs in JOBS:
+    for jobs in JOBS[:-1]:
         stats, result = _timed(
             f"jobs={jobs}",
             lambda jobs=jobs: CampaignEngine(
@@ -70,43 +92,46 @@ def test_engine_throughput_and_speedup():
         )
         # Parallelism must never change the science.
         assert result.records == serial.records
-        stats["speedup_vs_serial"] = (
-            serial_stats["elapsed_seconds"] / stats["elapsed_seconds"]
-        )
         runs.append(stats)
 
-    # Golden artifact cache: the widest campaign against a cold then a warm
-    # content-addressed cache.  The warm run must execute zero golden
-    # captures (manifest hit rate 1.0) and its speedup over the no-cache run
-    # at the same job count is the headline number of the cache.
+    # Golden artifact cache: the widest campaign without a cache, against a
+    # cold content-addressed cache, then against the same cache warm.  The
+    # warm run must execute zero golden captures (manifest hit rate 1.0) and
+    # its speedup over the no-cache run at the same job count is the
+    # headline number of the cache.  The three phases alternate REPS times.
     jobs = JOBS[-1]
-    no_cache = runs[-1]
-    with tempfile.TemporaryDirectory() as tmp:
-        cached = dataclasses.replace(config, artifacts=str(Path(tmp) / "cache"))
-        for phase in ("cold-cache", "warm-cache"):
-            telemetry = EngineTelemetry()
-            stats, result = _timed(
-                f"jobs={jobs} {phase}",
-                lambda: CampaignEngine(
-                    cached, jobs=jobs, n_shards=2 * jobs, telemetry=telemetry
-                ).run(),
-            )
-            # The cache must never change the science either.
-            assert result.records == serial.records
-            cache = telemetry.golden_cache_summary()
-            stats["golden_cache"] = cache
-            stats["speedup_vs_serial"] = (
-                serial_stats["elapsed_seconds"] / stats["elapsed_seconds"]
-            )
-            stats["speedup_vs_no_cache"] = (
-                no_cache["elapsed_seconds"] / stats["elapsed_seconds"]
-            )
-            runs.append(stats)
+    phases: dict[str, list] = {"no-cache": [], "cold-cache": [], "warm-cache": []}
+    for _ in range(REPS):
+        with tempfile.TemporaryDirectory() as tmp:
+            cached = dataclasses.replace(config, artifacts=str(Path(tmp) / "cache"))
+            for phase, phase_config in (
+                ("no-cache", config), ("cold-cache", cached), ("warm-cache", cached),
+            ):
+                telemetry = EngineTelemetry()
+                t0 = time.perf_counter()
+                result = CampaignEngine(
+                    phase_config, jobs=jobs, n_shards=2 * jobs, telemetry=telemetry
+                ).run()
+                seconds = time.perf_counter() - t0
+                # Neither parallelism nor the cache may change the science.
+                assert result.records == serial.records
+                cache = (
+                    telemetry.golden_cache_summary() if phase != "no-cache" else None
+                )
+                phases[phase].append((seconds, len(result), cache))
         assert cache["hit_rate"] == 1.0, cache
         assert cache.get("golden_misses", 0) == 0, cache
-        assert runs[-1]["speedup_vs_no_cache"] >= TARGET_WARM_SPEEDUP, (
-            f"warm cache regressed: {runs[-1]['speedup_vs_no_cache']:.2f}x "
-            f"< {TARGET_WARM_SPEEDUP}x over the cacheless {runs[-1]['label']} run"
+    no_cache = _median_run(f"jobs={jobs}", phases["no-cache"])
+    runs.append(no_cache)
+    for phase in ("cold-cache", "warm-cache"):
+        stats = _median_run(f"jobs={jobs} {phase}", phases[phase])
+        stats["speedup_vs_no_cache"] = (
+            no_cache["elapsed_seconds"] / stats["elapsed_seconds"]
+        )
+        runs.append(stats)
+    for stats in runs[1:]:
+        stats["speedup_vs_serial"] = (
+            serial_stats["elapsed_seconds"] / stats["elapsed_seconds"]
         )
 
     summary = {
@@ -119,6 +144,7 @@ def test_engine_throughput_and_speedup():
         "n_injections": len(serial),
         "n_shards_planned": plan_campaign(config, 2 * jobs).n_shards,
         "seed": SEED,
+        "repetitions": REPS,
         "runs": runs,
         "warm_cache_speedup_vs_no_cache": runs[-1]["speedup_vs_no_cache"],
         "target_warm_speedup": TARGET_WARM_SPEEDUP,
@@ -143,6 +169,12 @@ def test_engine_throughput_and_speedup():
     )
     print(f"summary written to {OUTPUT}")
 
+    # The summary is written first, so a run that misses a floor still
+    # records its numbers.
+    assert warm["speedup_vs_no_cache"] >= TARGET_WARM_SPEEDUP, (
+        f"warm cache regressed: {warm['speedup_vs_no_cache']:.2f}x "
+        f"< {TARGET_WARM_SPEEDUP}x over the cacheless {no_cache['label']} run"
+    )
     # Sanity floor, not a strict scaling claim: pooled runs must at least
     # not collapse (worker startup amortized over the campaign).
     pooled = runs[1]

@@ -8,7 +8,7 @@ the lock-step :class:`~repro.machine.lockstep.TwinPlan` — can be captured
 once, stored by content address, and served to every later run and every
 pool worker:
 
-* :mod:`repro.artifacts.store` — the on-disk store and the golden digest;
+* :mod:`repro.artifacts.store` — the on-disk pack store and the golden digest;
 * :mod:`repro.artifacts.codec` — the versioned, checksummed binary format;
 * :mod:`repro.artifacts.shm` — zero-copy segment publication for pools;
 * :mod:`repro.artifacts.runtime` — the capture-or-load policy and stats.

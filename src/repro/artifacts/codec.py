@@ -3,7 +3,11 @@
 One artifact holds everything a worker needs to run a golden group's trials
 without executing the fault-free twin: the :class:`GoldenRun` (result,
 outputs, heap image, pre-run checkpoint, follow-up results, checkpoint
-ladder) and the lock-step :class:`TwinPlan` state.  The layout::
+ladder) and the lock-step :class:`TwinPlan` lowered from its recorded
+address stream (absent when the group was captured with twin batching off;
+the stream itself is not stored).  Artifacts travel inside packs
+(:mod:`repro.artifacts.store`) and shared-memory segments
+(:mod:`repro.artifacts.shm`).  The layout::
 
     MAGIC (8 bytes, includes the format version byte)
     u64   header length
@@ -54,26 +58,15 @@ __all__ = [
     "ArtifactPayload",
     "CODEC_FORMAT",
     "MAGIC",
-    "PLAN_ABSENT",
-    "PLAN_NONE",
-    "PLAN_PRESENT",
     "decode_group",
     "encode_group",
 ]
 
 #: Last byte is the binary-format version: bump it and every older reader
 #: treats the file as corrupt (fallback to live capture, never a misparse).
-MAGIC = b"XENTART\x01"
-CODEC_FORMAT = "xentry-artifact-v1"
+MAGIC = b"XENTART\x02"
+CODEC_FORMAT = "xentry-artifact-v2"
 _CHECKSUM_BYTES = 16
-
-#: TwinPlan captured and usable.
-PLAN_PRESENT = "plan"
-#: TwinPlan capture was attempted and refused (trace mismatch): the cached
-#: group must peel every twin, exactly like the live path would.
-PLAN_NONE = "none"
-#: No TwinPlan in the artifact (captured with twin batching off).
-PLAN_ABSENT = "absent"
 
 _COLUMN_DTYPE = np.dtype("<i8")
 
@@ -84,12 +77,12 @@ class ArtifactCorrupt(Exception):
 
 @dataclass(frozen=True)
 class ArtifactPayload:
-    """A decoded artifact: the golden products plus the plan state."""
+    """A decoded artifact: the golden products plus the TwinPlan."""
 
     digest: str
     golden: GoldenRun
-    #: ``(PLAN_PRESENT, TwinPlan) | (PLAN_NONE, None) | (PLAN_ABSENT, None)``.
-    plan_state: tuple[str, TwinPlan | None]
+    #: The group's TwinPlan; ``None`` when captured with twin batching off.
+    plan: TwinPlan | None
     #: Encoded size (telemetry: bytes served from cache instead of re-run).
     nbytes: int
 
@@ -129,9 +122,7 @@ def _pages_ref(pages: dict[int, bytes], writer: _BlobWriter) -> list[list[int]]:
     return [[base, writer.add(bytes(pages[base]))] for base in sorted(pages)]
 
 
-def encode_group(
-    digest: str, golden: GoldenRun, plan_state: tuple[str, TwinPlan | None]
-) -> bytes:
+def encode_group(digest: str, golden: GoldenRun, plan: TwinPlan | None) -> bytes:
     """Encode one golden group's products into artifact bytes."""
     writer = _BlobWriter()
     header: dict = {
@@ -152,21 +143,12 @@ def encode_group(
             ],
         },
     }
-    state, plan = plan_state
-    if state == PLAN_PRESENT:
-        if plan is None:
-            raise ValueError("plan_state says present but no plan given")
-        header["plan"] = {
-            "state": state,
-            "instructions": plan.instructions,
-            "tops": _column_ref(plan.tops, writer),
-            "reads_pos": [_column_ref(c, writer) for c in plan.reads_pos],
-            "writes_pos": [_column_ref(c, writer) for c in plan.writes_pos],
-        }
-    elif state in (PLAN_NONE, PLAN_ABSENT):
-        header["plan"] = {"state": state}
-    else:
-        raise ValueError(f"unknown plan state {state!r}")
+    header["plan"] = None if plan is None else {
+        "instructions": plan.instructions,
+        "tops": _column_ref(plan.tops, writer),
+        "reads_pos": [_column_ref(c, writer) for c in plan.reads_pos],
+        "writes_pos": [_column_ref(c, writer) for c in plan.writes_pos],
+    }
     header["blobs"] = [[off, length] for off, length in writer.index]
 
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -266,26 +248,14 @@ def decode_group(buf: bytes | memoryview, *, registry) -> ArtifactPayload:
             return np.frombuffer(raw, dtype=_COLUMN_DTYPE)
 
         p = header["plan"]
-        state = p["state"]
-        if state == PLAN_PRESENT:
-            plan_state = (
-                PLAN_PRESENT,
-                TwinPlan(
-                    tops=column(p["tops"]),
-                    reads_pos=tuple(column(c) for c in p["reads_pos"]),
-                    writes_pos=tuple(column(c) for c in p["writes_pos"]),
-                    instructions=p["instructions"],
-                ),
-            )
-        elif state in (PLAN_NONE, PLAN_ABSENT):
-            plan_state = (state, None)
-        else:
-            raise ArtifactCorrupt(f"unknown plan state {state!r}")
+        plan = None if p is None else TwinPlan(
+            tops=column(p["tops"]),
+            reads_pos=tuple(column(c) for c in p["reads_pos"]),
+            writes_pos=tuple(column(c) for c in p["writes_pos"]),
+            instructions=p["instructions"],
+        )
         return ArtifactPayload(
-            digest=header["digest"],
-            golden=golden,
-            plan_state=plan_state,
-            nbytes=len(view),
+            digest=header["digest"], golden=golden, plan=plan, nbytes=len(view)
         )
     except ArtifactCorrupt:
         raise

@@ -2,9 +2,13 @@
 
 :class:`GoldenSource` is the single object the campaign trial loop talks to:
 ``acquire`` tries the shared-memory segment first, then the on-disk store,
-and ``offer`` publishes a freshly captured group back to disk so the *next*
-run (or the next shard sharing the store) skips the capture.  Everything is
-fail-open — a corrupt artifact, a vanished segment, or an unwritable store
+and ``offer`` appends a freshly captured group to the source's pack so the
+*next* run (or the next shard sharing the store) skips the capture.  The
+source's owner — :func:`~repro.engine.pool.execute_shard` after its last
+slice, :meth:`~repro.faults.campaign.FaultInjectionCampaign.run` after its
+run — calls :meth:`GoldenSource.commit` (one ``fsync`` per pack) or, when
+the attempt raises, :meth:`GoldenSource.discard`.  Everything is fail-open —
+a corrupt artifact or pack, a vanished segment, or an unwritable store
 degrades to live capture, never to an exception — because the standing
 contract is that trial records are byte-identical with the cache cold, warm,
 shared, or disabled.
@@ -33,7 +37,10 @@ __all__ = ["GoldenSource", "STATS", "golden_source_for", "reset_stats", "stats"]
 #:   source; the manifest derives the hit rate from them);
 #: * ``shm_hits`` — the subset of hits served zero-copy from a segment;
 #: * ``artifact_corrupt`` — artifacts rejected by the codec (checksum,
-#:   version, structure) and silently replaced by live capture;
+#:   version, structure) and silently replaced by live capture, plus packs
+#:   skipped for a torn or unparsable trailer;
+#: * ``artifact_bytes_written`` — artifact bytes in committed packs;
+#:   ``artifact_write_errors`` — offers or commits that failed to write;
 #: * ``shm_lost`` — chaos-injected segment losses (the fallback drill);
 #: * ``golden_capture_seconds`` / ``golden_load_seconds`` — wall-clock split
 #:   behind the campaign summary's capture-vs-load line.
@@ -63,12 +70,13 @@ def reset_stats() -> None:
 
 
 class GoldenSource:
-    """One campaign run's view of the artifact cache.
+    """One campaign run's (or shard attempt's) view of the artifact cache.
 
-    Holds the config (digest identity), the disk store, and optionally the
-    name of a parent-published shared-memory segment.  :meth:`poison` — the
-    ``shm_lost`` chaos hook — disables the source for the rest of the shard,
-    forcing the genuine live-capture fallback rather than a softer retry.
+    Holds the config (digest identity), the disk store, optionally the name
+    of a parent-published shared-memory segment, and the pack its offers
+    stream into.  :meth:`poison` — the ``shm_lost`` chaos hook — disables
+    the source for the rest of the shard, forcing the genuine live-capture
+    fallback rather than a softer retry.
     """
 
     def __init__(
@@ -78,10 +86,14 @@ class GoldenSource:
         self.store = store
         self.segment = segment
         self._poisoned = False
+        self._scanned = False
+        self._pack = None
 
     def poison(self) -> None:
-        """Stop serving and saving artifacts (chaos: the cache is gone)."""
+        """Stop serving and saving artifacts (chaos: the cache is gone);
+        the pending pack is dropped and nothing further is written."""
         self._poisoned = True
+        self.discard()
 
     def acquire(self, benchmark: str, group: int, *, registry):
         """Load one golden group's products, or ``None`` to capture live.
@@ -96,11 +108,7 @@ class GoldenSource:
         try:
             payload = self._from_segment(digest, registry)
             if payload is None and self.store is not None:
-                try:
-                    payload = self.store.load(digest, registry=registry)
-                except ArtifactCorrupt:
-                    STATS["artifact_corrupt"] += 1
-                    payload = None
+                payload = self._from_store(digest, registry)
         finally:
             STATS["golden_load_seconds"] += time.perf_counter() - started
         if payload is None:
@@ -129,26 +137,58 @@ class GoldenSource:
         STATS["shm_hits"] += 1
         return payload
 
-    def offer(self, benchmark: str, group: int, golden, plan_state) -> None:
-        """Publish a live-captured group to the disk store (best effort)."""
+    def _from_store(self, digest: str, registry):
+        if not self._scanned:
+            self._scanned = True
+            STATS["artifact_corrupt"] += self.store.scan()
+        try:
+            return self.store.load(digest, registry=registry)
+        except ArtifactCorrupt:
+            STATS["artifact_corrupt"] += 1
+            return None
+
+    def offer(self, benchmark: str, group: int, golden, plan) -> None:
+        """Append a live-captured group to this source's pack (best effort).
+
+        The artifact is written out now; readers see it once the owner
+        calls :meth:`commit`.
+        """
         if self._poisoned or self.store is None:
             return
         digest = golden_digest(self.config, benchmark, group)
-        blob = encode_group(digest, golden, plan_state)
-        if self.store.save(digest, blob):
-            STATS["artifact_bytes_written"] += len(blob)
-        else:
+        blob = encode_group(digest, golden, plan)
+        try:
+            if self._pack is None:
+                self._pack = self.store.begin_pack()
+            self._pack.append(digest, blob)
+        except OSError:
             STATS["artifact_write_errors"] += 1
+            self.discard()
+
+    def commit(self) -> None:
+        """Seal the pack of everything offered: one ``fsync``, then its name
+        appears.  A no-op when nothing was offered."""
+        pack, self._pack = self._pack, None
+        if pack is None:
+            return
+        try:
+            pack.commit()
+        except OSError:
+            STATS["artifact_write_errors"] += 1
+            pack.discard()
+            return
+        STATS["artifact_bytes_written"] += pack.nbytes
+
+    def discard(self) -> None:
+        """Drop the pending pack (its temp file is removed)."""
+        pack, self._pack = self._pack, None
+        if pack is not None:
+            pack.discard()
 
 
 def golden_source_for(config, *, segment: str | None = None) -> GoldenSource | None:
-    """Build the campaign's golden source, or ``None`` when caching is off.
-
-    Full-trace campaigns (``config.trace``) never cache: the full tracer
-    records per-instruction addresses whose replay cost *is* the product, and
-    mixing traced and untraced captures under one digest would be wrong.
-    """
-    if not getattr(config, "golden_cache", True) or getattr(config, "trace", False):
+    """Build the campaign's golden source, or ``None`` when caching is off."""
+    if not getattr(config, "golden_cache", True):
         return None
     store = GoldenStore(config.artifacts) if config.artifacts else None
     if store is None and segment is None:

@@ -209,7 +209,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     pre_machine = machine_counters()
     pre_artifacts = artifacts_runtime.stats()
     config = CampaignConfig(
-        n_injections=args.injections, seed=args.seed, trace=args.trace,
+        n_injections=args.injections, seed=args.seed,
         translate=not args.no_translate,
         twin_batch=not args.no_twin_batch,
         recover=args.recover,
@@ -479,9 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "mixture, memory-subsystem targeting, workload "
                         "overrides; its campaign: section overrides CLI "
                         "flags (see examples/)")
-    p.add_argument("--trace", action="store_true",
-                   help="record full per-instruction address traces "
-                        "(slower; light count+path-hash tracing is the default)")
     p.add_argument("--no-translate", action="store_true",
                    help="disable the basic-block translation cache and run "
                         "every instruction through the interpreter "

@@ -65,11 +65,11 @@ def config_digest(config: CampaignConfig) -> str:
         "followup_activations": config.followup_activations,
         "fault_registers": list(config.fault_model.registers),
         "fault_bits": list(config.fault_model.bits),
-        # config.trace, config.ladder_interval, config.translate and
-        # config.twin_batch are deliberately absent: they change execution
-        # strategy (full tracing, checkpoint ladders, translated-block
-        # dispatch, lock-step twin batching), never the trial records, so
-        # resuming a journal across them is safe.
+        # config.ladder_interval, config.translate and config.twin_batch
+        # are deliberately absent: they change execution strategy
+        # (checkpoint ladders, translated-block dispatch, lock-step twin
+        # batching), never the trial records, so resuming a journal across
+        # them is safe.
         # The engine's supervision knobs (RetryPolicy, shard_timeout,
         # ChaosPolicy) live on CampaignEngine rather than the config for the
         # same reason, and must stay out of this payload: records are

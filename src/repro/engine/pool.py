@@ -93,10 +93,12 @@ def execute_shard(
 
     ``segment`` names a shared-memory segment the parent pre-published with
     this shard's golden artifacts; the worker maps it instead of re-reading
-    the store (and instead of re-executing goldens).  The returned trials
-    come paired with this execution's delta of the process-wide artifact
-    counters (:func:`repro.artifacts.runtime.stats`), so the supervisor can
-    fold worker-side cache telemetry into the run manifest.
+    the store (and instead of re-executing goldens).  Goldens the attempt
+    captures live stream into one pack, committed after the last slice (one
+    ``fsync``) and dropped if the attempt raises.  The returned trials come
+    paired with this execution's delta of the process-wide artifact counters
+    (:func:`repro.artifacts.runtime.stats`), so the supervisor can fold
+    worker-side cache telemetry into the run manifest.
     """
     tripwire = None
     if chaos is not None:
@@ -118,18 +120,24 @@ def execute_shard(
     if tripwire is not None:
         tripwire.step()  # faults positioned "before the first trial"
     hv = XenHypervisor(
-        n_domains=config.n_domains, seed=config.seed,
-        light_trace=not config.trace, translate=config.translate,
+        n_domains=config.n_domains, seed=config.seed, translate=config.translate
     )
     out: list[tuple[int, TrialRecord]] = []
-    for s in shard.slices:
-        records = run_benchmark_groups(
-            config, s.benchmark, s.group_start, s.group_stop,
-            hv=hv, detector=detector,
-            on_record=tripwire.step if tripwire is not None else None,
-            golden_source=golden_source,
-        )
-        out.extend(enumerate(records, start=s.trial_start))
+    try:
+        for s in shard.slices:
+            records = run_benchmark_groups(
+                config, s.benchmark, s.group_start, s.group_stop,
+                hv=hv, detector=detector,
+                on_record=tripwire.step if tripwire is not None else None,
+                golden_source=golden_source,
+            )
+            out.extend(enumerate(records, start=s.trial_start))
+    except BaseException:
+        if golden_source is not None:
+            golden_source.discard()
+        raise
+    if golden_source is not None:
+        golden_source.commit()
     stats_after = artifacts_runtime.stats()
     delta = {
         key: stats_after[key] - stats_before[key]
@@ -143,8 +151,8 @@ class _ShardSegments:
     """Parent-side zero-copy distribution of cached golden artifacts.
 
     For each shard about to be submitted, :meth:`acquire` reads the shard's
-    cached golden artifacts from the on-disk store (raw bytes, unverified —
-    workers checksum at decode) and publishes them as one shared-memory
+    cached golden artifacts out of the store's packs (raw bytes, unverified
+    — workers checksum at decode) and publishes them as one shared-memory
     segment; pool workers map that segment read-only instead of re-reading
     the store once per worker, or worse, re-executing the goldens.  The
     supervisor calls :meth:`release` when the shard reaches a terminal state
@@ -299,8 +307,7 @@ class CampaignEngine:
                 self.jobs > 1
                 and pending
                 and self.config.artifacts
-                and getattr(self.config, "golden_cache", True)
-                and not self.config.trace
+                and self.config.golden_cache
             ):
                 segments = _ShardSegments(self.config)
             supervisor = ShardSupervisor(
@@ -323,6 +330,10 @@ class CampaignEngine:
             if segments is not None:
                 self.telemetry.record_artifact_stats(segments.stats)
                 segments.close()
+            # Every worker of this run is gone: drop the temp packs of any
+            # that died mid-attempt.
+            if self.config.artifacts and self.config.golden_cache:
+                GoldenStore(self.config.artifacts).sweep()
             # The manifest snapshot must survive any failure mode — it is
             # written first so a failing journal close cannot cost it, and
             # best-effort so an unwritable manifest cannot mask the real

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 from repro import rng as rng_mod
 from repro.errors import CampaignConfigError
 from repro.faults.injector import (
-    PLAN_UNSET,
     TransitionDetector,
     run_spec_trial,
     run_twin_batch,
@@ -66,11 +65,6 @@ class CampaignConfig:
     #: continue to observe if it can be detected").
     followup_activations: int = 8
     fault_model: FaultModel = field(default_factory=FaultModel)
-    #: Record full per-instruction address traces.  The campaign's detection
-    #: science needs only the light tracer (count + path hash); the full
-    #: trace exists for debugging/analysis and costs throughput.  Excluded
-    #: from the engine's config digest: it cannot change trial records.
-    trace: bool = False
     #: Dynamic-instruction spacing of the golden run's mid-run checkpoint
     #: ladder; faulty runs fast-forward to the rung at-or-before their
     #: injection index.  0 disables the ladder (every trial replays the whole
@@ -229,20 +223,17 @@ def run_benchmark_groups(
     merged shards are bit-identical to a serial run of the same root seed.
 
     ``golden_source`` is the artifact cache's capture-or-load policy
-    (:class:`repro.artifacts.runtime.GoldenSource`); by default it is derived
-    from the config (engine workers pass one carrying their shard's
-    shared-memory segment).  A cached group skips golden capture — and the
-    full-trace TwinPlan replay — entirely; the warmup burst always runs live
-    because it ages the machine the *trials* then perturb.  Records are
-    byte-identical either way: golden products are a pure function of the
-    digest the store keys them by, and every trial restores captured state
-    before executing.
+    (:class:`repro.artifacts.runtime.GoldenSource`), owned by the caller,
+    which commits its pack when the run is done; ``None`` runs uncached.  A
+    cached group skips golden capture and the TwinPlan lowering entirely; the
+    warmup burst always runs live because it ages the machine the *trials*
+    then perturb.  Records are byte-identical either way: golden products
+    are a pure function of the digest the store keys them by, and every
+    trial restores captured state before executing.
     """
     # Lazy import: repro.artifacts.store imports this module for the config
     # and geometry types.
-    from repro.artifacts.codec import PLAN_ABSENT, PLAN_NONE, PLAN_PRESENT
     from repro.artifacts.runtime import STATS as artifact_stats
-    from repro.artifacts.runtime import golden_source_for
 
     geo = benchmark_geometry(config)
     if not 0 <= group_start <= group_stop <= geo.n_goldens:
@@ -250,12 +241,9 @@ def run_benchmark_groups(
             f"group range [{group_start}, {group_stop}) outside "
             f"[0, {geo.n_goldens}] for benchmark {benchmark!r}"
         )
-    if golden_source is None:
-        golden_source = golden_source_for(config)
     if hv is None:
         hv = XenHypervisor(
-            n_domains=config.n_domains, seed=config.seed,
-            light_trace=not config.trace, translate=config.translate,
+            n_domains=config.n_domains, seed=config.seed, translate=config.translate
         )
     profile = get_profile(benchmark)
     if config.scenario is not None:
@@ -307,40 +295,26 @@ def run_benchmark_groups(
             break
         activation = stream[g * geo.stride]
         followups = tuple(stream[g * geo.stride + 1 : (g + 1) * geo.stride])
-        plan = PLAN_UNSET
         payload = (
             golden_source.acquire(benchmark, g, registry=hv.registry)
             if golden_source is not None
             else None
         )
         if payload is not None:
-            # Served from the artifact cache: no golden execution, no trace
-            # replay.  ``plan`` may legitimately be None (the live capture's
-            # replay refused to line up) — the twins then peel, exactly as
-            # they would have live.
-            golden = payload.golden
-            if config.twin_batch:
-                plan = payload.plan_state[1]
+            # Served from the artifact cache: no golden execution, no
+            # lowering.
+            golden, plan = payload.golden, payload.plan
         else:
             hv.restore(aged_state)
             started = time.perf_counter()
             golden = capture_golden(
-                hv, activation, followups, ladder_interval=config.ladder_interval
+                hv, activation, followups,
+                ladder_interval=config.ladder_interval, record=config.twin_batch,
             )
-            if golden_source is not None and config.twin_batch:
-                # Pull the TwinPlan lowering forward (run_twin_batch would
-                # compute the identical plan from the identical state) so it
-                # can be published alongside the golden products.
-                plan = trace_plan(hv, activation, golden)
+            plan = trace_plan(hv.program, golden) if config.twin_batch else None
             artifact_stats["golden_capture_seconds"] += time.perf_counter() - started
             if golden_source is not None:
-                if not config.twin_batch:
-                    plan_state = (PLAN_ABSENT, None)
-                elif plan is not None:
-                    plan_state = (PLAN_PRESENT, plan)
-                else:
-                    plan_state = (PLAN_NONE, None)
-                golden_source.offer(benchmark, g, golden, plan_state)
+                golden_source.offer(benchmark, g, golden, plan)
         if executor is not None:
             executor.begin_group(g, activation, golden)
         if config.scenario is None:
@@ -427,12 +401,19 @@ class FaultInjectionCampaign:
         self.config = config
         self.detector = detector
         self.hv = hypervisor or XenHypervisor(
-            n_domains=config.n_domains, seed=config.seed,
-            light_trace=not config.trace, translate=config.translate,
+            n_domains=config.n_domains, seed=config.seed, translate=config.translate
         )
 
     def run(self, *, progress: Callable[[int, int], None] | None = None) -> CampaignResult:
-        """Execute the campaign; deterministic in the config seed."""
+        """Execute the campaign; deterministic in the config seed.
+
+        With an artifact store configured, everything captured live goes
+        into one pack, committed after the last benchmark (dropped if the
+        run raises).
+        """
+        # Lazy import: repro.artifacts.store imports this module.
+        from repro.artifacts.runtime import golden_source_for
+
         cfg = self.config
         geo = benchmark_geometry(cfg)
         records: list[TrialRecord] = []
@@ -445,11 +426,20 @@ class FaultInjectionCampaign:
             if progress is not None and done % 250 == 0:
                 progress(done, total)
 
-        for benchmark in cfg.benchmarks:
-            records.extend(
-                run_benchmark_groups(
-                    cfg, benchmark, 0, geo.n_goldens,
-                    hv=self.hv, detector=self.detector, on_record=tick,
+        source = golden_source_for(cfg)
+        try:
+            for benchmark in cfg.benchmarks:
+                records.extend(
+                    run_benchmark_groups(
+                        cfg, benchmark, 0, geo.n_goldens,
+                        hv=self.hv, detector=self.detector, on_record=tick,
+                        golden_source=source,
+                    )
                 )
-            )
+        except BaseException:
+            if source is not None:
+                source.discard()
+            raise
+        if source is not None:
+            source.commit()
         return CampaignResult(config=cfg, records=tuple(records))

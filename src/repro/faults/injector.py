@@ -38,9 +38,9 @@ from repro.faults.propagation import (
 from repro.hypervisor.xen import Activation, XenHypervisor
 from repro.machine import lockstep
 from repro.machine.exceptions import AssertionViolation, HardwareException, classify_exception
+from repro.machine.isa import Program
 
 __all__ = [
-    "PLAN_UNSET",
     "TransitionDetector",
     "run_trial",
     "run_burst_trial",
@@ -49,12 +49,6 @@ __all__ = [
     "run_twin_batch",
     "trace_plan",
 ]
-
-#: Sentinel for :func:`run_twin_batch`'s ``plan`` parameter: "compute the
-#: TwinPlan yourself".  Distinct from ``None``, which is a *known* answer —
-#: the trace replay refused to classify and every twin must peel.
-PLAN_UNSET = object()
-
 
 class TransitionDetector(Protocol):
     """Anything usable as the VM-transition classifier in a trial."""
@@ -174,38 +168,22 @@ def _bump_lockstep(hv: XenHypervisor, key: str, n: int = 1) -> None:
     lockstep.STATS[key] += n
 
 
-def trace_plan(hv: XenHypervisor, activation: Activation, golden: GoldenRun):
-    """Replay the golden activation once in full-trace mode and lower the
-    address stream into a :class:`~repro.machine.lockstep.TwinPlan`.
+def trace_plan(program: Program, golden: GoldenRun) -> lockstep.TwinPlan:
+    """Lower the golden run's recorded address stream into a
+    :class:`~repro.machine.lockstep.TwinPlan`.
 
-    Returns ``None`` when the replay does not line up with the captured
-    golden run (the scan refuses to classify against a mismatched trace;
-    every twin then peels into the per-trial oracle path).
-
-    Public because the campaign pulls this lowering forward when an artifact
-    cache is armed: the plan (or the ``None`` refusal — equally cacheable)
-    is published with the golden products, and a warm run hands it straight
-    to :func:`run_twin_batch` instead of replaying.
+    The stream is the one :func:`capture_golden` recorded while the golden
+    activation executed, so nothing is restored or re-executed here.  Public
+    because the campaign calls it right after capture, to publish the plan
+    with the golden products; a warm run hands the cached plan straight to
+    :func:`run_twin_batch`.
     """
-    core = hv.cpu
-    tracer = core.tracer
-    was_light = tracer.light
-    hv.restore(golden.checkpoint)
-    core.clear_injection()
-    tracer.light = False
-    try:
-        result = hv.execute(activation)
-        addresses = list(tracer.addresses)
-    finally:
-        tracer.light = was_light
-        if was_light:
-            tracer.addresses.clear()
-    if (
-        result.instructions != golden.result.instructions
-        or len(addresses) != result.instructions
-    ):
-        return None
-    return lockstep.build_plan(hv.program, addresses)
+    if len(golden.trace) != golden.result.instructions:
+        raise ValueError(
+            f"golden trace holds {len(golden.trace)} addresses for "
+            f"{golden.result.instructions} instructions (captured without recording?)"
+        )
+    return lockstep.build_plan(program, golden.trace)
 
 
 def _classify_spec_twin(plan, fault):
@@ -221,7 +199,7 @@ def _classify_spec_twin(plan, fault):
     Memory faults always peel conservatively: the scan only tracks register
     liveness.
     """
-    if plan is None or isinstance(fault, MemoryFaultSpec):
+    if isinstance(fault, MemoryFaultSpec):
         return (lockstep.PEEL, None)
     if isinstance(fault, BurstFaultSpec):
         for register, _bit in fault.flips:
@@ -243,7 +221,7 @@ def run_twin_batch(
     followups: tuple[Activation, ...] = (),
     on_record=None,
     recover=None,
-    plan=PLAN_UNSET,
+    plan: lockstep.TwinPlan | None = None,
 ) -> list[TrialRecord]:
     """Execute every faulty twin of one golden group as a lock-step batch.
 
@@ -263,17 +241,16 @@ def run_twin_batch(
     attempt restores machine state itself — the following twin's trial is
     unperturbed either way.
 
-    ``plan`` short-circuits the full-trace lowering: a caller holding the
-    group's :class:`~repro.machine.lockstep.TwinPlan` (from the artifact
-    cache, or pre-computed for publication) passes it here — including an
-    explicit ``None`` for a cached trace-mismatch refusal.  Left at
-    :data:`PLAN_UNSET`, the batch replays and lowers the trace itself.
+    ``plan`` is the group's :class:`~repro.machine.lockstep.TwinPlan` when
+    the caller already holds it (from the artifact cache, or lowered for
+    publication); left at ``None``, the batch lowers ``golden.trace``
+    itself (:func:`trace_plan`).
     """
     if golden is None:
         golden = capture_golden(hv, activation, followups)
     faults = list(faults)
-    if plan is PLAN_UNSET:
-        plan = trace_plan(hv, activation, golden) if faults else None
+    if plan is None and faults:
+        plan = trace_plan(hv.program, golden)
     _bump_lockstep(hv, "twin_batches")
     _bump_lockstep(hv, "twins", len(faults))
     records: list[TrialRecord] = []

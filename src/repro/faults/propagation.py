@@ -17,7 +17,7 @@ run's divergence into the paper's consequence taxonomy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.faults.outcomes import FailureClass, UndetectedKind, most_severe
 from repro.hypervisor.layout import GLOBAL_OWNER, HypervisorLayout, Slot, ValueKind
@@ -48,6 +48,8 @@ class GoldenRun:
     ``heap_image`` and page payloads rehydrated as memoryviews over the
     artifact (or shared-memory) buffer.  Every consumer must therefore treat
     ``bytes`` fields as read-only buffers, never assume the concrete type.
+    The one field an artifact does not carry is ``trace``: it carries the
+    :class:`~repro.machine.lockstep.TwinPlan` lowered from it instead.
     """
 
     result: ActivationResult
@@ -59,10 +61,20 @@ class GoldenRun:
     #: (ascending by index, rung 0 at instruction 0).  Empty when the golden
     #: run was captured without a ladder.
     ladder: tuple[MachineCheckpoint, ...] = ()
+    #: Per-retirement address stream of the injected activation (not its
+    #: follow-ups), recorded while it executed; what the lock-step batch
+    #: lowers into its TwinPlan.  Empty when captured without recording or
+    #: served from the artifact cache.
+    trace: tuple[int, ...] = field(default=(), repr=False)
 
 
 def capture_golden(
-    hv: XenHypervisor, activation, followups=(), *, ladder_interval: int = 0
+    hv: XenHypervisor,
+    activation,
+    followups=(),
+    *,
+    ladder_interval: int = 0,
+    record: bool = True,
 ) -> GoldenRun:
     """Run ``activation`` (and its follow-up stream) fault-free.
 
@@ -72,13 +84,27 @@ def capture_golden(
     dynamic instructions, letting :func:`~repro.faults.injector.run_trial`
     fast-forward the faulty twin to the rung at-or-before its injection
     index instead of re-executing the whole golden prefix.
+
+    With ``record`` the activation runs under the full tracer and the run
+    keeps its own address stream (``GoldenRun.trace``), so one execution
+    yields the features, the ladder and the input of
+    :func:`~repro.faults.injector.trace_plan`.  Recording is an
+    observation: results, outputs, heap image and rungs are identical
+    either way.
     """
     checkpoint = hv.checkpoint()
-    if ladder_interval > 0:
-        result, ladder = hv.execute_with_ladder(activation, interval=ladder_interval)
-    else:
-        result = hv.execute(activation)
-        ladder = ()
+    tracer = hv.cpu.tracer
+    light = tracer.light
+    tracer.light = not record
+    try:
+        if ladder_interval > 0:
+            result, ladder = hv.execute_with_ladder(activation, interval=ladder_interval)
+        else:
+            result = hv.execute(activation)
+            ladder = ()
+        trace = tuple(tracer.addresses) if record else ()
+    finally:
+        tracer.light = light
     heap = hv.memory.region("hypervisor_heap")
     outputs = hv.read_outputs(activation)
     heap_image = hv.memory.snapshot_region(heap)
@@ -90,6 +116,7 @@ def capture_golden(
         checkpoint=checkpoint,
         followups=followup_results,
         ladder=ladder,
+        trace=trace,
     )
 
 

@@ -153,7 +153,6 @@ class XenHypervisor:
         max_instructions: int = 10_000,
         hardening: Hardening | None = None,
         n_cores: int = 1,
-        light_trace: bool = True,
         translate: bool = True,
     ) -> None:
         if n_cores < 1:
@@ -189,7 +188,7 @@ class XenHypervisor:
         #: One logical core per physical CPU (Fig. 4: Xentry instances run
         #: per-CPU; counters are not shared between logical cores).
         self.cores: tuple[CPUCore, ...] = tuple(
-            CPUCore(i, self.memory, light_trace=light_trace, translate=translate)
+            CPUCore(i, self.memory, translate=translate)
             for i in range(n_cores)
         )
         self.cpu = self.cores[0]

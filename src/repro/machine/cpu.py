@@ -15,7 +15,7 @@ activated").
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import MachineConfigError, SimulationLimitExceeded
 from repro.machine.exceptions import (
@@ -220,14 +220,16 @@ class CoreCheckpoint:
 
     Together with a memory checkpoint this is everything needed to resume
     execution bit-identically: registers, PMU totals and collection window,
-    tracer state, TSC, and the assertion-check tally.  Injection state is
-    deliberately excluded — the injector re-arms after restoring.
+    tracer count and path hash, TSC, and the assertion-check tally.
+    Injection state is deliberately excluded — the injector re-arms after
+    restoring — and so is the tracer's address log (an observation, not
+    state: a rung never grows with the stream).
     """
 
     index: int
     regs: tuple[int, ...]
     pmu: tuple
-    tracer: tuple[int, int, tuple[int, ...]]
+    tracer: tuple[int, int]
     tsc: int
     assert_checks: int
 
@@ -242,7 +244,6 @@ class ExecutionResult:
     path_hash: int
     tsc_end: int
     assertion_checks: int = 0   # how many assertion predicates were evaluated
-    addresses: tuple[int, ...] = field(default_factory=tuple)
 
 
 class CPUCore:
@@ -256,7 +257,6 @@ class CPUCore:
         tsc_start: int = 1_000_000,
         tsc_per_instruction: int = 1,
         cpuid_table: dict[int, tuple[int, int, int, int]] | None = None,
-        light_trace: bool = True,
         translate: bool = True,
     ) -> None:
         if core_id < 0:
@@ -265,7 +265,7 @@ class CPUCore:
         self.memory = memory
         self.regs = RegisterFile()
         self.pmu = PerformanceCounterUnit()
-        self.tracer = Tracer(light=light_trace)
+        self.tracer = Tracer()
         self.tsc = tsc_start
         self.tsc_per_instruction = tsc_per_instruction
         self.cpuid_table = dict(DEFAULT_CPUID_TABLE if cpuid_table is None else cpuid_table)
@@ -689,8 +689,8 @@ class CPUCore:
         pause = budget if stop_at is None or stop_at > budget else stop_at
         # Runaway-loop probe (repro.machine.loopproof): armed only for
         # full-budget runs with light tracing — ladder slices observe
-        # mid-run state and full traces observe every address, so both must
-        # execute concretely.  The probe shares the loop-top ``pause``
+        # mid-run state and a full trace logs every retired address, so
+        # both must execute concretely.  The probe shares the loop-top ``pause``
         # comparison; ``real_pause`` keeps the genuine stop threshold.
         real_pause = pause
         probe_state = (
@@ -745,13 +745,16 @@ class CPUCore:
 
         # Translated-block dispatch is only legal when a block's batched
         # accounting matches what per-instruction interpretation would have
-        # done: light tracing (no per-address log), tracer enabled (blocks
-        # always count), and in-text execution.  A pending injection needs
-        # per-instruction visibility (``block_limit`` stops blocks short of
-        # the flip), and a live activation watch interprets any block that
-        # touches the watched register — blocks that cannot resolve the
-        # watch (``meta.touched``) still run translated.
-        use_trans = self.translate and light and enabled and text_span > 0
+        # done: tracer enabled (blocks always count) and in-text execution.
+        # A full trace stays on the translated path: a block that retires k
+        # instructions logs its first k ``meta.addrs``, on normal and side
+        # exits alike — exactly the addresses interpretation would have
+        # logged.  A pending injection needs per-instruction visibility
+        # (``block_limit`` stops blocks short of the flip), and a live
+        # activation watch interprets any block that touches the watched
+        # register — blocks that cannot resolve the watch (``meta.touched``)
+        # still run translated.
+        use_trans = self.translate and enabled and text_span > 0
         if use_trans:
             translation = translation_for(program)
             blocks = translation.blocks
@@ -928,6 +931,8 @@ class CPUCore:
                                 self._assert_checks += meta.asserts_through[k]
                                 for a in meta.addrs[:retired]:
                                     path_hash = ((path_hash ^ a) * fnv) & m64
+                                if not light:
+                                    addresses.extend(meta.addrs[:retired])
                                 t_instr += retired
                                 rvals[i_rip] = exc.rip
                                 raise
@@ -941,6 +946,8 @@ class CPUCore:
                                 self._assert_checks += nak
                             t_instr += n
                             t_blocks += 1
+                            if not light:
+                                addresses.extend(entry[6].addrs[:n])
                             if probe_hist is not None:
                                 probe_hist.extend(entry[6].addrs[:n])
                             continue
@@ -963,7 +970,6 @@ class CPUCore:
                         path_hash=path_hash,
                         tsc_end=tsc,
                         assertion_checks=self._assert_checks,
-                        addresses=tuple(addresses) if not light else (),
                     )
                 if watching:
                     self._watch(instr, count)

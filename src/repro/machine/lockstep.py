@@ -6,11 +6,12 @@ bit-identical to the golden column until its flipped register first
 matters.  Advancing N still-identical twins in lock-step is therefore
 the identity on N-1 of them: one decode/dispatch of the golden stream
 drives every column at once.  This module exploits that degeneracy
-head-on — the batch replays the golden activation **once** in
-full-trace mode and lowers the shared instruction stream into
+head-on — the golden activation records its own address stream while
+it executes (full-trace mode, on the translated path), and
+:func:`build_plan` lowers that shared instruction stream into
 per-register *read/write position columns* (numpy arrays of dynamic
-indices).  Each twin's divergence point then falls out analytically
-instead of by execution:
+indices) through per-program read/write/REP mask tables.  Each twin's
+divergence point then falls out analytically instead of by execution:
 
 * the flip fires at the first retirement boundary at-or-after its
   injection index (bulk-retiring REP iterations snap the flip to the
@@ -29,7 +30,7 @@ instead of by execution:
 
 RIP and RFLAGS flips always peel (control is consumed on the very next
 fetch / flags have implicit readers), as do injection indices at or
-beyond the traced run (the scan refuses to guess; the per-trial path
+beyond the recorded run (the scan refuses to guess; the per-trial path
 is the oracle).  The fixed-seed campaign is bit-identical with the
 batch scan on or off — ``--no-twin-batch`` forces the per-trial path.
 """
@@ -104,58 +105,88 @@ class TwinPlan:
     reads_pos: tuple[np.ndarray, ...]
     #: Per-register sorted dynamic indices of writes.
     writes_pos: tuple[np.ndarray, ...]
-    #: Dynamic length of the traced golden run.
+    #: Dynamic length of the recorded golden run.
     instructions: int
 
 
-def _access_masks(program: Program, address: int, cache: dict) -> tuple[int, int, bool]:
-    """(read bitmask, write bitmask, is_rep) of the instruction at ``address``."""
-    m = cache.get(address)
-    if m is None:
+#: Per-program lowering tables, keyed by text digest: per instruction slot,
+#: whether it is a REP_MOVS and whether its hit column is filled yet, plus
+#: the hit matrix — row ``r`` marks the slots that read register ``r``, row
+#: ``_N_REGS + r`` the slots that write it.  Columns fill on first use: a
+#: process lowers only the slots its goldens execute (about a third of the
+#: hypervisor text), and forked pool workers start with the tables of the
+#: process that forked them.
+_MASK_TABLES: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+#: Row ``k`` of a stream's hit matrix ends before flat index ``(k + 1) * n``.
+_ROW_ENDS = np.arange(1, 2 * _N_REGS + 1)
+
+
+def _mask_tables(program: Program, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hits, is_rep)`` of ``program``, filled for every slot in ``slots``."""
+    key = program.text_digest()
+    tables = _MASK_TABLES.get(key)
+    if tables is None:
+        n = len(program.instructions)
+        tables = _MASK_TABLES[key] = (
+            np.zeros((2 * _N_REGS, n), dtype=bool),
+            np.zeros(n, dtype=bool),
+            np.zeros(n, dtype=bool),
+        )
+    hits, is_rep, filled = tables
+    missing = slots[~filled[slots]]
+    if len(missing):
         # Imported here: cpu imports this module's sibling helpers lazily
         # elsewhere and a module-level import would be cyclic.
         from repro.machine.cpu import instr_register_accesses
 
-        ins = program.instruction_at(address)
-        reads, writes = instr_register_accesses(ins)
-        m = cache[address] = (
-            sum(1 << r for r in reads),
-            sum(1 << r for r in writes),
-            ins.op is Op.REP_MOVS,
-        )
-    return m
+        for slot in np.unique(missing).tolist():
+            ins = program.instructions[slot]
+            reads, writes = instr_register_accesses(ins)
+            hits[list(reads), slot] = True
+            hits[[_N_REGS + r for r in writes], slot] = True
+            is_rep[slot] = ins.op is Op.REP_MOVS
+            filled[slot] = True
+    return hits, is_rep
 
 
-def build_plan(program: Program, addresses: list[int]) -> TwinPlan:
-    """Lower a full golden address trace into a :class:`TwinPlan`.
+def build_plan(program: Program, addresses) -> TwinPlan:
+    """Lower a golden run's recorded address stream into a :class:`TwinPlan`.
 
     ``addresses`` is the per-retirement address stream (REP iterations
-    appear once per moved word, at the same address).  Pure in its
-    inputs; the hypervisor-side trace replay lives with the injector.
+    appear once per moved word, at the same address), as the full-trace
+    tracer records it.  Each address selects its instruction's column of
+    the program's mask tables; nothing is decoded or executed here.
     """
     n = len(addresses)
-    rd = np.empty(n, dtype=np.uint32)
-    wr = np.empty(n, dtype=np.uint32)
-    loop_top = np.ones(n, dtype=bool)
-    cache: dict[int, tuple[int, int, bool]] = {}
-    prev = None
-    for i, a in enumerate(addresses):
-        rm, wm, is_rep = _access_masks(program, a, cache)
-        rd[i] = rm
-        wr[i] = wm
-        # Consecutive same-address REP entries are one dispatch: a flip
-        # scheduled inside the bulk applies at the *next* boundary.
-        if is_rep and prev == a:
-            loop_top[i] = False
-        prev = a
+    offsets = np.fromiter(addresses, dtype=np.int64, count=n) - program.base
+    # One unsigned maximum bounds both ends: a negative offset wraps high.
+    if n and (
+        offsets.view(np.uint64).max() >= 4 * len(program.instructions)
+        or np.any(offsets & 3)
+    ):
+        raise ValueError("address stream leaves the program text")
+    slots = offsets >> 2
+    hit_table, is_rep = _mask_tables(program, slots)
+    # Consecutive same-address REP entries are one dispatch: a flip
+    # scheduled inside the bulk applies at the *next* boundary.
+    rep = is_rep[slots]
+    if rep[1:].any():
+        loop_top = np.ones(n, dtype=bool)
+        loop_top[1:] = ~(rep[1:] & (slots[1:] == slots[:-1]))
+        tops = np.flatnonzero(loop_top)
+    else:
+        tops = np.arange(n)
+    # Row-major hits of the stream: flat indices come grouped by row and
+    # ascending within it, so row boundaries split them into the columns.
+    flat = np.flatnonzero(hit_table[:, slots])
+    ends = np.searchsorted(flat, _ROW_ENDS * n).tolist()
+    positions = flat % n if n else flat
+    columns = [positions[a:b] for a, b in zip([0, *ends], ends)]
     return TwinPlan(
-        tops=np.flatnonzero(loop_top),
-        reads_pos=tuple(
-            np.flatnonzero(rd & np.uint32(1 << r)) for r in range(_N_REGS)
-        ),
-        writes_pos=tuple(
-            np.flatnonzero(wr & np.uint32(1 << r)) for r in range(_N_REGS)
-        ),
+        tops=tops,
+        reads_pos=tuple(columns[:_N_REGS]),
+        writes_pos=tuple(columns[_N_REGS:]),
         instructions=n,
     )
 
@@ -178,7 +209,7 @@ def classify_twin(
     tops = plan.tops
     j = int(np.searchsorted(tops, dynamic_index, side="left"))
     if j >= len(tops):
-        return PEEL, None  # at/past the end of the traced run
+        return PEEL, None  # at/past the end of the recorded run
     p = int(tops[j])
     rp = plan.reads_pos[reg]
     i = int(np.searchsorted(rp, p, side="left"))

@@ -30,12 +30,12 @@ of interpreting its instructions in order — same register writes, same
 memory calls (hence the same memory-system side effects and exception
 details), same #SS conversion for stack accesses.  Anything the trace cannot
 retire exactly (a pending injection, a live activation watch on a register
-the trace touches, full tracing, an exception mid-trace) side-exits to the
-interpreter: exceptions raised inside a trace carry the faulting
-instruction's address, and the dispatch loop re-synchronizes
-counters/hash/RIP for the partially retired prefix before re-raising, so a
-mid-trace fault is bit-identical to an interpreted one (see
-``CPUCore._dispatch``).
+the trace touches, an exception mid-trace) side-exits to the interpreter:
+exceptions raised inside a trace carry the faulting instruction's address,
+and the dispatch loop re-synchronizes counters/hash/RIP for the partially
+retired prefix before re-raising, so a mid-trace fault is bit-identical to
+an interpreted one (see ``CPUCore._dispatch``).  A full trace logs the
+retired prefix of ``BlockMeta.addrs`` the same way.
 
 Compilation is warmth-gated: an entry interprets until it has been
 dispatched :data:`COMPILE_THRESHOLD` times, so one-off entry points (every

@@ -423,14 +423,12 @@ def activation_result_from_dict(data: dict, *, registry):
 
 
 def core_checkpoint_to_dict(core) -> dict:
-    """Serialize a :class:`~repro.machine.cpu.CoreCheckpoint` (all scalars;
-    the tracer's address list is empty under the campaign's light tracer)."""
-    count, path_hash, addresses = core.tracer
+    """Serialize a :class:`~repro.machine.cpu.CoreCheckpoint` (all scalars)."""
     return {
         "index": core.index,
         "regs": list(core.regs),
         "pmu": list(core.pmu),
-        "tracer": [count, path_hash, list(addresses)],
+        "tracer": list(core.tracer),
         "tsc": core.tsc,
         "assert_checks": core.assert_checks,
     }
@@ -440,14 +438,14 @@ def core_checkpoint_from_dict(data: dict):
     """Rebuild a core checkpoint serialized by :func:`core_checkpoint_to_dict`."""
     from repro.machine.cpu import CoreCheckpoint
 
-    count, path_hash, addresses = data["tracer"]
+    count, path_hash = data["tracer"]
     return CoreCheckpoint(
         index=data["index"],
         regs=tuple(data["regs"]),
         # The PMU snapshot nests one tuple (the collection-window base);
         # JSON round-trips it as a list, so re-tuple recursively.
         pmu=tuple(tuple(x) if isinstance(x, list) else x for x in data["pmu"]),
-        tracer=(count, path_hash, tuple(addresses)),
+        tracer=(count, path_hash),
         tsc=data["tsc"],
         assert_checks=data["assert_checks"],
     )

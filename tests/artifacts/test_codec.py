@@ -15,9 +15,6 @@ import pytest
 
 from repro.artifacts.codec import (
     MAGIC,
-    PLAN_ABSENT,
-    PLAN_NONE,
-    PLAN_PRESENT,
     ArtifactCorrupt,
     decode_group,
     encode_group,
@@ -39,14 +36,14 @@ def captured():
     activation = act("apic_timer", 3)
     followups = (act("sched_op", 2, 1, seq=1), act("page_fault", 4, seq=2))
     golden = capture_golden(hv, activation, followups, ladder_interval=16)
-    plan = trace_plan(hv, activation, golden)
+    plan = trace_plan(hv.program, golden)
     return golden, plan
 
 
 @pytest.fixture(scope="module")
 def blob(captured):
     golden, plan = captured
-    return encode_group(DIGEST, golden, (PLAN_PRESENT, plan))
+    return encode_group(DIGEST, golden, plan)
 
 
 class TestRoundTrip:
@@ -67,11 +64,12 @@ class TestRoundTrip:
         for mine, theirs in zip(out.ladder, golden.ladder):
             assert mine.core == theirs.core
             assert mine.memory.pages.keys() == theirs.memory.pages.keys()
+        # The recorded stream is not stored: the artifact carries its plan.
+        assert golden.trace and out.trace == ()
 
     def test_plan_round_trips(self, captured, blob):
         _, plan = captured
-        state, out = decode_group(blob, registry=REGISTRY).plan_state
-        assert state == PLAN_PRESENT
+        out = decode_group(blob, registry=REGISTRY).plan
         assert np.array_equal(out.tops, plan.tops)
         assert out.instructions == plan.instructions
         for mine, theirs in zip(out.reads_pos, plan.reads_pos):
@@ -80,15 +78,15 @@ class TestRoundTrip:
             assert np.array_equal(mine, theirs)
 
     def test_plan_none_and_absent_round_trip(self, captured):
+        # Captured with twin batching off: no plan, and none comes back.
         golden, _ = captured
-        for state in (PLAN_NONE, PLAN_ABSENT):
-            blob = encode_group(DIGEST, golden, (state, None))
-            assert decode_group(blob, registry=REGISTRY).plan_state == (state, None)
+        blob = encode_group(DIGEST, golden, None)
+        assert decode_group(blob, registry=REGISTRY).plan is None
 
     def test_encoding_is_deterministic(self, captured):
         golden, plan = captured
-        a = encode_group(DIGEST, golden, (PLAN_PRESENT, plan))
-        b = encode_group(DIGEST, golden, (PLAN_PRESENT, plan))
+        a = encode_group(DIGEST, golden, plan)
+        b = encode_group(DIGEST, golden, plan)
         assert a == b
 
     def test_structural_sharing_restored(self, blob):
@@ -105,7 +103,7 @@ class TestRoundTrip:
 
     def test_plan_columns_are_aligned_views(self, blob):
         # int64 columns must map without copy, which requires 8-alignment.
-        _, plan = decode_group(blob, registry=REGISTRY).plan_state
+        plan = decode_group(blob, registry=REGISTRY).plan
         for arr in (plan.tops, *plan.reads_pos, *plan.writes_pos):
             assert arr.dtype == np.int64
             assert arr.ctypes.data % 8 == 0
@@ -146,7 +144,7 @@ class TestCorruptionRejection:
         import hashlib
 
         golden, _ = captured
-        blob = encode_group(DIGEST, golden, (PLAN_NONE, None))
+        blob = encode_group(DIGEST, golden, None)
         shortened = blob[:-16][: len(blob) - 4096]
         fake = shortened + hashlib.blake2b(shortened, digest_size=16).digest()
         with pytest.raises(ArtifactCorrupt):

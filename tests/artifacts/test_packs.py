@@ -1,0 +1,194 @@
+"""Pack lifecycle over real campaigns: one pack and one fsync per attempt.
+
+Every shard attempt (or serial run) that captures goldens streams them into
+one temp pack and commits it once at the end — a single ``fsync``, then the
+rename.  An attempt that raises leaves neither a pack nor a temp file, a
+poisoned source (chaos ``shm_lost``) writes nothing further, a hard-crashed
+worker's temp file is swept when the engine finishes, and packs that overlap
+serve the same artifacts.  Every case ends with records byte-identical to a
+no-cache run.
+"""
+
+import dataclasses
+import os
+import shutil
+from pathlib import Path
+
+import pytest
+
+from repro.artifacts import runtime
+from repro.artifacts.shm import detach_all
+from repro.artifacts.store import GoldenStore, read_pack_table
+from repro.engine import CampaignEngine, ChaosPolicy, EngineTelemetry
+from repro.faults import CampaignConfig, FaultInjectionCampaign
+from repro.faults import campaign as campaign_mod
+from repro.faults.campaign import benchmark_geometry
+
+CONFIG = CampaignConfig(
+    n_injections=24, seed=13, benchmarks=("mcf", "postmark"), ladder_interval=16
+)
+GROUPS = len(CONFIG.benchmarks) * benchmark_geometry(CONFIG).n_goldens
+SHARDS = 4
+
+
+@pytest.fixture(autouse=True)
+def clean_ledger():
+    runtime.reset_stats()
+    detach_all()
+    yield
+    detach_all()
+    runtime.reset_stats()
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    return FaultInjectionCampaign(CONFIG).run().records
+
+
+def cached(root: Path) -> CampaignConfig:
+    return dataclasses.replace(CONFIG, artifacts=str(root))
+
+
+def engine(config, *, chaos=None, jobs=2):
+    telemetry = EngineTelemetry()
+    result = CampaignEngine(
+        config, jobs=jobs, n_shards=SHARDS, telemetry=telemetry, chaos=chaos
+    ).run()
+    return result, telemetry.golden_cache_summary()
+
+
+def packs(root: Path) -> list[Path]:
+    return GoldenStore(root).packs()
+
+
+def temps(root: Path) -> list[Path]:
+    return sorted(root.rglob("*.tmp"))
+
+
+def segments() -> set[str]:
+    return {p.name for p in Path("/dev/shm").glob("xgold-*")}
+
+
+def warm_rerun_matches(root: Path, baseline) -> None:
+    """A serial rerun against ``root`` is fully warm and byte-identical."""
+    runtime.reset_stats()
+    assert FaultInjectionCampaign(cached(root)).run().records == baseline
+    stats = runtime.stats()
+    assert stats["golden_hits"] == GROUPS and stats["golden_misses"] == 0
+
+
+class TestPoolCommits:
+    def test_cold_pool_run_commits_one_pack_per_shard_with_one_fsync(
+        self, tmp_path, baseline, monkeypatch
+    ):
+        # Workers fork with the patched os.fsync and log what they sync.
+        log = tmp_path / "fsync.log"
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            target = os.readlink(f"/proc/self/fd/{fd}")
+            with open(log, "a") as fh:
+                fh.write(target + "\n")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        root = tmp_path / "store"
+        before = segments()
+        result, cache = engine(cached(root))
+        monkeypatch.undo()
+        assert result.records == baseline
+        assert cache["golden_misses"] == GROUPS
+        committed = packs(root)
+        assert 0 < len(committed) <= SHARDS
+        assert sum(len(read_pack_table(p)) for p in committed) == GROUPS
+        synced = log.read_text().split()
+        # Exactly one fsync per pack, each on the attempt's own temp file.
+        assert len(synced) == len(committed) == len(set(synced))
+        assert all(s.endswith(".tmp") and Path(s).parent == root / "golden"
+                   for s in synced)
+        assert temps(root) == []
+        assert segments() == before
+        warm_rerun_matches(root, baseline)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_attempts_leave_no_pack_and_no_temp(self, tmp_path, baseline, jobs):
+        # Every first attempt raises after capturing its first golden; only
+        # the retries commit.  (Inline, the attempt's process lives on, so
+        # no end-of-run sweep could hide a temp it failed to remove.)
+        root = tmp_path / "store"
+        chaos = ChaosPolicy(seed=2, crash_rate=1.0, only_attempt=0)
+        assert all(chaos.plan(s, 0).crash_after >= 1 for s in range(SHARDS))
+        result, _ = engine(cached(root), chaos=chaos, jobs=jobs)
+        assert result.records == baseline
+        assert len(packs(root)) == SHARDS
+        assert sum(len(read_pack_table(p)) for p in packs(root)) == GROUPS
+        assert temps(root) == []
+        warm_rerun_matches(root, baseline)
+
+    def test_raising_serial_run_leaves_no_pack_and_no_temp(
+        self, tmp_path, baseline, monkeypatch
+    ):
+        root = tmp_path / "store"
+        real = campaign_mod.run_twin_batch
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:  # two goldens already streamed to the pack
+                raise RuntimeError("attempt dies")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "run_twin_batch", failing)
+        with pytest.raises(RuntimeError, match="attempt dies"):
+            FaultInjectionCampaign(cached(root)).run()
+        monkeypatch.undo()
+        assert packs(root) == [] and temps(root) == []
+        assert FaultInjectionCampaign(cached(root)).run().records == baseline
+        warm_rerun_matches(root, baseline)
+
+    def test_shm_lost_mid_shard_writes_nothing_further(self, tmp_path, baseline):
+        # Chaos poisons every shard's source during its first golden group:
+        # the pending pack is dropped and nothing more is written.
+        root = tmp_path / "store"
+        before = segments()
+        chaos = ChaosPolicy(seed=2, shm_lost_rate=1.0)
+        assert all(chaos.plan(s, 0).shm_lost_after >= 1 for s in range(SHARDS))
+        result, cache = engine(cached(root), chaos=chaos)
+        assert result.records == baseline
+        assert cache["shm_lost"] == SHARDS
+        assert cache.get("artifact_bytes_written", 0) == 0
+        assert packs(root) == [] and temps(root) == []
+        assert segments() == before
+
+    def test_hard_crashed_worker_temp_is_swept(self, tmp_path, baseline):
+        # Each first attempt dies by os._exit holding a temp pack.
+        root = tmp_path / "store"
+        before = segments()
+        chaos = ChaosPolicy(seed=2, hard_crash_rate=1.0, only_attempt=0)
+        assert all(chaos.plan(s, 0).crash_after >= 1 for s in range(SHARDS))
+        result, _ = engine(cached(root), chaos=chaos)
+        assert result.records == baseline
+        assert temps(root) == []
+        assert segments() == before
+        warm_rerun_matches(root, baseline)
+
+
+class TestOverlappingPacks:
+    def test_two_packs_holding_the_same_digest(self, tmp_path, baseline):
+        # A serial store (one pack, every group) merged with a pooled one
+        # (one pack per shard): every digest lives in two packs.
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert FaultInjectionCampaign(cached(serial)).run().records == baseline
+        assert engine(cached(pooled))[0].records == baseline
+        for path in packs(pooled):
+            shutil.copy2(path, serial / "golden" / path.name)
+        held: dict[str, int] = {}
+        for path in packs(serial):
+            for digest, _, _ in read_pack_table(path):
+                held[digest] = held.get(digest, 0) + 1
+        assert len(held) == GROUPS and set(held.values()) == {2}
+        result, cache = engine(cached(serial))
+        assert result.records == baseline
+        assert cache["hit_rate"] == 1.0
+        assert cache.get("artifact_corrupt", 0) == 0
+        warm_rerun_matches(serial, baseline)

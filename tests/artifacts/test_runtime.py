@@ -2,7 +2,8 @@
 
 The standing contract of the whole subsystem, asserted here end to end on a
 real (small) campaign: trial records are byte-identical with the cache cold,
-warm, corrupted, unwritable, or disabled.  Corruption surfaces only as an
+warm, corrupted (a damaged artifact inside a pack, or a torn pack trailer),
+unwritable, or disabled.  Corruption surfaces only as an
 ``artifact_corrupt`` count in the ledger — never an exception, never a
 changed record.
 """
@@ -14,8 +15,9 @@ import pytest
 from repro.artifacts import runtime
 from repro.artifacts.codec import MAGIC
 from repro.artifacts.runtime import GoldenSource, golden_source_for
-from repro.artifacts.store import GoldenStore
+from repro.artifacts.store import GoldenStore, read_pack_table
 from repro.faults import CampaignConfig, FaultInjectionCampaign
+from repro.faults.campaign import benchmark_geometry
 
 CONFIG = CampaignConfig(
     n_injections=24, seed=7, benchmarks=("mcf", "postmark"), ladder_interval=16
@@ -38,7 +40,27 @@ def cached(tmp_path):
 
 
 def artifact_files(tmp_path):
-    return sorted((tmp_path / "cache").rglob("*.art"))
+    """Committed packs of the test store."""
+    return sorted((tmp_path / "cache").rglob("*.pack"))
+
+
+GROUPS = len(CONFIG.benchmarks) * benchmark_geometry(CONFIG).n_goldens
+
+
+def repack(root, damage) -> int:
+    """Rewrite every pack under ``root`` with each artifact blob passed
+    through ``damage`` (the trailer stays valid); return the blob count."""
+    store = GoldenStore(root)
+    count = 0
+    for path in store.packs():
+        raw = path.read_bytes()
+        pack = store.begin_pack()
+        for digest, offset, length in read_pack_table(path):
+            pack.append(digest, damage(raw[offset : offset + length]))
+            count += 1
+        path.unlink()
+        pack.commit()
+    return count
 
 
 class TestSourcePolicy:
@@ -47,10 +69,6 @@ class TestSourcePolicy:
 
     def test_cache_disabled_is_no_source(self, tmp_path):
         config = dataclasses.replace(cached(tmp_path), golden_cache=False)
-        assert golden_source_for(config) is None
-
-    def test_trace_campaigns_never_cache(self, tmp_path):
-        config = dataclasses.replace(cached(tmp_path), trace=True)
         assert golden_source_for(config) is None
 
     def test_store_only_and_segment_only_sources(self, tmp_path):
@@ -84,10 +102,12 @@ class TestCampaignBitIdentity:
         cold = run_campaign(cached(tmp_path))
         assert cold.records == baseline.records
         after_cold = runtime.stats()
-        assert after_cold["golden_misses"] > 0
+        assert after_cold["golden_misses"] == GROUPS
         assert after_cold["golden_hits"] == 0
         assert after_cold["artifact_bytes_written"] > 0
-        assert artifact_files(tmp_path)
+        # The serial run streams every capture into one pack.
+        (pack,) = artifact_files(tmp_path)
+        assert len(read_pack_table(pack)) == GROUPS
 
         warm = run_campaign(cached(tmp_path))
         assert warm.records == baseline.records
@@ -102,31 +122,50 @@ class TestCampaignBitIdentity:
         baseline = run_campaign(CONFIG)
         run_campaign(cached(tmp_path))  # warm the store
 
-        files = artifact_files(tmp_path)
-        assert files
-        for path in files:
-            blob = path.read_bytes()
+        def spoil(blob: bytes) -> bytes:
             if damage == "truncate":
-                path.write_bytes(blob[: len(blob) // 3])
-            elif damage == "garbage":
-                path.write_bytes(b"\xde\xad" * 256)
-            else:
-                bumped = bytes([MAGIC[-1] + 1])
-                path.write_bytes(MAGIC[:-1] + bumped + blob[len(MAGIC):])
+                return blob[: len(blob) // 3]
+            if damage == "garbage":
+                return b"\xde\xad" * 256
+            return MAGIC[:-1] + bytes([MAGIC[-1] + 1]) + blob[len(MAGIC):]
+
+        damaged = repack(tmp_path / "cache", spoil)
+        assert damaged == GROUPS
 
         runtime.reset_stats()
         rerun = run_campaign(cached(tmp_path))
         assert rerun.records == baseline.records
         stats = runtime.stats()
-        assert stats["artifact_corrupt"] == len(files)
+        assert stats["artifact_corrupt"] == damaged
         assert stats["golden_hits"] == 0
-        assert stats["golden_misses"] == len(files)
+        assert stats["golden_misses"] == damaged
         # The rerun re-published good artifacts over the corpses...
         assert stats["artifact_bytes_written"] > 0
         runtime.reset_stats()
         final = run_campaign(cached(tmp_path))
         # ...so the next run is warm again.
         assert final.records == baseline.records
+        assert runtime.stats()["golden_misses"] == 0
+
+    @pytest.mark.parametrize("cut", [1, 40])
+    def test_torn_pack_trailer_falls_back_to_live_capture(self, tmp_path, cut):
+        # A pack cut short anywhere in its trailer is skipped whole: counted
+        # once as corrupt, every group it held captured live again.
+        baseline = run_campaign(CONFIG)
+        run_campaign(cached(tmp_path))
+        (pack,) = artifact_files(tmp_path)
+        raw = pack.read_bytes()
+        pack.write_bytes(raw[:-cut])
+
+        runtime.reset_stats()
+        rerun = run_campaign(cached(tmp_path))
+        assert rerun.records == baseline.records
+        stats = runtime.stats()
+        assert stats["artifact_corrupt"] == 1
+        assert stats["golden_hits"] == 0
+        assert stats["golden_misses"] == GROUPS
+        runtime.reset_stats()
+        assert run_campaign(cached(tmp_path)).records == baseline.records
         assert runtime.stats()["golden_misses"] == 0
 
     def test_unwritable_store_counts_write_errors(self, tmp_path):

@@ -123,10 +123,6 @@ class TestRecordsInvariance:
         config = dataclasses.replace(self.CONFIG, ladder_interval=interval)
         assert FaultInjectionCampaign(config).run().records == reference
 
-    def test_full_tracing_does_not_change_records(self, reference):
-        config = dataclasses.replace(self.CONFIG, trace=True)
-        assert FaultInjectionCampaign(config).run().records == reference
-
     def test_disabling_translation_does_not_change_records(self, reference):
         config = dataclasses.replace(self.CONFIG, translate=False)
         assert FaultInjectionCampaign(config).run().records == reference

@@ -91,7 +91,7 @@ class TestClassifyTwin:
 
 
 class TestBuildPlan:
-    """Lowering a real traced activation into position columns."""
+    """Lowering a real recorded activation into position columns."""
 
     @pytest.fixture(scope="class")
     def plan(self):
@@ -100,9 +100,7 @@ class TestBuildPlan:
         hv = XenHypervisor(seed=23)
         activation = act("apic_timer", 3)
         golden = capture_golden(hv, activation, ladder_interval=16)
-        plan = trace_plan(hv, activation, golden)
-        assert plan is not None
-        return plan, golden
+        return trace_plan(hv.program, golden), golden
 
     def test_shape_and_monotonicity(self, plan):
         plan, golden = plan
@@ -113,6 +111,14 @@ class TestBuildPlan:
         for arr in (plan.tops, *plan.reads_pos, *plan.writes_pos):
             assert np.all(np.diff(arr) > 0)
             assert len(arr) == 0 or (arr[0] >= 0 and arr[-1] < n)
+
+    @pytest.mark.parametrize("offset", [-4, 2, "end"])
+    def test_addresses_outside_the_text_rejected(self, offset):
+        program = XenHypervisor(seed=23).program
+        if offset == "end":
+            offset = 4 * len(program.instructions)
+        with pytest.raises(ValueError, match="leaves the program text"):
+            lockstep.build_plan(program, (program.base, program.base + offset))
 
     def test_trace_has_register_traffic(self, plan):
         # The activation must actually read and write registers, or the
@@ -197,8 +203,8 @@ class TestTwinBatchEquivalence:
         synthesized = [r for r in records if r.detail == "non-activated"]
         assert len(synthesized) >= dead
         assert all(not r.activated and not r.manifested for r in synthesized)
-        # The trace replay + peels execute; dead twins must cost nothing
-        # beyond that (strictly fewer instructions than running all n).
+        # Only the peels execute; dead twins must cost nothing (strictly
+        # fewer instructions than running all n).
         executed = executed_instructions() - instructions_before
         assert executed < (n + 1) * golden.result.instructions
 

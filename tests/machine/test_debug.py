@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine import CPUCore
+from repro.machine import CPUCore, translator
 from repro.machine.debug import diff_traces, trace_execution
 
 from tests.conftest import STACK_TOP, TEXT_BASE
@@ -45,6 +45,26 @@ class TestTraceExecution:
         trace = trace_execution(cpu, prog, prog.address_of("entry"))
         assert "HardwareException" in trace.event
         assert len(trace) == 2  # mov + the faulting load
+
+    def test_translated_trace_matches_interpreted(self, memory, assemble, monkeypatch):
+        # A full trace stays on the translated path, including the precise
+        # side exit of a block that faults part-way through.
+        monkeypatch.setattr(translator, "COMPILE_THRESHOLD", 1)
+        prog = assemble(SOURCE + "\nfault:\n mov rbp, 0x900000\n add rax, 1\n"
+                        " load rax, [rbp]\n vmentry")
+        traces = {}
+        for translate in (True, False):
+            for label in ("entry", "fault"):
+                core = CPUCore(0, memory, translate=translate)
+                core.regs["rsp"] = STACK_TOP
+                traces[translate, label] = trace_execution(
+                    core, prog, prog.address_of(label)
+                )
+                assert core.translated_instructions > 0 or not translate
+        for label in ("entry", "fault"):
+            assert traces[True, label] == traces[False, label]
+        assert "HardwareException" in traces[True, "fault"].event
+        assert len(traces[True, "fault"]) == 3
 
     def test_render_is_readable_and_truncates(self, cpu, assemble):
         prog = assemble(SOURCE)

@@ -22,8 +22,7 @@ CONFIG = CampaignConfig(n_injections=400, seed=5)
 
 def _machine(loop_proof: bool) -> XenHypervisor:
     hv = XenHypervisor(
-        n_domains=CONFIG.n_domains, seed=CONFIG.seed,
-        light_trace=not CONFIG.trace, translate=CONFIG.translate,
+        n_domains=CONFIG.n_domains, seed=CONFIG.seed, translate=CONFIG.translate
     )
     for core in hv.cores:
         core.loop_proof = loop_proof
