@@ -6,8 +6,7 @@ outputs, heap image, pre-run checkpoint, follow-up results, checkpoint
 ladder) and the lock-step :class:`TwinPlan` lowered from its recorded
 address stream (absent when the group was captured with twin batching off;
 the stream itself is not stored).  Artifacts travel inside packs
-(:mod:`repro.artifacts.store`) and shared-memory segments
-(:mod:`repro.artifacts.shm`).  The layout::
+(:mod:`repro.artifacts.store`).  The layout::
 
     MAGIC (8 bytes, includes the format version byte)
     u64   header length
@@ -24,9 +23,8 @@ Two properties matter more than compactness:
   checkpoint of the group* — restoring the copy-on-write structural sharing
   :meth:`Memory.restore` exploits (its diff is by buffer identity).
 * **Mappable columns.**  TwinPlan position columns are raw little-endian
-  int64 runs at 8-aligned offsets, so a decoder handed a ``memoryview``
-  over a shared-memory segment builds its arrays with ``np.frombuffer`` —
-  zero-copy, every pool worker scanning the same physical pages.
+  int64 runs at 8-aligned offsets, so the decoder builds its arrays with
+  ``np.frombuffer`` over the bytes read from the pack — zero-copy.
 
 No pickle anywhere: a corrupt or adversarial artifact can fail to decode
 (:class:`ArtifactCorrupt`), never execute.  The trailing checksum makes
@@ -173,10 +171,10 @@ def decode_group(buf: bytes | memoryview, *, registry) -> ArtifactPayload:
     """Decode artifact bytes; raises :class:`ArtifactCorrupt` on anything
     that is not a checksummed, well-formed encoding.
 
-    When ``buf`` is a ``memoryview`` (a shared-memory segment), TwinPlan
-    columns become zero-copy ``np.frombuffer`` views and checkpoint pages
-    zero-copy sub-views of the segment; callers own the segment's lifetime
-    (pool workers keep their attachment mapped for the process lifetime).
+    TwinPlan columns become zero-copy ``np.frombuffer`` views and
+    checkpoint pages zero-copy sub-views of ``buf`` (the bytes one
+    :meth:`~repro.artifacts.store.GoldenStore.load_bytes` read), which the
+    decoded payload keeps alive.
     """
     view = memoryview(buf)
     try:

@@ -1,17 +1,17 @@
 """Capture-or-load policy for golden artifacts, plus the stats ledger.
 
 :class:`GoldenSource` is the single object the campaign trial loop talks to:
-``acquire`` tries the shared-memory segment first, then the on-disk store,
-and ``offer`` appends a freshly captured group to the source's pack so the
-*next* run (or the next shard sharing the store) skips the capture.  The
-source's owner — :func:`~repro.engine.pool.execute_shard` after its last
-slice, :meth:`~repro.faults.campaign.FaultInjectionCampaign.run` after its
-run — calls :meth:`GoldenSource.commit` (one ``fsync`` per pack) or, when
-the attempt raises, :meth:`GoldenSource.discard`.  Everything is fail-open —
-a corrupt artifact or pack, a vanished segment, or an unwritable store
-degrades to live capture, never to an exception — because the standing
-contract is that trial records are byte-identical with the cache cold, warm,
-shared, or disabled.
+``acquire`` loads a golden group from the store's committed packs, and
+``offer`` appends a freshly captured group to the source's pack so the
+*next* run (or the next shard sharing the store) skips the capture.  Serial
+runs and pool workers read the packs the same way.  The source's owner —
+:func:`~repro.engine.pool.execute_shard` after its last slice,
+:meth:`~repro.faults.campaign.FaultInjectionCampaign.run` after its run —
+calls :meth:`GoldenSource.commit` (one ``fsync`` per pack) or, when the
+attempt raises, :meth:`GoldenSource.discard`.  Everything is fail-open — a
+corrupt artifact or pack, or an unwritable store, degrades to live capture,
+never to an exception — because the standing contract is that trial records
+are byte-identical with the cache cold, warm, shared, or disabled.
 
 The module-level :data:`STATS` ledger mirrors the translation-cache and
 lock-step patterns (:data:`repro.machine.translator.CACHE`,
@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import time
 
-from repro.artifacts import shm
-from repro.artifacts.codec import ArtifactCorrupt, decode_group, encode_group
+from repro.artifacts.codec import ArtifactCorrupt, encode_group
 from repro.artifacts.store import GoldenStore, golden_digest
 
 __all__ = ["GoldenSource", "STATS", "golden_source_for", "reset_stats", "stats"]
@@ -35,20 +34,19 @@ __all__ = ["GoldenSource", "STATS", "golden_source_for", "reset_stats", "stats"]
 #: * ``golden_hits`` / ``golden_misses`` — groups served from cache vs
 #:   captured live (their sum is the number of groups that consulted the
 #:   source; the manifest derives the hit rate from them);
-#: * ``shm_hits`` — the subset of hits served zero-copy from a segment;
 #: * ``artifact_corrupt`` — artifacts rejected by the codec (checksum,
 #:   version, structure) and silently replaced by live capture, plus packs
 #:   skipped for a torn or unparsable trailer;
+#: * ``artifact_bytes_loaded`` — artifact bytes read from committed packs;
 #: * ``artifact_bytes_written`` — artifact bytes in committed packs;
 #:   ``artifact_write_errors`` — offers or commits that failed to write;
-#: * ``shm_lost`` — chaos-injected segment losses (the fallback drill);
 #: * ``golden_capture_seconds`` / ``golden_load_seconds`` — wall-clock split
 #:   behind the campaign summary's capture-vs-load line.
 STATS: dict[str, int | float] = {
     "golden_hits": 0,
     "golden_misses": 0,
+    # Always 0; perfbench/spans.py reads it by key (artifacts.shm_hits).
     "shm_hits": 0,
-    "shm_lost": 0,
     "artifact_corrupt": 0,
     "artifact_bytes_loaded": 0,
     "artifact_bytes_written": 0,
@@ -72,43 +70,26 @@ def reset_stats() -> None:
 class GoldenSource:
     """One campaign run's (or shard attempt's) view of the artifact cache.
 
-    Holds the config (digest identity), the disk store, optionally the name
-    of a parent-published shared-memory segment, and the pack its offers
-    stream into.  :meth:`poison` — the ``shm_lost`` chaos hook — disables
-    the source for the rest of the shard, forcing the genuine live-capture
-    fallback rather than a softer retry.
+    Holds the config (digest identity), the pack store, and the pack its
+    offers stream into.
     """
 
-    def __init__(
-        self, config, *, store: GoldenStore | None = None, segment: str | None = None
-    ) -> None:
+    def __init__(self, config, store: GoldenStore) -> None:
         self.config = config
         self.store = store
-        self.segment = segment
-        self._poisoned = False
         self._scanned = False
         self._pack = None
-
-    def poison(self) -> None:
-        """Stop serving and saving artifacts (chaos: the cache is gone);
-        the pending pack is dropped and nothing further is written."""
-        self._poisoned = True
-        self.discard()
 
     def acquire(self, benchmark: str, group: int, *, registry):
         """Load one golden group's products, or ``None`` to capture live.
 
-        Lookup order: shared segment (zero-copy), then disk store.  A corrupt
-        artifact in either counts ``artifact_corrupt`` and falls through.
+        The store's packs are indexed on the first lookup; a torn pack or a
+        corrupt artifact counts ``artifact_corrupt`` and falls through.
         """
-        if self._poisoned or (self.store is None and self.segment is None):
-            return None
         digest = golden_digest(self.config, benchmark, group)
         started = time.perf_counter()
         try:
-            payload = self._from_segment(digest, registry)
-            if payload is None and self.store is not None:
-                payload = self._from_store(digest, registry)
+            payload = self._load(digest, registry)
         finally:
             STATS["golden_load_seconds"] += time.perf_counter() - started
         if payload is None:
@@ -118,26 +99,7 @@ class GoldenSource:
         STATS["artifact_bytes_loaded"] += payload.nbytes
         return payload
 
-    def _from_segment(self, digest: str, registry):
-        if self.segment is None:
-            return None
-        view = shm.attach(self.segment)
-        if view is None:
-            return None
-        raw = view.get(digest)
-        if raw is None:
-            return None
-        try:
-            payload = decode_group(raw, registry=registry)
-            if payload.digest != digest:
-                raise ArtifactCorrupt("segment blob digest mismatch")
-        except ArtifactCorrupt:
-            STATS["artifact_corrupt"] += 1
-            return None
-        STATS["shm_hits"] += 1
-        return payload
-
-    def _from_store(self, digest: str, registry):
+    def _load(self, digest: str, registry):
         if not self._scanned:
             self._scanned = True
             STATS["artifact_corrupt"] += self.store.scan()
@@ -153,8 +115,6 @@ class GoldenSource:
         The artifact is written out now; readers see it once the owner
         calls :meth:`commit`.
         """
-        if self._poisoned or self.store is None:
-            return
         digest = golden_digest(self.config, benchmark, group)
         blob = encode_group(digest, golden, plan)
         try:
@@ -186,11 +146,8 @@ class GoldenSource:
             pack.discard()
 
 
-def golden_source_for(config, *, segment: str | None = None) -> GoldenSource | None:
-    """Build the campaign's golden source, or ``None`` when caching is off."""
-    if not getattr(config, "golden_cache", True):
+def golden_source_for(config) -> GoldenSource | None:
+    """Build the campaign's golden source, or ``None`` without a store."""
+    if not config.artifacts:
         return None
-    store = GoldenStore(config.artifacts) if config.artifacts else None
-    if store is None and segment is None:
-        return None
-    return GoldenSource(config, store=store, segment=segment)
+    return GoldenSource(config, GoldenStore(config.artifacts))

@@ -66,9 +66,8 @@ def image_identity(n_domains: int) -> str:
     The handler text (:meth:`Program.text_digest`) plus the post-boot
     memory image: a store that outlives an edit to handler code or boot
     data must go cold instead of serving goldens of the old image.  Built
-    once per process per domain count (pool workers inherit it from the
-    coordinator, which computes it before forking); the image does not
-    depend on the seed or the execution knobs.
+    once per process per domain count; the image does not depend on the
+    seed or the execution knobs.
     """
     from repro.hypervisor.xen import XenHypervisor
 
@@ -267,9 +266,9 @@ class GoldenStore:
     def load_bytes(self, digest: str) -> bytes | None:
         """Raw artifact bytes, or ``None`` when absent/unreadable.
 
-        No validation happens here — the codec's checksum check runs at
-        decode time, which also covers bytes republished through shared
-        memory.
+        One plain file read per artifact, in serial runs and pool workers
+        alike.  No validation happens here — the codec's checksum check
+        runs at decode time.
         """
         if self._index is None:
             self.scan()

@@ -215,7 +215,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         recover=args.recover,
         recovery_hazard=args.recovery_hazard,
         artifacts=args.artifacts,
-        golden_cache=not args.no_golden_cache,
     )
     if scenario is not None:
         config = scenario.apply(config)
@@ -492,9 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "golden runs from DIR instead of re-executing them, "
                         "save newly captured ones there (records are "
                         "bit-identical cold, warm, shared or disabled)")
-    p.add_argument("--no-golden-cache", action="store_true",
-                   help="disable the golden artifact cache even when "
-                        "--artifacts is set (always capture goldens live)")
     p.add_argument("--recover", choices=("reexecute", "microreboot", "ladder"),
                    default=None, metavar="POLICY",
                    help="run every detected trial through a recovery policy "

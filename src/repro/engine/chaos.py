@@ -24,12 +24,6 @@ Fault kinds:
     ``append_shard`` fails with :class:`OSError`; the ``truncate`` variant
     first writes a torn tail (begin marker + some trial lines, no
     ``shard_done``), the on-disk shape of a crash mid-append.
-``shm_lost``
-    The worker's shared-memory golden-artifact segment vanishes mid-shard:
-    its name is unlinked and the worker's artifact source is poisoned, so
-    every remaining golden group falls back to live capture.  Campaign
-    records must be bit-identical anyway — that is the artifact cache's
-    standing contract, and this fault is its drill.
 
 A policy never changes *what* a shard computes — the tripwire only counts
 records — so a chaos campaign whose retries succeed is bit-identical to an
@@ -68,18 +62,11 @@ class ShardChaos:
     #: Sleep ``hang_seconds`` after this many records.
     hang_after: int | None = None
     hang_seconds: float = 0.0
-    #: Unlink the worker's shared golden-artifact segment after this many
-    #: records (the worker falls back to live capture for the rest).
-    shm_lost_after: int | None = None
 
     @property
     def quiet(self) -> bool:
         """True when this attempt runs undisturbed."""
-        return (
-            self.crash_after is None
-            and self.hang_after is None
-            and self.shm_lost_after is None
-        )
+        return self.crash_after is None and self.hang_after is None
 
 
 class ChaosTripwire:
@@ -93,23 +80,11 @@ class ChaosTripwire:
     def __init__(self, plan: ShardChaos) -> None:
         self.plan = plan
         self.records = -1
-        self._shm_callback = None
-
-    def arm_shm(self, callback) -> None:
-        """Install the ``shm_lost`` effect (unlink + poison), fired at most
-        once at the planned record count.  Left unarmed — no shared segment,
-        cache disabled — the planned loss is a no-op by construction: there
-        is nothing to lose."""
-        self._shm_callback = callback
 
     def step(self, _record=None) -> None:
         """Advance the record counter and fire any fault scheduled here."""
         self.records += 1
         plan = self.plan
-        if plan.shm_lost_after is not None and self.records == plan.shm_lost_after:
-            callback, self._shm_callback = self._shm_callback, None
-            if callback is not None:
-                callback()
         if plan.hang_after is not None and self.records == plan.hang_after:
             time.sleep(plan.hang_seconds)
         if plan.crash_after is not None and self.records == plan.crash_after:
@@ -140,15 +115,13 @@ class ChaosPolicy:
     hang_rate: float = 0.0
     journal_error_rate: float = 0.0
     journal_truncate_rate: float = 0.0
-    shm_lost_rate: float = 0.0
     hang_seconds: float = 30.0
     shards: tuple[int, ...] | None = None
     only_attempt: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("crash_rate", "hard_crash_rate", "hang_rate",
-                     "journal_error_rate", "journal_truncate_rate",
-                     "shm_lost_rate"):
+                     "journal_error_rate", "journal_truncate_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise CampaignConfigError(f"{name} must be in [0, 1], got {rate}")
@@ -191,15 +164,11 @@ class ChaosPolicy:
         hang_after: int | None = None
         if self._fires("hang", shard, attempt, self.hang_rate):
             hang_after = self._position("hang_at", shard, attempt)
-        shm_lost_after: int | None = None
-        if self._fires("shm_lost", shard, attempt, self.shm_lost_rate):
-            shm_lost_after = self._position("shm_lost_at", shard, attempt)
         return ShardChaos(
             crash_after=crash_after,
             hard=hard,
             hang_after=hang_after,
             hang_seconds=self.hang_seconds,
-            shm_lost_after=shm_lost_after,
         )
 
     def journal_fault(self, shard: int, attempt: int) -> str | None:
@@ -236,7 +205,6 @@ _SPEC_FIELDS = {
     "hang": "hang_rate",
     "journal": "journal_error_rate",
     "truncate": "journal_truncate_rate",
-    "shm": "shm_lost_rate",
     "seed": "seed",
     "hang-seconds": "hang_seconds",
 }
@@ -250,7 +218,6 @@ def parse_chaos_spec(spec: str) -> ChaosPolicy:
 
         --chaos 0.2
         --chaos crash=0.2,hard=0.05,hang=0.1,journal=0.05,truncate=0.05,seed=1
-        --chaos shm=0.5,seed=3
     """
     spec = spec.strip()
     try:

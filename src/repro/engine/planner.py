@@ -75,13 +75,13 @@ def config_digest(config: CampaignConfig) -> str:
         # same reason, and must stay out of this payload: records are
         # invariant under retries and injected engine faults, so a journal
         # from a chaos run resumes interchangeably with a clean one.
-        # config.artifacts and config.golden_cache are likewise absent: the
-        # golden artifact cache trades capture for load under a bit-identity
-        # contract (cold, warm, shared-memory or disabled, the records match),
-        # so journals interoperate across cache settings.  The cache has its
-        # own identity — repro.artifacts.store.golden_digest — which DOES
-        # include strategy knobs like ladder_interval and twin_batch, because
-        # they shape the cached artifact even though they never shape records.
+        # config.artifacts is likewise absent: the golden artifact cache
+        # trades capture for load under a bit-identity contract (cold, warm,
+        # pooled or disabled, the records match), so journals interoperate
+        # across cache settings.  The cache has its own identity —
+        # repro.artifacts.store.golden_digest — which DOES include strategy
+        # knobs like ladder_interval and twin_batch, because they shape the
+        # cached artifact even though they never shape records.
     }
     # Recovery DOES change the records (detected trials grow a
     # RecoveryRecord), so it must enter the digest — but only when armed,

@@ -21,9 +21,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.artifacts import runtime as artifacts_runtime
-from repro.artifacts import shm as artifacts_shm
 from repro.artifacts.runtime import golden_source_for
-from repro.artifacts.store import GoldenStore, golden_digest
+from repro.artifacts.store import GoldenStore
 from repro.engine.chaos import ChaosPolicy, ChaosTripwire
 from repro.engine.journal import TrialJournal, read_state
 from repro.engine.planner import CampaignPlan, ShardPlan, plan_campaign
@@ -81,7 +80,6 @@ def execute_shard(
     chaos: ChaosPolicy | None = None,
     attempt: int = 0,
     allow_hard: bool = True,
-    segment: str | None = None,
 ) -> tuple[list[tuple[int, TrialRecord]], dict[str, int | float]]:
     """Run every slice of ``shard``; return its records plus cache stats.
 
@@ -91,12 +89,11 @@ def execute_shard(
     ``attempt`` arm the deterministic chaos tripwire for this execution —
     the tripwire only observes record counts, never the records themselves.
 
-    ``segment`` names a shared-memory segment the parent pre-published with
-    this shard's golden artifacts; the worker maps it instead of re-reading
-    the store (and instead of re-executing goldens).  Goldens the attempt
-    captures live stream into one pack, committed after the last slice (one
-    ``fsync``) and dropped if the attempt raises.  The returned trials come
-    paired with this execution's delta of the process-wide artifact counters
+    Cached goldens are read from the store's committed packs, exactly as a
+    serial run reads them.  Goldens the attempt captures live stream into
+    one pack, committed after the last slice (one ``fsync``) and dropped if
+    the attempt raises.  The returned trials come paired with this
+    execution's delta of the process-wide artifact counters
     (:func:`repro.artifacts.runtime.stats`), so the supervisor can fold
     worker-side cache telemetry into the run manifest.
     """
@@ -105,18 +102,8 @@ def execute_shard(
         plan = chaos.plan(shard.index, attempt, allow_hard=allow_hard)
         if not plan.quiet:
             tripwire = ChaosTripwire(plan)
-    golden_source = golden_source_for(config, segment=segment)
+    golden_source = golden_source_for(config)
     stats_before = artifacts_runtime.stats()
-    if tripwire is not None and golden_source is not None:
-        def _lose_segment() -> None:
-            # The chaos ``shm_lost`` effect: the worker's shared segment
-            # vanishes mid-shard and its artifact source refuses further
-            # loads, so every remaining group falls back to live capture.
-            artifacts_runtime.STATS["shm_lost"] += 1
-            if segment is not None:
-                artifacts_shm.unlink_segment(segment)
-            golden_source.poison()
-        tripwire.arm_shm(_lose_segment)
     if tripwire is not None:
         tripwire.step()  # faults positioned "before the first trial"
     hv = XenHypervisor(
@@ -145,56 +132,6 @@ def execute_shard(
         if stats_after[key] != stats_before[key]
     }
     return out, delta
-
-
-class _ShardSegments:
-    """Parent-side zero-copy distribution of cached golden artifacts.
-
-    For each shard about to be submitted, :meth:`acquire` reads the shard's
-    cached golden artifacts out of the store's packs (raw bytes, unverified
-    — workers checksum at decode) and publishes them as one shared-memory
-    segment; pool workers map that segment read-only instead of re-reading
-    the store once per worker, or worse, re-executing the goldens.  The
-    supervisor calls :meth:`release` when the shard reaches a terminal state
-    (merged or quarantined), and the engine's :meth:`close` backstops any
-    segment still live when the run unwinds, so ``/dev/shm`` is clean on
-    every exit path.
-    """
-
-    def __init__(self, config: CampaignConfig) -> None:
-        self._config = config
-        self._store = GoldenStore(config.artifacts)
-        self._publisher = artifacts_shm.SegmentPublisher()
-
-    def acquire(self, shard: ShardPlan) -> str | None:
-        """Publish ``shard``'s cached goldens; return the segment name.
-
-        Returns ``None`` — the worker falls back to store reads and live
-        capture — when nothing is cached yet (a cold first run) or shared
-        memory is unavailable.  Idempotent per shard: a retried attempt
-        reuses the segment already published for it.
-        """
-        blobs: dict[str, bytes] = {}
-        for s in shard.slices:
-            for group in range(s.group_start, s.group_stop):
-                digest = golden_digest(self._config, s.benchmark, group)
-                raw = self._store.load_bytes(digest)
-                if raw is not None:
-                    blobs[digest] = raw
-        return self._publisher.prepare(shard.index, blobs)
-
-    def release(self, shard_index: int) -> None:
-        """Unlink the shard's segment (terminal states only)."""
-        self._publisher.finished(shard_index)
-
-    def close(self) -> None:
-        """Unlink every remaining segment (run teardown backstop)."""
-        self._publisher.close_all()
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """Parent-side publication counters (segments created, bytes)."""
-        return dict(self._publisher.stats)
 
 
 class CampaignEngine:
@@ -285,7 +222,6 @@ class CampaignEngine:
             dict(journal.state.completed) if journal is not None else {}
         )
         failures: dict[int, ShardFailure] = {}
-        segments: _ShardSegments | None = None
         try:
             pending = [s for s in plan.shards if s.index not in done]
             self.telemetry.emit(
@@ -303,13 +239,6 @@ class CampaignEngine:
                         shard=index, n_trials=len(trials), elapsed=0.0, resumed=True
                     )
                 )
-            if (
-                self.jobs > 1
-                and pending
-                and self.config.artifacts
-                and self.config.golden_cache
-            ):
-                segments = _ShardSegments(self.config)
             supervisor = ShardSupervisor(
                 self.config,
                 execute=execute_shard,
@@ -320,19 +249,12 @@ class CampaignEngine:
                 chaos=self.chaos,
                 telemetry=self.telemetry,
                 journal=journal,
-                segments=segments,
             )
             failures = supervisor.run(pending, done)
         finally:
-            # Segment teardown first: /dev/shm must be clean on every exit
-            # path, and the publication counters have to land before the
-            # manifest snapshot below.
-            if segments is not None:
-                self.telemetry.record_artifact_stats(segments.stats)
-                segments.close()
             # Every worker of this run is gone: drop the temp packs of any
             # that died mid-attempt.
-            if self.config.artifacts and self.config.golden_cache:
+            if self.config.artifacts:
                 GoldenStore(self.config.artifacts).sweep()
             # The manifest snapshot must survive any failure mode — it is
             # written first so a failing journal close cannot cost it, and

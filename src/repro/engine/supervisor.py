@@ -259,7 +259,6 @@ class ShardSupervisor:
         chaos: ChaosPolicy | None = None,
         telemetry: EngineTelemetry | None = None,
         journal: TrialJournal | None = None,
-        segments=None,
     ) -> None:
         if shard_timeout is not None and shard_timeout <= 0:
             raise CampaignConfigError("shard_timeout must be positive")
@@ -272,14 +271,6 @@ class ShardSupervisor:
         self.chaos = chaos
         self.telemetry = telemetry or EngineTelemetry()
         self.journal = journal
-        #: Optional shared-memory golden-segment provider (the engine's
-        #: ``_ShardSegments``): ``acquire(shard)`` publishes the shard's
-        #: cached golden artifacts and returns the segment name (or ``None``),
-        #: ``release(index)`` unlinks it once the shard reaches a terminal
-        #: state (merged or quarantined).  Retried attempts reuse the live
-        #: segment — ``acquire`` is idempotent per shard — so a crash-retry
-        #: cycle never republishes or leaks.
-        self.segments = segments
         self._state = _SupervisedState()
 
     def _make_pool(self, max_workers: int) -> ProcessPoolExecutor:
@@ -389,13 +380,10 @@ class ShardSupervisor:
                     ShardStarted(shard=run.shard.index, n_trials=run.shard.n_trials)
                 )
             run.started = time.monotonic()
-            kwargs: dict = {"chaos": self.chaos, "attempt": run.attempt}
-            if self.segments is not None:
-                kwargs["segment"] = self.segments.acquire(run.shard)
             try:
                 future = pool.submit(
                     run_shard, self.execute, self.config, run.shard,
-                    self.detector, **kwargs,
+                    self.detector, chaos=self.chaos, attempt=run.attempt,
                 )
             except BrokenProcessPool:
                 # The pool died between batches.  This run never started, so
@@ -581,8 +569,6 @@ class ShardSupervisor:
     def _quarantine(self, shard: ShardPlan, log: list[AttemptFailure]) -> None:
         failure = ShardFailure(shard=shard.index, attempts=tuple(log))
         self._state.failures[shard.index] = failure
-        if self.segments is not None:
-            self.segments.release(shard.index)
         last = failure.last
         self.telemetry.emit(
             ShardQuarantined(
@@ -605,8 +591,6 @@ class ShardSupervisor:
         if self.journal is not None:
             self._journal_append(shard, trials)
         done[shard.index] = trials
-        if self.segments is not None:
-            self.segments.release(shard.index)
         self.telemetry.record_outcomes(r for _, r in trials)
         self.telemetry.emit(
             ShardFinished(shard=shard.index, n_trials=len(trials), elapsed=elapsed)

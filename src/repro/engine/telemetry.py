@@ -314,8 +314,7 @@ class EngineTelemetry:
 
         Every value is a summable counter (counts, bytes, seconds): workers
         snapshot :data:`repro.artifacts.runtime.STATS` around each shard and
-        ship the difference, and the engine adds the parent-side segment
-        publication counters, so per-shard deltas sum to exact run totals in
+        ship the difference, so per-shard deltas sum to exact run totals in
         both serial and pool modes.
         """
         for key, value in stats.items():

@@ -103,10 +103,6 @@ class CampaignConfig:
     #: the next run.  Excluded from the config digest: records are
     #: byte-identical with the cache cold, warm, shared, or disabled.
     artifacts: str | None = None
-    #: Master switch for the golden artifact cache (``--no-golden-cache``
-    #: forces live capture even with ``artifacts`` set).  Excluded from the
-    #: config digest for the same reason as ``artifacts``.
-    golden_cache: bool = True
 
     def __post_init__(self) -> None:
         if not self.benchmarks:

@@ -46,7 +46,7 @@ class GoldenRun:
     it — which is what makes it cacheable: :mod:`repro.artifacts` persists
     whole golden groups content-addressed and rebuilds them bit-equal, with
     ``heap_image`` and page payloads rehydrated as memoryviews over the
-    artifact (or shared-memory) buffer.  Every consumer must therefore treat
+    artifact buffer read from its pack.  Every consumer must therefore treat
     ``bytes`` fields as read-only buffers, never assume the concrete type.
     The one field an artifact does not carry is ``trace``: it carries the
     :class:`~repro.machine.lockstep.TwinPlan` lowered from it instead.

@@ -266,7 +266,7 @@ class XenHypervisor:
         """Capture current memory for a golden/faulty run pair (COW)."""
         return self.memory.checkpoint()
 
-    def restore(self, snapshot: MemoryCheckpoint | dict[int, bytes]) -> None:
+    def restore(self, snapshot: MemoryCheckpoint) -> None:
         self.memory.restore(snapshot)
 
     def capture_machine(self, *, core_id: int = 0) -> MachineCheckpoint:

@@ -15,8 +15,6 @@ checkpoint) and :meth:`Memory.restore` rewrites only pages that changed since
 the target checkpoint.  The trial loop of a fault-injection campaign — tens
 of thousands of restore/execute pairs against a mostly-unchanging machine
 image — is therefore O(dirty pages) per trial rather than O(all pages).
-The eager full-copy API (:meth:`checkpoint_full`/:meth:`restore_full`) is
-kept as the differential-testing oracle for the COW implementation.
 """
 
 from __future__ import annotations
@@ -351,7 +349,7 @@ class Memory:
         self._epoch += 1
         return MemoryCheckpoint(pages=self._base, epoch=self._epoch)
 
-    def restore(self, snapshot: MemoryCheckpoint | dict[int, bytes]) -> None:
+    def restore(self, snapshot: MemoryCheckpoint) -> None:
         """Restore page contents captured by :meth:`checkpoint`.
 
         Pages materialized after the checkpoint are dropped (they were zero
@@ -360,13 +358,7 @@ class Memory:
         pages dirtied since the last sync point plus pages whose buffers
         differ between the two checkpoint generations (an identity check,
         thanks to structural sharing).
-
-        A plain ``dict[int, bytes]`` from :meth:`checkpoint_full` is accepted
-        too, so the eager oracle path stays drop-in interchangeable.
         """
-        if isinstance(snapshot, dict):
-            self.restore_full(snapshot)
-            return
         target = snapshot.pages
         dirty = self._dirty
         base = self._base
@@ -390,25 +382,6 @@ class Memory:
                     else:
                         live[:] = source
             dirty.clear()
-        self._epoch += 1
-
-    # -- eager full-copy oracle ------------------------------------------------
-
-    def checkpoint_full(self) -> dict[int, bytes]:
-        """Eagerly copy every materialized page (the pre-COW implementation).
-
-        Kept as the differential-testing oracle: COW checkpoint/restore must
-        be observationally identical to this path for any write sequence.
-        """
-        return {base: bytes(page) for base, page in self._pages.items()}
-
-    def restore_full(self, snapshot: dict[int, bytes]) -> None:
-        """Restore an eager :meth:`checkpoint_full` snapshot."""
-        self._pages = {base: bytearray(page) for base, page in snapshot.items()}
-        # The COW bookkeeping no longer describes the live pages: resync by
-        # treating everything as dirty against an empty base.
-        self._base = {}
-        self._dirty = set(self._pages)
         self._epoch += 1
 
     # -- diffing & stats (golden-run comparison) -----------------------------

@@ -3,10 +3,10 @@
 Every shard attempt (or serial run) that captures goldens streams them into
 one temp pack and commits it once at the end — a single ``fsync``, then the
 rename.  An attempt that raises leaves neither a pack nor a temp file, a
-poisoned source (chaos ``shm_lost``) writes nothing further, a hard-crashed
-worker's temp file is swept when the engine finishes, and packs that overlap
-serve the same artifacts.  Every case ends with records byte-identical to a
-no-cache run.
+hard-crashed worker's temp file is swept when the engine finishes, and packs
+that overlap serve the same artifacts.  Pool workers read the committed packs
+themselves, as a serial run does; the coordinator reads none.  Every case
+ends with records byte-identical to a no-cache run.
 """
 
 import dataclasses
@@ -17,9 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro.artifacts import runtime
-from repro.artifacts.shm import detach_all
 from repro.artifacts.store import GoldenStore, read_pack_table
-from repro.engine import CampaignEngine, ChaosPolicy, EngineTelemetry
+from repro.engine import CampaignEngine, ChaosPolicy, EngineTelemetry, RetryPolicy
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 from repro.faults import campaign as campaign_mod
 from repro.faults.campaign import benchmark_geometry
@@ -34,9 +33,7 @@ SHARDS = 4
 @pytest.fixture(autouse=True)
 def clean_ledger():
     runtime.reset_stats()
-    detach_all()
     yield
-    detach_all()
     runtime.reset_stats()
 
 
@@ -45,14 +42,23 @@ def baseline():
     return FaultInjectionCampaign(CONFIG).run().records
 
 
+@pytest.fixture(scope="module")
+def warm_store(tmp_path_factory, baseline):
+    """A store filled by one serial cold run."""
+    root = tmp_path_factory.mktemp("warm")
+    assert FaultInjectionCampaign(cached(root)).run().records == baseline
+    return root
+
+
 def cached(root: Path) -> CampaignConfig:
     return dataclasses.replace(CONFIG, artifacts=str(root))
 
 
-def engine(config, *, chaos=None, jobs=2):
+def engine(config, *, chaos=None, jobs=2, retry=None):
     telemetry = EngineTelemetry()
     result = CampaignEngine(
-        config, jobs=jobs, n_shards=SHARDS, telemetry=telemetry, chaos=chaos
+        config, jobs=jobs, n_shards=SHARDS, telemetry=telemetry, chaos=chaos,
+        retry=retry,
     ).run()
     return result, telemetry.golden_cache_summary()
 
@@ -146,20 +152,6 @@ class TestPoolCommits:
         assert FaultInjectionCampaign(cached(root)).run().records == baseline
         warm_rerun_matches(root, baseline)
 
-    def test_shm_lost_mid_shard_writes_nothing_further(self, tmp_path, baseline):
-        # Chaos poisons every shard's source during its first golden group:
-        # the pending pack is dropped and nothing more is written.
-        root = tmp_path / "store"
-        before = segments()
-        chaos = ChaosPolicy(seed=2, shm_lost_rate=1.0)
-        assert all(chaos.plan(s, 0).shm_lost_after >= 1 for s in range(SHARDS))
-        result, cache = engine(cached(root), chaos=chaos)
-        assert result.records == baseline
-        assert cache["shm_lost"] == SHARDS
-        assert cache.get("artifact_bytes_written", 0) == 0
-        assert packs(root) == [] and temps(root) == []
-        assert segments() == before
-
     def test_hard_crashed_worker_temp_is_swept(self, tmp_path, baseline):
         # Each first attempt dies by os._exit holding a temp pack.
         root = tmp_path / "store"
@@ -192,3 +184,54 @@ class TestOverlappingPacks:
         assert cache["hit_rate"] == 1.0
         assert cache.get("artifact_corrupt", 0) == 0
         warm_rerun_matches(serial, baseline)
+
+
+class TestWarmReads:
+    """A warm store: every shard reads the committed packs itself."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_engine_serves_every_group_from_packs(self, warm_store, baseline, jobs):
+        before = segments()
+        result, cache = engine(cached(warm_store), jobs=jobs)
+        assert result.records == baseline
+        assert cache["golden_hits"] == GROUPS
+        assert cache.get("golden_misses", 0) == 0
+        assert cache.get("golden_capture_seconds", 0.0) == 0.0
+        assert segments() == before
+        warm_rerun_matches(warm_store, baseline)
+        # The shards loaded exactly the bytes a serial warm run loads.
+        assert cache["artifact_bytes_loaded"] == runtime.stats()["artifact_bytes_loaded"]
+
+    def test_warm_pool_rebuilt_after_hard_crashes(self, warm_store, baseline):
+        # Every first attempt dies by os._exit, so the pool is rebuilt and
+        # the retries read the same packs again.  A broken pool charges each
+        # in-flight shard an attempt, so the budget covers a shard caught in
+        # all four crashes.
+        before = segments()
+        chaos = ChaosPolicy(seed=2, hard_crash_rate=1.0, only_attempt=0)
+        retry = RetryPolicy(max_retries=SHARDS, seed=CONFIG.seed)
+        result, cache = engine(cached(warm_store), chaos=chaos, retry=retry)
+        assert result.records == baseline
+        assert cache.get("golden_misses", 0) == 0
+        assert temps(warm_store) == []
+        assert segments() == before
+
+    def test_coordinator_never_reads_an_artifact(
+        self, tmp_path, warm_store, baseline, monkeypatch
+    ):
+        # Workers fork with the patched method and log who reads each blob.
+        log = tmp_path / "reads.log"
+        real_load_bytes = GoldenStore.load_bytes
+
+        def logged_load_bytes(store, digest):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_load_bytes(store, digest)
+
+        monkeypatch.setattr(GoldenStore, "load_bytes", logged_load_bytes)
+        result, _ = engine(cached(warm_store))
+        monkeypatch.undo()
+        assert result.records == baseline
+        readers = log.read_text().split()
+        assert len(readers) == GROUPS
+        assert str(os.getpid()) not in readers

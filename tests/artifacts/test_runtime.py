@@ -3,7 +3,7 @@
 The standing contract of the whole subsystem, asserted here end to end on a
 real (small) campaign: trial records are byte-identical with the cache cold,
 warm, corrupted (a damaged artifact inside a pack, or a torn pack trailer),
-unwritable, or disabled.  Corruption surfaces only as an
+unwritable, or disabled (no store).  Corruption surfaces only as an
 ``artifact_corrupt`` count in the ledger — never an exception, never a
 changed record.
 """
@@ -68,31 +68,11 @@ class TestSourcePolicy:
         assert golden_source_for(CONFIG) is None
 
     def test_cache_disabled_is_no_source(self, tmp_path):
-        config = dataclasses.replace(cached(tmp_path), golden_cache=False)
+        config = dataclasses.replace(cached(tmp_path), artifacts=None)
         assert golden_source_for(config) is None
-
-    def test_store_only_and_segment_only_sources(self, tmp_path):
         source = golden_source_for(cached(tmp_path))
         assert isinstance(source, GoldenSource)
-        assert source.store is not None and source.segment is None
-        source = golden_source_for(CONFIG, segment="xgold-nope")
-        assert isinstance(source, GoldenSource)
-        assert source.store is None and source.segment == "xgold-nope"
-
-    def test_poisoned_source_neither_serves_nor_saves(self, tmp_path):
-        source = golden_source_for(cached(tmp_path))
-        source.poison()
-        assert source.acquire("mcf", 0, registry=None) is None
-        source.offer("mcf", 0, None, None)  # must not touch the store
-        assert artifact_files(tmp_path) == []
-        # A poisoned source was never consulted: no hit, no miss.
-        assert runtime.STATS["golden_hits"] == 0
-        assert runtime.STATS["golden_misses"] == 0
-
-    def test_vanished_segment_falls_back_silently(self):
-        source = golden_source_for(CONFIG, segment="xgold-000000000000")
-        assert source.acquire("mcf", 0, registry=None) is None
-        assert runtime.STATS["golden_misses"] == 1
+        assert source.store.directory == tmp_path / "cache" / "golden"
 
 
 class TestCampaignBitIdentity:
@@ -182,11 +162,13 @@ class TestCampaignBitIdentity:
         assert stats["artifact_bytes_written"] == 0
 
     def test_cache_disabled_never_touches_the_ledger(self, tmp_path):
-        config = dataclasses.replace(cached(tmp_path), golden_cache=False)
-        baseline = run_campaign(CONFIG)
+        config = dataclasses.replace(cached(tmp_path), artifacts=None)
+        baseline = run_campaign(cached(tmp_path))
+        runtime.reset_stats()
         result = run_campaign(config)
         assert result.records == baseline.records
-        assert artifact_files(tmp_path) == []
+        # A store sits there, warm, but a run without one never reads it.
+        assert len(artifact_files(tmp_path)) == 1
         stats = runtime.stats()
         # Capture seconds still accrue (they feed the campaign summary's
         # capture-vs-load time-share line, cache or no cache); every

@@ -71,7 +71,7 @@ class TestDigestIdentity:
         {"recover": "reexecute", "recovery_hazard": 0.25},
         {"translate": False},
         {"artifacts": "elsewhere"},
-        {"golden_cache": False},
+        {"recover": "ladder"},
     ])
     def test_trial_only_knobs_do_not_move_the_digest(self, change):
         assert digest(dataclasses.replace(CONFIG, **change)) == digest()

@@ -55,23 +55,6 @@ class TestDeterminism:
         )
         assert 0 < fired < 200  # neither never nor always
 
-    def test_shm_lost_is_pure_and_independent(self):
-        # Pure in (seed, kind, shard, attempt), and drawn from its own
-        # named stream so enabling it never disturbs the other kinds.
-        policy = ChaosPolicy(seed=CHAOS_SEED, shm_lost_rate=1.0)
-        baseline = ChaosPolicy(seed=CHAOS_SEED, crash_rate=0.5)
-        combined = ChaosPolicy(seed=CHAOS_SEED, crash_rate=0.5, shm_lost_rate=1.0)
-        for shard in range(6):
-            for attempt in range(3):
-                plan = policy.plan(shard, attempt)
-                assert plan == policy.plan(shard, attempt)
-                assert plan.shm_lost_after is not None
-                assert plan.crash_after is None
-                assert (
-                    combined.plan(shard, attempt).crash_after
-                    == baseline.plan(shard, attempt).crash_after
-                )
-
 
 class TestFilters:
     def test_shards_filter_restricts_injection(self):
@@ -105,7 +88,7 @@ class TestFilters:
 class TestValidation:
     @pytest.mark.parametrize("field", [
         "crash_rate", "hard_crash_rate", "hang_rate",
-        "journal_error_rate", "journal_truncate_rate", "shm_lost_rate",
+        "journal_error_rate", "journal_truncate_rate",
     ])
     def test_rates_must_be_probabilities(self, field):
         with pytest.raises(CampaignConfigError, match="must be in"):
@@ -132,21 +115,6 @@ class TestTripwire:
     def test_quiet_plan_never_fires(self):
         trip = ChaosTripwire(ShardChaos())
         for _ in range(20):
-            trip.step()
-
-    def test_shm_lost_fires_callback_exactly_once(self):
-        fired = []
-        trip = ChaosTripwire(ShardChaos(shm_lost_after=1))
-        trip.arm_shm(lambda: fired.append(trip.records))
-        for _ in range(5):
-            trip.step()
-        assert fired == [1]
-
-    def test_shm_lost_unarmed_is_noop(self):
-        # No shared segment / cache disabled: the planned loss has nothing
-        # to lose, and stepping through it must not raise.
-        trip = ChaosTripwire(ShardChaos(shm_lost_after=0))
-        for _ in range(5):
             trip.step()
 
 
@@ -179,17 +147,18 @@ class TestSpecParsing:
     def test_full_spec(self):
         policy = parse_chaos_spec(
             "crash=0.2,hard=0.05,hang=0.1,journal=0.04,truncate=0.03,"
-            "shm=0.5,seed=7,hang-seconds=12"
+            "seed=7,hang-seconds=12"
         )
         assert policy == ChaosPolicy(
             crash_rate=0.2, hard_crash_rate=0.05, hang_rate=0.1,
             journal_error_rate=0.04, journal_truncate_rate=0.03,
-            shm_lost_rate=0.5, seed=7, hang_seconds=12.0,
+            seed=7, hang_seconds=12.0,
         )
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(CampaignConfigError, match="bad --chaos field"):
-            parse_chaos_spec("explode=1.0")
+        for spec in ("explode=1.0", "shm=0.5"):
+            with pytest.raises(CampaignConfigError, match="bad --chaos field"):
+                parse_chaos_spec(spec)
 
     def test_bad_value_rejected(self):
         with pytest.raises(CampaignConfigError, match="bad --chaos value"):

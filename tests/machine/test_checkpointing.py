@@ -1,10 +1,10 @@
 """COW checkpoints, dirty-page accounting, and resumable execution.
 
 The copy-on-write checkpoint/restore path is the trial hot path of the
-fault-injection campaign; the eager full-copy implementation is retained as
-the differential oracle (``checkpoint_full``/``restore_full``) and these
-tests hold the two observationally identical over randomized write
-sequences, nested checkpoint generations, and interleaved restores.
+fault-injection campaign; an eager full copy of the live pages
+(:func:`checkpoint_full`) is the differential oracle, and these tests hold
+the two observationally identical over randomized write sequences, nested
+checkpoint generations, and interleaved restores.
 """
 
 import numpy as np
@@ -28,6 +28,11 @@ def make_memory() -> Memory:
     return mem
 
 
+def checkpoint_full(mem: Memory) -> dict[int, bytes]:
+    """Eagerly copy every materialized page: the oracle COW must match."""
+    return {base: bytes(page) for base, page in mem._pages.items()}
+
+
 def random_writes(mem: Memory, rng: np.random.Generator, n: int) -> None:
     """Apply ``n`` random word writes across both mapped regions."""
     for _ in range(n):
@@ -49,13 +54,13 @@ class TestCowEquivalence:
         random_writes(mem, rng, 40)
 
         cow = mem.checkpoint()
-        oracle = mem.checkpoint_full()
+        oracle = checkpoint_full(mem)
 
         random_writes(mem, rng, 60)
-        assert mem.checkpoint_full() != oracle  # the writes did something
+        assert checkpoint_full(mem) != oracle  # the writes did something
 
         mem.restore(cow)
-        assert mem.checkpoint_full() == oracle
+        assert checkpoint_full(mem) == oracle
 
     @pytest.mark.parametrize("seed", range(3))
     def test_nested_generations_restore_in_any_order(self, seed):
@@ -65,13 +70,13 @@ class TestCowEquivalence:
         snaps: list[tuple[MemoryCheckpoint, dict[int, bytes]]] = []
         for _ in range(4):
             random_writes(mem, rng, 25)
-            snaps.append((mem.checkpoint(), mem.checkpoint_full()))
+            snaps.append((mem.checkpoint(), checkpoint_full(mem)))
         # Restore in a shuffled order, diverging in between each restore.
         for i in rng.permutation(len(snaps)):
             random_writes(mem, rng, 15)
             cow, oracle = snaps[i]
             mem.restore(cow)
-            assert mem.checkpoint_full() == oracle
+            assert checkpoint_full(mem) == oracle
 
     def test_pages_materialized_after_checkpoint_are_dropped(self):
         mem = make_memory()
@@ -81,15 +86,6 @@ class TestCowEquivalence:
         mem.restore(snap)
         assert 0x40000 not in mem.touched_pages()
         assert mem.read_u64(0x40000) == 0  # zero-filled on demand again
-
-    def test_restore_accepts_full_copy_snapshot(self):
-        """The eager dict form stays drop-in interchangeable."""
-        mem = make_memory()
-        mem.write_u64(0x10000, 123)
-        oracle = mem.checkpoint_full()
-        mem.write_u64(0x10000, 456)
-        mem.restore(oracle)  # plain dict, not a MemoryCheckpoint
-        assert mem.read_u64(0x10000) == 123
 
     def test_checkpoint_equality_is_content_based(self):
         a = make_memory()
@@ -143,7 +139,7 @@ class TestDirtyAccounting:
         mem.restore(snap)
         # After the restore the live state is clean against the target.
         assert mem.dirty_page_count == 0
-        assert mem.checkpoint_full() == {}
+        assert checkpoint_full(mem) == {}
 
 
 ASM = """
