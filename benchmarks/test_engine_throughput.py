@@ -116,7 +116,7 @@ def test_engine_throughput_and_speedup():
                 # Neither parallelism nor the cache may change the science.
                 assert result.records == serial.records
                 cache = (
-                    telemetry.golden_cache_summary() if phase != "no-cache" else None
+                    telemetry.counters.golden_cache() if phase != "no-cache" else None
                 )
                 phases[phase].append((seconds, len(result), cache))
         assert cache["hit_rate"] == 1.0, cache

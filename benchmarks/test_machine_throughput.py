@@ -7,11 +7,11 @@ golden-prefix fast-forward hit rate.  A machine-readable summary is written
 to ``BENCH_machine.json`` next to this file (override with
 ``REPRO_BENCH_OUTPUT``).
 
-The harness deliberately runs unmodified on the pre-optimization code
-(feature-detecting the ladder/fast-forward, translation-cache and
-lock-step batch APIs), so every committed baseline was produced by this
-exact file against its pre-change tree.  An untimed warm-up pass runs the
-whole workload once first, so the timed region measures the steady state
+The committed baselines were measured by earlier versions of this file on
+their pre-change trees; this one reads its counters from one
+:func:`repro.metrics.counted` delta around the timed pass and runs on this
+tree only.  An untimed warm-up pass runs the whole workload once first,
+so the timed region measures the steady state
 campaigns actually see (the translation cache is process-wide, and
 production pool workers fork with the blocks earlier workers compiled);
 the baselines were all re-measured through the same warm-up.  Three gates: the
@@ -35,13 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.faults import FaultModel, capture_golden, run_trial
+from repro.faults import FaultModel, capture_golden, run_twin_batch
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
-
-try:  # pre-lockstep tree: no twin-batch API — per-trial loop below
-    from repro.faults import run_twin_batch
-except ImportError:
-    run_twin_batch = None
+from repro.metrics import CampaignCounters, counted
 
 from benchmarks.conftest import SEED, scaled
 
@@ -90,16 +86,6 @@ OUTPUT = Path(
 )
 
 
-def _capture(hv: XenHypervisor, activation: Activation, followups):
-    """Golden capture, with the fast-forward ladder when the tree has it."""
-    try:
-        return capture_golden(
-            hv, activation, followups, ladder_interval=LADDER_INTERVAL
-        )
-    except TypeError:  # pre-change tree: no ladder support
-        return capture_golden(hv, activation, followups)
-
-
 def _run_workload(hv: XenHypervisor):
     """The fixed-seed trial workload; returns (records, elapsed_seconds)."""
     rng = np.random.default_rng(SEED)
@@ -116,32 +102,25 @@ def _run_workload(hv: XenHypervisor):
         activation = Activation(
             vmer=reason.vmer, args=(8 + g, 1), domain_id=1, seq=g
         )
-        golden = _capture(hv, activation, ())
-        # Fault sampling is hoisted out of the trial loop either way, so
-        # the RNG stream — and therefore the trial set — is identical on
-        # trees with and without the twin-batch API.
+        golden = capture_golden(
+            hv, activation, (), ladder_interval=LADDER_INTERVAL
+        )
+        # Faults are drawn up front, so the trial set is the one the
+        # baselines measured.
         faults = [
             model.sample(rng, run_length=golden.result.instructions)
             for _ in range(TRIALS_PER_GOLDEN)
         ]
-        if run_twin_batch is not None:
-            records.extend(
-                run_twin_batch(hv, activation, faults, golden=golden)
-            )
-        else:
-            for fault in faults:
-                records.append(run_trial(hv, activation, fault, golden=golden))
+        records.extend(run_twin_batch(hv, activation, faults, golden=golden))
     return records, time.perf_counter() - t0
 
 
-def _restore_microseconds(hv: XenHypervisor) -> float | None:
-    """Mean per-trial state-reset cost, new (COW) path only."""
-    if not hasattr(hv, "capture_machine"):
-        return None
+def _restore_microseconds(hv: XenHypervisor) -> float:
+    """Mean per-trial state-reset cost (copy-on-write restore)."""
     activation = Activation(
         vmer=REGISTRY.by_name("mmu_update").vmer, args=(8, 1), domain_id=1, seq=0
     )
-    golden = _capture(hv, activation, ())
+    golden = capture_golden(hv, activation, (), ladder_interval=LADDER_INTERVAL)
     rung = golden.ladder[len(golden.ladder) // 2]
     n = 200
     t0 = time.perf_counter()
@@ -169,24 +148,13 @@ def test_machine_trial_throughput():
     _run_workload(_aged_machine())
 
     hv = _aged_machine()
-    records, elapsed = _run_workload(hv)
+    (records, elapsed), counts = counted(_run_workload, hv)
     trials_per_sec = len(records) / elapsed
-
-    ff = getattr(hv, "ff_stats", None)
-    ls = getattr(hv, "lockstep_stats", None)
-    proved_hangs = sum(getattr(c, "proved_hangs", 0) for c in hv.cores)
-    proved_hang_instructions = sum(
-        getattr(c, "proved_hang_instructions", 0) for c in hv.cores
-    )
-    # Block-cache telemetry, feature-detected so the harness still runs
-    # against the pre-translation tree to (re)measure its baseline.
-    tstats = (
-        hv.translation_stats() if hasattr(hv, "translation_stats") else None
-    )
-    translated = interpreted = 0
-    if tstats:
-        translated = tstats["translated_instructions"]
-        interpreted = tstats["interpreted_instructions"]
+    # What the timed pass counted (the warm-up compiled most blocks, so
+    # blocks_compiled is what this pass still had to compile).
+    machine = CampaignCounters.folded(counts).machine()
+    translated = machine["translated_instructions"]
+    interpreted = machine["interpreted_instructions"]
     summary = {
         "format": "xentry-bench-machine-v1",
         "seed": SEED,
@@ -195,46 +163,33 @@ def test_machine_trial_throughput():
         "trials_per_sec": trials_per_sec,
         "ladder_interval": LADDER_INTERVAL,
         "restore_microseconds": _restore_microseconds(hv),
-        "fast_forward": (
-            {
-                "hit_rate": ff["fast_forwarded"] / max(1, ff["trials"]),
-                "instructions_skipped": ff["instructions_skipped"],
-            }
-            if ff
-            else None
-        ),
-        "translation": (
-            {
-                "blocks_compiled": tstats["blocks_compiled"],
-                "block_executions": tstats["block_executions"],
-                "block_hit_rate": tstats["block_hit_rate"],
-                "translated_instructions": translated,
-                "interpreted_instructions": interpreted,
-                "translated_share": (
-                    translated / (translated + interpreted)
-                    if translated + interpreted
-                    else 0.0
-                ),
-            }
-            if tstats
-            else None
-        ),
-        "lockstep": (
-            {
-                "twin_batches": ls["twin_batches"],
-                "twins": ls["twins"],
-                "dead_twins": ls["dead_twins"],
-                "peeled_twins": ls["peeled_twins"],
-                "dead_rate": ls["dead_twins"] / max(1, ls["twins"]),
-                "peel_rate": ls["peeled_twins"] / max(1, ls["twins"]),
-                "synthesized_instructions": ls["synthesized_instructions"],
-                "read_ff_instructions": ls["read_ff_instructions"],
-                "proved_hangs": proved_hangs,
-                "proved_hang_instructions": proved_hang_instructions,
-            }
-            if ls and ls["twins"]
-            else None
-        ),
+        "fast_forward": {
+            "hit_rate": machine["fast_forwards"] / max(1, machine["trials"]),
+            "instructions_skipped": machine["instructions_skipped"],
+        },
+        "translation": {
+            # Summaries written before the counting registry also counted
+            # the warm-up and the machines' aging; their scope says so.
+            "scope": "timed pass",
+            "blocks_compiled": machine["blocks_compiled"],
+            "block_executions": machine["block_executions"],
+            "block_hit_rate": machine["block_hit_rate"],
+            "translated_instructions": translated,
+            "interpreted_instructions": interpreted,
+            "translated_share": machine["translated_share"],
+        },
+        "lockstep": {
+            "twin_batches": machine["twin_batches"],
+            "twins": machine["twins"],
+            "dead_twins": machine["dead_twins"],
+            "peeled_twins": machine["peeled_twins"],
+            "dead_rate": machine["dead_twins"] / max(1, machine["twins"]),
+            "peel_rate": machine["peeled_twins"] / max(1, machine["twins"]),
+            "synthesized_instructions": machine["synthesized_instructions"],
+            "read_ff_instructions": machine["read_ff_instructions"],
+            "proved_hangs": machine["proved_hangs"],
+            "proved_hang_instructions": machine["proved_hang_instructions"],
+        },
         "baseline_trials_per_sec": BASELINE_TRIALS_PER_SEC or None,
         "speedup_vs_baseline": (
             trials_per_sec / BASELINE_TRIALS_PER_SEC
@@ -262,27 +217,23 @@ def test_machine_trial_throughput():
 
     print(f"\nmachine trial throughput — {len(records)} trials, seed {SEED}")
     print(f"  trials/sec:        {trials_per_sec:10.1f}")
-    if summary["restore_microseconds"] is not None:
-        print(f"  restore:           {summary['restore_microseconds']:10.2f} µs")
-    if ff:
-        print(f"  fast-forward hits: {ff['fast_forwarded']}/{ff['trials']} "
-              f"({summary['fast_forward']['hit_rate']:.0%}), "
-              f"{ff['instructions_skipped']:,} instructions skipped")
-    if tstats:
-        tr = summary["translation"]
-        print(f"  block cache:       {tr['blocks_compiled']} blocks compiled, "
-              f"hit rate {tr['block_hit_rate']:.1%}")
-        print(f"  instruction mix:   {translated:,} translated / "
-              f"{interpreted:,} interpreted "
-              f"({tr['translated_share']:.1%} translated)")
-    if summary["lockstep"]:
-        lk = summary["lockstep"]
-        print(f"  twin batching:     {lk['twins']} twins in "
-              f"{lk['twin_batches']} batches — {lk['dead_twins']} dead "
-              f"({lk['dead_rate']:.0%}), {lk['peeled_twins']} peeled; "
-              f"{lk['synthesized_instructions']:,} instructions synthesized")
-        print(f"  proved hangs:      {lk['proved_hangs']} "
-              f"({lk['proved_hang_instructions']:,} instructions skipped)")
+    print(f"  restore:           {summary['restore_microseconds']:10.2f} µs")
+    print(f"  fast-forward hits: {machine['fast_forwards']}/{machine['trials']} "
+          f"({summary['fast_forward']['hit_rate']:.0%}), "
+          f"{machine['instructions_skipped']:,} instructions skipped")
+    tr = summary["translation"]
+    print(f"  block cache:       {tr['blocks_compiled']} blocks compiled, "
+          f"hit rate {tr['block_hit_rate']:.1%}")
+    print(f"  instruction mix:   {translated:,} translated / "
+          f"{interpreted:,} interpreted "
+          f"({tr['translated_share']:.1%} translated)")
+    lk = summary["lockstep"]
+    print(f"  twin batching:     {lk['twins']} twins in "
+          f"{lk['twin_batches']} batches — {lk['dead_twins']} dead "
+          f"({lk['dead_rate']:.0%}), {lk['peeled_twins']} peeled; "
+          f"{lk['synthesized_instructions']:,} instructions synthesized")
+    print(f"  proved hangs:      {lk['proved_hangs']} "
+          f"({lk['proved_hang_instructions']:,} instructions skipped)")
     if BASELINE_TRIALS_PER_SEC:
         speedup = summary["speedup_vs_baseline"]
         print(f"  vs baseline:       {speedup:9.2f}x "
@@ -291,7 +242,7 @@ def test_machine_trial_throughput():
             f"trial hot path regressed: {speedup:.2f}x < {TARGET_SPEEDUP}x "
             f"over the pre-change baseline"
         )
-    if tstats and TRANSLATION_BASELINE_TRIALS_PER_SEC:
+    if TRANSLATION_BASELINE_TRIALS_PER_SEC:
         tspeedup = summary["speedup_vs_translation_baseline"]
         print(f"  vs pre-translate:  {tspeedup:9.2f}x "
               f"(baseline {TRANSLATION_BASELINE_TRIALS_PER_SEC:.1f} t/s)")
@@ -301,7 +252,7 @@ def test_machine_trial_throughput():
         )
         # The cache must actually carry the workload, not just exist.
         assert summary["translation"]["translated_share"] > 0.5
-    if summary["lockstep"] and LOCKSTEP_BASELINE_TRIALS_PER_SEC:
+    if LOCKSTEP_BASELINE_TRIALS_PER_SEC:
         lspeedup = summary["speedup_vs_lockstep_baseline"]
         print(f"  vs pre-lockstep:   {lspeedup:9.2f}x "
               f"(baseline {LOCKSTEP_BASELINE_TRIALS_PER_SEC:.1f} t/s)")
@@ -314,5 +265,4 @@ def test_machine_trial_throughput():
     # The optimization must never change the science: every trial still
     # classifies, and the fast-forward path serves (nearly) all of them.
     assert all(r.benchmark == "" for r in records)
-    if ff:
-        assert ff["fast_forwarded"] == ff["trials"]
+    assert machine["fast_forwards"] == machine["trials"] == len(records)

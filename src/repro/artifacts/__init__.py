@@ -10,7 +10,7 @@ runs and pool workers read the same packs:
 
 * :mod:`repro.artifacts.store` — the on-disk pack store and the golden digest;
 * :mod:`repro.artifacts.codec` — the versioned, checksummed binary format;
-* :mod:`repro.artifacts.runtime` — the capture-or-load policy and stats.
+* :mod:`repro.artifacts.runtime` — the capture-or-load policy.
 
 Submodules import lazily where needed (``store`` reaches into
 ``repro.faults``); import concrete names from the submodules.

@@ -1,4 +1,4 @@
-"""Capture-or-load policy for golden artifacts, plus the stats ledger.
+"""Capture-or-load policy for golden artifacts.
 
 :class:`GoldenSource` is the single object the campaign trial loop talks to:
 ``acquire`` loads a golden group from the store's committed packs, and
@@ -13,11 +13,9 @@ corrupt artifact or pack, or an unwritable store, degrades to live capture,
 never to an exception — because the standing contract is that trial records
 are byte-identical with the cache cold, warm, shared, or disabled.
 
-The module-level :data:`STATS` ledger mirrors the translation-cache and
-lock-step patterns (:data:`repro.machine.translator.CACHE`,
-:data:`repro.machine.lockstep.STATS`): workers snapshot it around a shard
-and ship the delta to the engine's telemetry; the serial CLI path diffs it
-around the whole campaign.
+Lookups, bytes moved, corrupt artifacts, write errors and load seconds are
+counted on :data:`repro.metrics.COUNTERS`, like everything else the
+campaign counts.
 """
 
 from __future__ import annotations
@@ -26,45 +24,21 @@ import time
 
 from repro.artifacts.codec import ArtifactCorrupt, encode_group
 from repro.artifacts.store import GoldenStore, golden_digest
+from repro.metrics import COUNTERS
 
-__all__ = ["GoldenSource", "STATS", "golden_source_for", "reset_stats", "stats"]
-
-#: Process-wide artifact-cache ledger.  Counter semantics:
-#:
-#: * ``golden_hits`` / ``golden_misses`` — groups served from cache vs
-#:   captured live (their sum is the number of groups that consulted the
-#:   source; the manifest derives the hit rate from them);
-#: * ``artifact_corrupt`` — artifacts rejected by the codec (checksum,
-#:   version, structure) and silently replaced by live capture, plus packs
-#:   skipped for a torn or unparsable trailer;
-#: * ``artifact_bytes_loaded`` — artifact bytes read from committed packs;
-#: * ``artifact_bytes_written`` — artifact bytes in committed packs;
-#:   ``artifact_write_errors`` — offers or commits that failed to write;
-#: * ``golden_capture_seconds`` / ``golden_load_seconds`` — wall-clock split
-#:   behind the campaign summary's capture-vs-load line.
-STATS: dict[str, int | float] = {
-    "golden_hits": 0,
-    "golden_misses": 0,
-    # Always 0; perfbench/spans.py reads it by key (artifacts.shm_hits).
-    "shm_hits": 0,
-    "artifact_corrupt": 0,
-    "artifact_bytes_loaded": 0,
-    "artifact_bytes_written": 0,
-    "artifact_write_errors": 0,
-    "golden_capture_seconds": 0.0,
-    "golden_load_seconds": 0.0,
-}
+__all__ = ["GoldenSource", "golden_source_for", "stats"]
 
 
-def stats() -> dict[str, int | float]:
-    """Snapshot of the process-wide artifact ledger."""
-    return dict(STATS)
-
-
-def reset_stats() -> None:
-    """Zero the ledger (tests and per-shard delta accounting)."""
-    for key, value in STATS.items():
-        STATS[key] = 0.0 if isinstance(value, float) else 0
+def stats() -> dict[str, int]:
+    """This process's golden lookups and artifact bytes moved."""
+    # A view over COUNTERS for perfbench/spans.py, its only reader (shm_hits: 0).
+    return {
+        "golden_hits": COUNTERS.golden_hits.value,
+        "golden_misses": COUNTERS.golden_misses.value,
+        "shm_hits": 0,
+        "artifact_bytes_loaded": COUNTERS.bytes_loaded.value,
+        "artifact_bytes_written": COUNTERS.bytes_written.value,
+    }
 
 
 class GoldenSource:
@@ -91,22 +65,22 @@ class GoldenSource:
         try:
             payload = self._load(digest, registry)
         finally:
-            STATS["golden_load_seconds"] += time.perf_counter() - started
+            COUNTERS.load_seconds.inc(time.perf_counter() - started)
         if payload is None:
-            STATS["golden_misses"] += 1
+            COUNTERS.golden_misses.inc()
             return None
-        STATS["golden_hits"] += 1
-        STATS["artifact_bytes_loaded"] += payload.nbytes
+        COUNTERS.golden_hits.inc()
+        COUNTERS.bytes_loaded.inc(payload.nbytes)
         return payload
 
     def _load(self, digest: str, registry):
         if not self._scanned:
             self._scanned = True
-            STATS["artifact_corrupt"] += self.store.scan()
+            COUNTERS.artifact_corrupt.inc(self.store.scan())
         try:
             return self.store.load(digest, registry=registry)
         except ArtifactCorrupt:
-            STATS["artifact_corrupt"] += 1
+            COUNTERS.artifact_corrupt.inc()
             return None
 
     def offer(self, benchmark: str, group: int, golden, plan) -> None:
@@ -122,7 +96,7 @@ class GoldenSource:
                 self._pack = self.store.begin_pack()
             self._pack.append(digest, blob)
         except OSError:
-            STATS["artifact_write_errors"] += 1
+            COUNTERS.write_errors.inc()
             self.discard()
 
     def commit(self) -> None:
@@ -134,10 +108,10 @@ class GoldenSource:
         try:
             pack.commit()
         except OSError:
-            STATS["artifact_write_errors"] += 1
+            COUNTERS.write_errors.inc()
             pack.discard()
             return
-        STATS["artifact_bytes_written"] += pack.nbytes
+        COUNTERS.bytes_written.inc(pack.nbytes)
 
     def discard(self) -> None:
         """Drop the pending pack (its temp file is removed)."""

@@ -44,7 +44,6 @@ from repro.analysis import (
     summarize_recovery,
     undetected_breakdown,
 )
-from repro.artifacts import runtime as artifacts_runtime
 from repro.engine import (
     CampaignEngine,
     EngineTelemetry,
@@ -53,10 +52,10 @@ from repro.engine import (
     stderr_progress,
 )
 from repro.engine.journal import JOURNAL_FORMAT
-from repro.engine.telemetry import machine_counters, summarize_machine
 from repro.errors import CampaignConfigError
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 from repro.hypervisor import ExitCategory, REGISTRY, XenHypervisor
+from repro.metrics import CampaignCounters, counted
 from repro.ml import compile_tree
 from repro.persist import load_model, load_records, save_model, save_records, save_rules
 from repro.scenarios import load_scenario
@@ -202,12 +201,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print(f"detector: accuracy {model.accuracy:.1%}, "
           f"FP {model.false_positive_rate:.2%}")
     detector = VMTransitionDetector.from_classifier(model.classifier)
-    # Detector training above also runs guest code through the process-wide
-    # translation cache; snapshot its counters so a serial summary reports
-    # the campaign phase alone (under --no-translate it must read 0%
-    # translated).  Engine runs report the sum of their shards' deltas.
-    pre_machine = machine_counters()
-    pre_artifacts = artifacts_runtime.stats()
     config = CampaignConfig(
         n_injections=args.injections, seed=args.seed,
         translate=not args.no_translate,
@@ -240,8 +233,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             chaos=parse_chaos_spec(args.chaos) if args.chaos else None,
         )
         result = engine.run(resume=args.resume)
-        astats = dict(telemetry.artifact_stats)
-        mstats = dict(telemetry.machine_stats)
+        counters = telemetry.counters
         if args.journal:
             print(f"journal at {args.journal} "
                   f"(manifest: {args.journal}.manifest.json)")
@@ -252,25 +244,22 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             sys.stdout.write(f"\r{done}/{total} trials")
             sys.stdout.flush()
 
-        result = campaign.run(progress=progress)
-        post_artifacts = artifacts_runtime.stats()
-        astats = {
-            k: post_artifacts[k] - pre_artifacts[k]
-            for k in post_artifacts
-            if post_artifacts[k] != pre_artifacts[k]
-        }
-        mstats = {k: v - pre_machine[k] for k, v in machine_counters().items()}
+        # Counted around the campaign alone: detector training above also
+        # runs guest code (under --no-translate the summary must read 0%
+        # translated).  Engine runs fold their shard attempts' counts.
+        result, counts = counted(campaign.run, progress=progress)
+        counters = CampaignCounters.folded(counts)
     print(f"\n{len(result)} injections, {len(result.manifested)} manifested "
           f"({time.time() - t0:.0f}s)")
-    capture = astats.get("golden_capture_seconds", 0.0)
-    load = astats.get("golden_load_seconds", 0.0)
-    hits = int(astats.get("golden_hits", 0))
-    consulted = hits + int(astats.get("golden_misses", 0))
+    cache = counters.golden_cache()
+    capture, load = cache["golden_capture_seconds"], cache["golden_load_seconds"]
+    hits = cache["golden_hits"]
+    consulted = hits + cache["golden_misses"]
     if capture or load or consulted:
         cache_note = f", cache {hits}/{consulted} hits" if consulted else ""
         print(f"golden capture: {capture:.2f}s capturing live, "
               f"{load:.2f}s loading cached artifacts{cache_note}")
-    _print_machine(summarize_machine(mstats), pooled=args.jobs > 1)
+    _print_machine(counters.machine(), pooled=args.jobs > 1)
     if args.output:
         save_records(result.records, args.output)
         print(f"records written to {args.output}")
@@ -293,9 +282,9 @@ def _print_machine(stats: dict, *, pooled: bool) -> None:
     if stats.get("block_executions"):
         compiled = f"{stats['blocks_compiled']} blocks compiled"
         if pooled:
-            compiled += (f" in workers, {stats.get('blocks_adopted', 0)} adopted "
+            compiled += (f" in workers, {stats['blocks_adopted']} adopted "
                          "by the coordinator")
-            prefork = stats.get("blocks_compiled_prefork", 0)
+            prefork = stats["blocks_compiled_prefork"]
             if prefork:
                 compiled += f" ({prefork} compiled before forking)"
         print(f"translation cache: {compiled}, "

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.artifacts import runtime as artifacts_runtime
 from repro.artifacts.runtime import golden_source_for
 from repro.artifacts.store import GoldenStore
 from repro.engine.chaos import ChaosPolicy, ChaosTripwire
@@ -80,8 +79,8 @@ def execute_shard(
     chaos: ChaosPolicy | None = None,
     attempt: int = 0,
     allow_hard: bool = True,
-) -> tuple[list[tuple[int, TrialRecord]], dict[str, int | float]]:
-    """Run every slice of ``shard``; return its records plus cache stats.
+) -> tuple[list[tuple[int, TrialRecord]], dict]:
+    """Run every slice of ``shard``; return its records and an empty dict.
 
     Module-level so a process pool can pickle it; workers rebuild their own
     hypervisor from the config (bit-identical to the serial campaign's, which
@@ -92,10 +91,11 @@ def execute_shard(
     Cached goldens are read from the store's committed packs, exactly as a
     serial run reads them.  Goldens the attempt captures live stream into
     one pack, committed after the last slice (one ``fsync``) and dropped if
-    the attempt raises.  The returned trials come paired with this
-    execution's delta of the process-wide artifact counters
-    (:func:`repro.artifacts.runtime.stats`), so the supervisor can fold
-    worker-side cache telemetry into the run manifest.
+    the attempt raises.  What the attempt counts reaches the run manifest
+    through :func:`~repro.engine.supervisor.run_shard`.  The empty dict
+    beside the trials is kept for perfbench, whose tracer ships worker
+    traces on it to ``EngineTelemetry.record_artifact_stats``
+    (perfbench/spans.py).
     """
     tripwire = None
     if chaos is not None:
@@ -103,7 +103,6 @@ def execute_shard(
         if not plan.quiet:
             tripwire = ChaosTripwire(plan)
     golden_source = golden_source_for(config)
-    stats_before = artifacts_runtime.stats()
     if tripwire is not None:
         tripwire.step()  # faults positioned "before the first trial"
     hv = XenHypervisor(
@@ -125,13 +124,7 @@ def execute_shard(
         raise
     if golden_source is not None:
         golden_source.commit()
-    stats_after = artifacts_runtime.stats()
-    delta = {
-        key: stats_after[key] - stats_before[key]
-        for key in stats_after
-        if stats_after[key] != stats_before[key]
-    }
-    return out, delta
+    return out, {}
 
 
 class CampaignEngine:

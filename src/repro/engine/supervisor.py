@@ -27,13 +27,13 @@ and quarantines:
   record plus per-shard error reports.
 
 **Hot forks.**  Every shard attempt runs through :func:`run_shard`, which
-ships the attempt's simulated-machine counter deltas and the translation
-entries it compiled back with its result.  The supervisor sums the deltas
-into the run's telemetry and adopts the entries into this process's
-translation cache; right before it forks a pool — the first one and every
-rebuild — ``repro.engine.pool.warm_worker`` compiles the adopted entries
-here, so the new workers inherit them compiled instead of compiling them
-again each.
+ships what the attempt counted (:func:`repro.metrics.counted`) and the
+translation entries it compiled back with its result.  The supervisor folds
+the counts into the run's telemetry and adopts the entries into this
+process's translation cache; right before it forks a pool — the first one
+and every rebuild — ``repro.engine.pool.warm_worker`` compiles the adopted
+entries here, so the new workers inherit them compiled instead of compiling
+them again each.
 
 The journal append runs under the same retry policy with its own attempt
 counter; a journal that stays unwritable is fatal (:class:`JournalError`) —
@@ -67,13 +67,13 @@ from repro.engine.telemetry import (
     ShardRetried,
     ShardStarted,
     WorkerCrashed,
-    machine_counters,
 )
 from repro.errors import CampaignConfigError, EngineError, JournalError
 from repro.faults.campaign import CampaignConfig, CampaignResult
 from repro.faults.injector import TransitionDetector
 from repro.faults.outcomes import TrialRecord
 from repro.machine.translator import CACHE
+from repro.metrics import counted
 
 __all__ = [
     "AttemptFailure",
@@ -86,23 +86,17 @@ __all__ = [
 
 
 def run_shard(execute: Callable, *args, **kwargs):
-    """Run one shard attempt; return ``(result, machine, compiled)``.
+    """Run one shard attempt; return ``(result, counts, compiled)``.
 
-    ``machine`` is the attempt's delta of
-    :func:`~repro.engine.telemetry.machine_counters` and ``compiled`` the
-    translation entries it compiled, as text digest -> entry indices.
-    Module-level so a process pool can pickle it; inline shards run through
-    it too, so a run's machine totals are sums of shard deltas in every mode.
+    ``counts`` is what the attempt counted in this process
+    (:func:`repro.metrics.counted`) and ``compiled`` the translation entries
+    it compiled, as text digest -> entry indices.  Module-level so a process
+    pool can pickle it; inline shards run through it too, so a run's totals
+    are sums of kept attempts' counts in every mode.
     """
-    before = machine_counters()
     marks = CACHE.compile_marks()
-    result = execute(*args, **kwargs)
-    after = machine_counters()
-    return (
-        result,
-        {key: after[key] - before[key] for key in after},
-        CACHE.compiled_since(marks),
-    )
+    result, counts = counted(execute, *args, **kwargs)
+    return result, counts, CACHE.compiled_since(marks)
 
 
 @dataclass(frozen=True)
@@ -279,9 +273,7 @@ class ShardSupervisor:
         # because repro.engine.pool imports this module.
         from repro.engine import pool as engine_pool
 
-        compiled = engine_pool.warm_worker(self.config)
-        if compiled:
-            self.telemetry.record_machine_stats({"blocks_compiled_prefork": compiled})
+        self.telemetry.counters.blocks_prefork.inc(engine_pool.warm_worker(self.config))
         return ProcessPoolExecutor(max_workers=max_workers)
 
     # -- public entry ---------------------------------------------------------
@@ -511,15 +503,15 @@ class ShardSupervisor:
     def _absorb(self, outcome):
         """Fold one :func:`run_shard` outcome into telemetry; return its trials.
 
-        The machine delta joins the run's totals and the compiled entries
-        are adopted for the next fork.  ``execute_shard`` returns
-        ``(trials, stats_delta)`` so worker-side golden-cache counters
-        survive the process boundary; other executors (the training-sample
-        path) return a bare item list.  Either way the caller gets the items.
+        The counts join the run's totals and the compiled entries are
+        adopted for the next fork.  ``execute_shard`` returns ``(trials,
+        stats)``, whose dict goes to ``record_artifact_stats``; other
+        executors (the training-sample path) return a bare item list.
+        Either way the caller gets the items.
         """
-        result, machine, compiled = outcome
-        machine["blocks_adopted"] = CACHE.adopt(compiled)
-        self.telemetry.record_machine_stats(machine)
+        result, counts, compiled = outcome
+        self.telemetry.record_counts(counts)
+        self.telemetry.counters.blocks_adopted.inc(CACHE.adopt(compiled))
         if (
             isinstance(result, tuple)
             and len(result) == 2

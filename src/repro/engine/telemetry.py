@@ -6,6 +6,13 @@ capturing the sequence, a dashboard exporter — while the telemetry object
 itself aggregates everything needed for observability: per-outcome counters,
 trials/sec throughput, an ETA, and a machine-readable *run manifest* that can
 be written next to the journal for post-hoc tooling.
+
+What the run's shard attempts counted arrives as one
+:func:`repro.metrics.counted` difference per kept attempt, folded into the
+run's own :class:`~repro.metrics.CampaignCounters`; the manifest's
+``machine`` and ``golden_cache`` sections render from it.  The outcome
+counters stay derived from the records, so "trials counted = records
+written" compares two independent sources.
 """
 
 from __future__ import annotations
@@ -19,8 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.faults.outcomes import TrialRecord
-from repro.machine import lockstep
-from repro.machine.translator import CACHE
+from repro.metrics import CampaignCounters, Counts
 
 __all__ = [
     "CampaignFinished",
@@ -33,46 +39,10 @@ __all__ = [
     "ShardRetried",
     "ShardStarted",
     "WorkerCrashed",
-    "machine_counters",
     "stderr_progress",
-    "summarize_machine",
 ]
 
 MANIFEST_FORMAT = "xentry-manifest-v1"
-
-
-def machine_counters() -> dict[str, int]:
-    """This process's simulated-machine totals: translation cache and
-    lock-step twins.
-
-    Every value is a process-wide running count, so the difference of two
-    snapshots is the work done between them; shards ship such differences
-    on their results (:func:`repro.engine.supervisor.run_shard`).
-    """
-    cache = CACHE.stats()
-    return {
-        "blocks_compiled": cache["blocks_compiled"],
-        "translated_instructions": cache["translated_instructions"],
-        "interpreted_instructions": cache["interpreted_instructions"],
-        "block_executions": cache["block_executions"],
-        **lockstep.stats(),
-    }
-
-
-def summarize_machine(counters: dict[str, int]) -> dict[str, int | float]:
-    """Machine counters plus the derived block-cache hit rate (block
-    executions served by an already-compiled block) and translated share."""
-    executions = counters.get("block_executions", 0)
-    compiled = counters.get("blocks_compiled", 0)
-    translated = counters.get("translated_instructions", 0)
-    executed = translated + counters.get("interpreted_instructions", 0)
-    return {
-        **counters,
-        "block_hit_rate": (
-            (executions - compiled) / executions if executions > compiled else 0.0
-        ),
-        "translated_share": translated / executed if executed else 0.0,
-    }
 
 
 @dataclass(frozen=True)
@@ -235,13 +205,9 @@ class EngineTelemetry:
         self.worker_crashes = 0
         self.failed_attempts: list[ShardFailed] = []
         self.quarantined: list[ShardQuarantined] = []
-        #: Simulated-machine counters of this run (translation cache,
-        #: lock-step twins, translation entries adopted from pool workers);
-        #: see record_machine_stats.
-        self.machine_stats: dict[str, int] = {}
-        #: Golden artifact-cache counters (hits, misses, corrupt artifacts,
-        #: bytes moved, capture-vs-load seconds); see record_artifact_stats.
-        self.artifact_stats: dict[str, int | float] = {}
+        #: What this run's kept shard attempts counted, whichever process
+        #: ran them, plus the coordinator's translation adoptions.
+        self.counters = CampaignCounters()
 
     # -- event plumbing ------------------------------------------------------
 
@@ -298,38 +264,26 @@ class EngineTelemetry:
                 _features, label = record
                 self.label_counts["incorrect" if label else "correct"] += 1
 
-    def record_machine_stats(self, stats: dict[str, int]) -> None:
-        """Fold one simulated-machine counter delta into the run totals.
+    def record_counts(self, counts: Counts) -> None:
+        """Fold what one kept shard attempt counted into the run's totals.
 
-        Every shard ships the delta of :func:`machine_counters` over its own
-        execution, whichever process ran it, and the supervisor adds the
-        coordinator's adoption counts, so the totals are exact for this run
-        under any ``--jobs`` and never include an earlier run's work.
+        Failed attempts ship nothing and resumed shards run nothing, so the
+        totals are exact for this run under any ``--jobs``.
         """
-        for key, value in stats.items():
-            self.machine_stats[key] = self.machine_stats.get(key, 0) + value
+        self.counters.registry.fold(counts)
 
-    def record_artifact_stats(self, stats: dict[str, int | float]) -> None:
-        """Fold one golden artifact-cache stats delta into the run totals.
+    def record_artifact_stats(self, stats: dict) -> None:
+        """Receive the dict ``execute_shard`` returns beside its trials."""
+        # Nothing to fold: record_counts already has the attempt's counts.
+        # Kept for perfbench, whose TracingTelemetry overrides it to unpack
+        # worker traces riding on that dict (perfbench/spans.py).
 
-        Every value is a summable counter (counts, bytes, seconds): workers
-        snapshot :data:`repro.artifacts.runtime.STATS` around each shard and
-        ship the difference, so per-shard deltas sum to exact run totals in
-        both serial and pool modes.
-        """
-        for key, value in stats.items():
-            if value:
-                self.artifact_stats[key] = self.artifact_stats.get(key, 0) + value
-
-    def golden_cache_summary(self) -> dict:
-        """Artifact-cache rollup: raw counters plus the derived hit rate."""
-        hits = self.artifact_stats.get("golden_hits", 0)
-        misses = self.artifact_stats.get("golden_misses", 0)
-        consulted = hits + misses
-        return {
-            **self.artifact_stats,
-            "hit_rate": (hits / consulted) if consulted else None,
-        }
+    @property
+    def artifact_stats(self) -> dict:
+        """The run's golden-cache counters."""
+        # A view for perfbench/workloads.py, its only reader, which checks
+        # golden_hits and golden_capture_seconds after every campaign pass.
+        return self.counters.golden_cache()
 
     # -- derived views -------------------------------------------------------
 
@@ -400,8 +354,8 @@ class EngineTelemetry:
                     for e in self.quarantined
                 ],
             },
-            "machine": summarize_machine(self.machine_stats),
-            "golden_cache": self.golden_cache_summary(),
+            "machine": self.counters.machine(),
+            "golden_cache": self.counters.golden_cache(),
             "shards": [
                 {
                     "shard": s.shard,

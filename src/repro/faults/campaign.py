@@ -28,6 +28,7 @@ from repro.faults.model import FaultModel
 from repro.faults.outcomes import TrialRecord
 from repro.faults.propagation import capture_golden
 from repro.hypervisor.xen import XenHypervisor
+from repro.metrics import COUNTERS
 from repro.workloads.base import VirtMode
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.suite import BENCHMARK_NAMES, get_profile
@@ -227,10 +228,6 @@ def run_benchmark_groups(
     are a pure function of the digest the store keys them by, and every
     trial restores captured state before executing.
     """
-    # Lazy import: repro.artifacts.store imports this module for the config
-    # and geometry types.
-    from repro.artifacts.runtime import STATS as artifact_stats
-
     geo = benchmark_geometry(config)
     if not 0 <= group_start <= group_stop <= geo.n_goldens:
         raise CampaignConfigError(
@@ -308,7 +305,7 @@ def run_benchmark_groups(
                 ladder_interval=config.ladder_interval, record=config.twin_batch,
             )
             plan = trace_plan(hv.program, golden) if config.twin_batch else None
-            artifact_stats["golden_capture_seconds"] += time.perf_counter() - started
+            COUNTERS.capture_seconds.inc(time.perf_counter() - started)
             if golden_source is not None:
                 golden_source.offer(benchmark, g, golden, plan)
         if executor is not None:
@@ -365,22 +362,6 @@ def run_benchmark_groups(
                 records.append(record)
                 if on_record is not None:
                     on_record(record)
-    # Fold the execution-mix counters into hv.ff_stats so callers (engine
-    # shards, benchmarks) see translation telemetry without extra plumbing.
-    hv.translation_stats()
-    # Same for the lock-step batch ledger and the runaway-loop prover's
-    # counters: one flat dict carries the whole execution-strategy mix.
-    hv.ff_stats.update(hv.lockstep_stats)
-    hv.ff_stats["proved_hangs"] = sum(c.proved_hangs for c in hv.cores)
-    hv.ff_stats["proved_hang_instructions"] = sum(
-        c.proved_hang_instructions for c in hv.cores
-    )
-    if executor is not None:
-        # Recovery counters travel the same flat ledger the engine's shard
-        # telemetry already aggregates.
-        for key, value in executor.stats.items():
-            flat = f"recovery_{key.replace(':', '_')}"
-            hv.ff_stats[flat] = hv.ff_stats.get(flat, 0) + value
     return records
 
 

@@ -39,6 +39,7 @@ from repro.hypervisor.xen import Activation, XenHypervisor
 from repro.machine import lockstep
 from repro.machine.exceptions import AssertionViolation, HardwareException, classify_exception
 from repro.machine.isa import Program
+from repro.metrics import COUNTERS
 
 __all__ = [
     "TransitionDetector",
@@ -93,27 +94,14 @@ def run_trial(
     # the golden prefix.  The flip cannot fire before the rung
     # (rung.index <= dynamic_index) and the prefix is deterministic, so the
     # faulty run is bit-identical either way.
-    stats = hv.ff_stats
-    stats["trials"] += 1
-    target = fault.dynamic_index if read_point is None else read_point
-    rung = None
-    for candidate in golden.ladder:  # ascending by index
-        if candidate.index > target:
-            break
-        rung = candidate
-    if rung is not None:
-        hv.restore_machine(rung)
-        stats["fast_forwarded"] += 1
-        stats["instructions_skipped"] += rung.index
-    else:
-        hv.restore(golden.checkpoint)
+    rung = _start_from_ladder(
+        hv, golden, fault.dynamic_index if read_point is None else read_point
+    )
     multibit = isinstance(fault, MultiBitFaultSpec)
     if rung is not None and rung.index > fault.dynamic_index:
         # Past the injection index: the register still holds its golden
         # value here (the scan proved no access), so flip it now.
-        _bump_lockstep(
-            hv, "read_ff_instructions", rung.index - fault.dynamic_index
-        )
+        COUNTERS.read_point_skipped.inc(rung.index - fault.dynamic_index)
         if multibit:
             hv.cpu.arm_applied_flip_set(
                 fault.dynamic_index,
@@ -160,12 +148,23 @@ def run_trial(
     )
 
 
-def _bump_lockstep(hv: XenHypervisor, key: str, n: int = 1) -> None:
-    """Count on both ledgers: the per-machine one (benchmarks inspect
-    ``hv.lockstep_stats``) and the process-wide one the engine/CLI report
-    (:data:`repro.machine.lockstep.STATS`, mirroring the translation cache)."""
-    hv.lockstep_stats[key] += n
-    lockstep.STATS[key] += n
+def _start_from_ladder(hv: XenHypervisor, golden: GoldenRun, target: int):
+    """Restore the latest ladder rung at-or-before ``target`` — or, without
+    one, the pre-activation checkpoint — count how the trial started, and
+    return the rung (``None`` for the checkpoint)."""
+    rung = None
+    for candidate in golden.ladder:  # ascending by index
+        if candidate.index > target:
+            break
+        rung = candidate
+    if rung is None:
+        hv.restore(golden.checkpoint)
+        COUNTERS.trials_replayed.inc()
+    else:
+        hv.restore_machine(rung)
+        COUNTERS.trials_resumed.inc()
+        COUNTERS.skipped_by_rung.inc(rung.index)
+    return rung
 
 
 def trace_plan(program: Program, golden: GoldenRun) -> lockstep.TwinPlan:
@@ -251,21 +250,17 @@ def run_twin_batch(
     faults = list(faults)
     if plan is None and faults:
         plan = trace_plan(hv.program, golden)
-    _bump_lockstep(hv, "twin_batches")
-    _bump_lockstep(hv, "twins", len(faults))
+    COUNTERS.twin_batches.inc()
+    COUNTERS.twins.inc(len(faults))
     records: list[TrialRecord] = []
     for index, fault in enumerate(faults):
         kind, read_point = _classify_spec_twin(plan, fault)
         if kind == lockstep.DEAD:
-            _bump_lockstep(hv, "dead_twins")
-            _bump_lockstep(
-                hv, "synthesized_instructions", golden.result.instructions
-            )
             # The whole faulty run is provably golden: account it as a
             # full-length fast-forward.
-            hv.ff_stats["trials"] += 1
-            hv.ff_stats["fast_forwarded"] += 1
-            hv.ff_stats["instructions_skipped"] += golden.result.instructions
+            COUNTERS.dead_twins.inc()
+            COUNTERS.trials_synthesized.inc()
+            COUNTERS.skipped_by_dead_twin.inc(golden.result.instructions)
             record = TrialRecord(
                 benchmark=benchmark,
                 vmer=activation.vmer,
@@ -277,7 +272,7 @@ def run_twin_batch(
                 detail="non-activated",
             )
         else:
-            _bump_lockstep(hv, "peeled_twins")
+            COUNTERS.peeled_twins.inc()
             record = run_spec_trial(
                 hv,
                 activation,
@@ -322,8 +317,8 @@ def run_memory_trial(
         golden = capture_golden(hv, activation, followups)
     # Memory faults are present from instruction 0, so there is no prefix to
     # skip: always replay from the pre-run checkpoint.
-    hv.ff_stats["trials"] += 1
     hv.restore(golden.checkpoint)
+    COUNTERS.trials_replayed.inc()
     hv.cpu.clear_injection()
     original = hv.memory.read_u64(fault.address)
     hv.memory.write_u64(fault.address, original ^ (1 << fault.bit))
@@ -356,19 +351,7 @@ def run_burst_trial(
     """
     if golden is None:
         golden = capture_golden(hv, activation, followups)
-    stats = hv.ff_stats
-    stats["trials"] += 1
-    rung = None
-    for candidate in golden.ladder:  # ascending by index
-        if candidate.index > fault.dynamic_index:
-            break
-        rung = candidate
-    if rung is not None:
-        hv.restore_machine(rung)
-        stats["fast_forwarded"] += 1
-        stats["instructions_skipped"] += rung.index
-    else:
-        hv.restore(golden.checkpoint)
+    rung = _start_from_ladder(hv, golden, fault.dynamic_index)
     hv.cpu.schedule_flip_set(fault.dynamic_index, fault.flips)
 
     return _execute_and_classify(

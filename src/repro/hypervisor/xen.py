@@ -29,7 +29,7 @@ from repro.machine.cpu import CoreCheckpoint, CPUCore, ExecutionResult
 from repro.machine.isa import Op, Program
 from repro.machine.memory import MemoryCheckpoint
 from repro.machine.perfcounters import CounterSample
-from repro.machine.translator import CACHE
+from repro.metrics import COUNTERS
 
 __all__ = [
     "Activation",
@@ -193,22 +193,6 @@ class XenHypervisor:
         )
         self.cpu = self.cores[0]
         self._tsc_base = 1_000_000
-        #: Fast-forward accounting for the injection hot path (updated by the
-        #: fault injector; reported by the machine-throughput benchmark).
-        self.ff_stats = {"trials": 0, "fast_forwarded": 0, "instructions_skipped": 0}
-        #: Lock-step twin-batch accounting (updated by the fault injector's
-        #: batch scan; see repro.machine.lockstep).  ``dead_twins`` trials
-        #: were synthesized without execution; ``peeled_twins`` ran per-trial,
-        #: ``read_ff_instructions`` counting the extra golden-prefix
-        #: instructions their read-point resume skipped past the injection.
-        self.lockstep_stats = {
-            "twin_batches": 0,
-            "twins": 0,
-            "dead_twins": 0,
-            "peeled_twins": 0,
-            "synthesized_instructions": 0,
-            "read_ff_instructions": 0,
-        }
 
     # -- views ----------------------------------------------------------------
 
@@ -222,33 +206,13 @@ class XenHypervisor:
     def vcpu(self, domain_id: int, vcpu_id: int = 0) -> VcpuView:
         return self.domain(domain_id).vcpu(vcpu_id)
 
-    def translation_stats(self) -> dict[str, int | float]:
-        """Translation-cache telemetry across every core of this machine.
-
-        Also folds the counters into :attr:`ff_stats` so the execution-mix
-        numbers travel with the fast-forward accounting the benchmarks and
-        campaign telemetry already report.  ``block_hit_rate`` is the share
-        of block executions served by an already-compiled block (process-wide
-        cache, so warm campaigns approach 1.0).
-        """
-        translated = sum(c.translated_instructions for c in self.cores)
-        interpreted = sum(c.interpreted_instructions for c in self.cores)
-        executions = sum(c.block_executions for c in self.cores)
-        cache = CACHE.stats()
-        compiled = cache["blocks_compiled"]
-        stats: dict[str, int | float] = {
-            "translated_instructions": translated,
-            "interpreted_instructions": interpreted,
-            "block_executions": executions,
-            "blocks_compiled": compiled,
-            "block_hit_rate": (
-                (executions - compiled) / executions if executions > compiled else 0.0
-            ),
-            "program_hits": cache["program_hits"],
-            "program_misses": cache["program_misses"],
-        }
-        self.ff_stats.update(stats)
-        return stats
+    @property
+    def ff_stats(self) -> dict[str, int]:
+        """This process's trials, skipped instructions and proved hangs."""
+        # A process-wide view over COUNTERS for perfbench/spans.py, which
+        # differences it around run_benchmark_groups; its only reader.
+        machine = COUNTERS.machine()
+        return {key: machine[key] for key in ("trials", "instructions_skipped", "proved_hangs")}
 
     # -- state management ----------------------------------------------------------
 

@@ -40,7 +40,8 @@ from repro.machine.perfcounters import PerformanceCounterUnit
 from repro.machine.registers import MASK64, RegisterFile
 from repro.machine.tracer import _FNV_PRIME, Tracer
 from repro.machine import translator as _translator
-from repro.machine.translator import CACHE, translation_for
+from repro.machine.translator import translation_for
+from repro.metrics import COUNTERS
 
 __all__ = [
     "CPUCore",
@@ -60,6 +61,13 @@ _RCX = RegisterFile.index_of("rcx")
 _RDX = RegisterFile.index_of("rdx")
 _RSI = RegisterFile.index_of("rsi")
 _RDI = RegisterFile.index_of("rdi")
+
+# Execution-mix and loop-prover counters, bound once (see repro.metrics).
+_TRANSLATED = COUNTERS.translated
+_INTERPRETED = COUNTERS.interpreted
+_BLOCK_EXECUTIONS = COUNTERS.block_executions
+_PROVED_HANGS = COUNTERS.proved_hangs
+_SKIPPED_BY_PROOF = COUNTERS.skipped_by_proof
 
 # Dense op indices for the dispatch loop's inline bodies (ordered there by
 # measured dynamic frequency) and its terminator test — VMENTRY/HALT are the
@@ -275,15 +283,6 @@ class CPUCore:
         #: Attempt exact runaway-loop proofs when a full-budget run spins
         #: (see repro.machine.loopproof; ``False`` forces concrete execution).
         self.loop_proof = True
-        #: Watchdog outcomes settled by induction proof instead of execution,
-        #: and the instructions those proofs skipped (cumulative telemetry).
-        self.proved_hangs = 0
-        self.proved_hang_instructions = 0
-        # Cumulative execution-mix telemetry (never reset by checkpoints or
-        # hypervisor resets; see XenHypervisor.translation_stats).
-        self.translated_instructions = 0
-        self.interpreted_instructions = 0
-        self.block_executions = 0
         # Injection state
         self._inj_index: int | None = None
         self._inj_reg: str | None = None
@@ -860,8 +859,8 @@ class CPUCore:
                                 count = budget
                                 p_inst += skipped
                                 tsc += tsc_step * skipped
-                                self.proved_hangs += 1
-                                self.proved_hang_instructions += skipped
+                                _PROVED_HANGS.inc()
+                                _SKIPPED_BY_PROOF.inc(skipped)
                                 raise SimulationLimitExceeded(budget)
                     if not advanced:
                         probe_attempts += 1
@@ -1153,13 +1152,14 @@ class CPUCore:
             pmu._loads = p_loads
             pmu._stores = p_stores
             self.tsc = tsc
-            self.translated_instructions += t_instr
-            self.block_executions += t_blocks
+            # The execution mix, counted once per dispatch exit.
+            if t_instr:
+                _TRANSLATED.inc(t_instr)
+                if t_blocks:
+                    _BLOCK_EXECUTIONS.inc(t_blocks)
             interp = count - count0 - t_instr - proved_skip
-            self.interpreted_instructions += interp
-            CACHE.translated_instructions += t_instr
-            CACHE.block_executions += t_blocks
-            CACHE.interpreted_instructions += interp
+            if interp:
+                _INTERPRETED.inc(interp)
 
     def _fetch(self, program: Program, rip: int) -> Instr:
         if not is_canonical(rip):

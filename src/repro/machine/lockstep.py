@@ -43,13 +43,13 @@ import numpy as np
 
 from repro.machine.isa import Op, Program
 from repro.machine.registers import ALL_REGISTERS, RegisterFile
+from repro.metrics import COUNTERS
 
 __all__ = [
     "TwinPlan",
     "build_plan",
     "classify_twin",
     "stats",
-    "reset_stats",
     "DEAD",
     "PEEL",
 ]
@@ -64,29 +64,14 @@ _NEVER = 1 << 62
 DEAD = "dead"
 PEEL = "peel"
 
-#: Process-wide batch accounting, mirroring the translation cache's role
-#: for engine/CLI telemetry (per-machine copies live on
-#: ``XenHypervisor.lockstep_stats``; with worker pools these counters cover
-#: the coordinating process only, like the translation counters).
-STATS = {
-    "twin_batches": 0,
-    "twins": 0,
-    "dead_twins": 0,
-    "peeled_twins": 0,
-    "synthesized_instructions": 0,
-    "read_ff_instructions": 0,
-}
-
-
 def stats() -> dict[str, int]:
-    """A snapshot of the process-wide twin-batch counters."""
-    return dict(STATS)
-
-
-def reset_stats() -> None:
-    """Zero the process-wide counters (test isolation)."""
-    for key in STATS:
-        STATS[key] = 0
+    """This process's lock-step twin counts."""
+    # A view over repro.metrics.COUNTERS for perfbench/spans.py, its only reader.
+    return {
+        "twins": COUNTERS.twins.value,
+        "dead_twins": COUNTERS.dead_twins.value,
+        "peeled_twins": COUNTERS.peeled_twins.value,
+    }
 
 
 @dataclass(frozen=True)

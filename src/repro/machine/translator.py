@@ -74,6 +74,7 @@ from repro.machine.isa import (
 )
 from repro.machine.registers import MASK64, RegisterFile
 from repro.machine.tracer import _FNV_PRIME
+from repro.metrics import COUNTERS
 
 __all__ = [
     "BlockMeta",
@@ -683,8 +684,7 @@ class ProgramTranslation:
     matches, so blocks compile once per process, not once per hypervisor.
     """
 
-    __slots__ = ("base", "instructions", "blocks", "digest", "heat",
-                 "compiled", "uncompilable_blocks")
+    __slots__ = ("base", "instructions", "blocks", "digest", "heat", "compiled")
 
     def __init__(self, program: Program) -> None:
         self.base = program.base
@@ -699,7 +699,6 @@ class ProgramTranslation:
         #: Entries compiled into blocks, in compile order (an append-only
         #: log: a slice past an earlier length is what a shard compiled).
         self.compiled: list[int] = []
-        self.uncompilable_blocks = 0
 
     @property
     def compiled_blocks(self) -> int:
@@ -709,10 +708,9 @@ class ProgramTranslation:
     def compile_block(self, index: int):
         """Compile (and memoize) the block entered at instruction ``index``."""
         entry = compile_block(self.instructions, index, self.base)
-        if entry is False:
-            self.uncompilable_blocks += 1
-        else:
+        if entry is not False:
             self.compiled.append(index)
+            COUNTERS.blocks_compiled.inc()
         self.blocks[index] = entry
         return entry
 
@@ -745,16 +743,6 @@ class TranslationCache:
     def __init__(self, max_programs: int = 64) -> None:
         self.max_programs = max_programs
         self._programs: dict[str, ProgramTranslation] = {}
-        #: Programs that attached to an already-compiled translation.
-        self.hits = 0
-        #: Programs whose digest was seen for the first time.
-        self.misses = 0
-        # Process-wide execution mix, accumulated by every core's dispatch
-        # loop (per-core copies live on CPUCore; these survive hypervisor
-        # teardown so campaign telemetry can report one process total).
-        self.translated_instructions = 0
-        self.interpreted_instructions = 0
-        self.block_executions = 0
         #: Entries other processes compiled and this one has not yet: text
         #: digest -> entry indices, waiting for :meth:`compile_adopted`.
         self.adopted: dict[str, set[int]] = {}
@@ -767,15 +755,12 @@ class TranslationCache:
         digest = program.text_digest()
         translation = self._programs.get(digest)
         if translation is None:
-            self.misses += 1
             if len(self._programs) >= self.max_programs:
                 # Campaigns use a handful of images; a full registry means
                 # churn (e.g. fuzzing), where stale entries have no future.
                 self._programs.clear()
             translation = ProgramTranslation(program)
             self._programs[digest] = translation
-        else:
-            self.hits += 1
         program._translation = translation
         return translation
 
@@ -826,23 +811,13 @@ class TranslationCache:
                 translation.compile_block(index)
         return translation.compiled_blocks - before
 
-    def stats(self) -> dict[str, int | float]:
-        """Process-wide counters: program attaches, compiled blocks, and the
-        translated/interpreted execution mix with the block-cache hit rate
-        (share of block executions served by an already-compiled block)."""
-        compiled = sum(t.compiled_blocks for t in self._programs.values())
-        executions = self.block_executions
+    def stats(self) -> dict[str, int]:
+        """This process's compiled blocks and execution mix."""
+        # A view over repro.metrics.COUNTERS for perfbench/spans.py, its only reader.
         return {
-            "programs": len(self._programs),
-            "program_hits": self.hits,
-            "program_misses": self.misses,
-            "blocks_compiled": compiled,
-            "translated_instructions": self.translated_instructions,
-            "interpreted_instructions": self.interpreted_instructions,
-            "block_executions": executions,
-            "block_hit_rate": (
-                (executions - compiled) / executions if executions > compiled else 0.0
-            ),
+            "blocks_compiled": COUNTERS.blocks_compiled.value,
+            "translated_instructions": COUNTERS.translated.value,
+            "interpreted_instructions": COUNTERS.interpreted.value,
         }
 
 

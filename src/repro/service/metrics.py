@@ -1,13 +1,13 @@
-"""Prometheus-style metrics, from scratch: Counter, Gauge, Histogram.
+"""The service's metrics: histograms on the bottom-layer registry.
 
 The service needs the observability idiom of a real fleet daemon — labeled
 counters asserted directly in tests (py-chaos-agent's ``INJECTIONS_TOTAL
 .labels(failure_type='cpu', status='success')`` style) and a ``/metrics``
 text exposition a Prometheus scraper would accept — without adding a
-dependency the container does not have.  This module implements the three
-metric kinds the service uses, with label support, thread safety (the scorer
-thread and the scrape thread touch the same children), and the text
-exposition format (version 0.0.4).
+dependency the container does not have.  ``Counter``, ``Gauge`` and the
+registry live in :mod:`repro.metrics`, where the campaign counts its own
+work; this module adds the histogram, whose children lower onto the
+analysis layer.
 
 Percentile summaries are *not* duplicated here: histogram children expose
 their raw cumulative buckets, and :meth:`Histogram.Child.latency_cdf` lowers
@@ -24,8 +24,10 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro import metrics
 from repro.analysis.stats import Cdf
 from repro.errors import CampaignConfigError
+from repro.metrics import Counter, Gauge, _Metric, _render_labels, format_value
 
 __all__ = [
     "Counter",
@@ -41,175 +43,6 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
-
-
-def format_value(value: float) -> str:
-    """Render a sample value the way the text format expects."""
-    if value == math.inf:
-        return "+Inf"
-    if value == -math.inf:
-        return "-Inf"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _render_labels(names: Sequence[str], values: Sequence[str]) -> str:
-    if not names:
-        return ""
-    pairs = ",".join(
-        f'{name}="{_escape_label(value)}"' for name, value in zip(names, values)
-    )
-    return "{" + pairs + "}"
-
-
-class _Metric:
-    """Shared child bookkeeping: one child per label-value tuple."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()) -> None:
-        if not name.replace("_", "").replace(":", "").isalnum():
-            raise CampaignConfigError(f"invalid metric name {name!r}")
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
-        self._lock = threading.Lock()
-        self._children: dict[tuple[str, ...], object] = {}
-
-    def labels(self, **labelvalues: object):
-        """Return (creating on first use) the child for one label set."""
-        if set(labelvalues) != set(self.labelnames):
-            raise CampaignConfigError(
-                f"{self.name}: expected labels {self.labelnames}, "
-                f"got {tuple(labelvalues)}"
-            )
-        key = tuple(str(labelvalues[name]) for name in self.labelnames)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._children[key] = self._make_child()
-            return child
-
-    def _default_child(self):
-        """The single unlabeled child (only valid when labelnames is empty)."""
-        if self.labelnames:
-            raise CampaignConfigError(
-                f"{self.name} is labeled; use .labels(...)"
-            )
-        return self.labels()
-
-    def _make_child(self):
-        raise NotImplementedError
-
-    def children(self) -> list[tuple[tuple[str, ...], object]]:
-        """Snapshot of (label values, child) pairs in creation order."""
-        with self._lock:
-            return list(self._children.items())
-
-    def expose(self) -> list[str]:
-        lines = [
-            f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} {self.kind}",
-        ]
-        for key, child in self.children():
-            lines.extend(self._expose_child(key, child))
-        return lines
-
-    def _expose_child(self, key: tuple[str, ...], child) -> list[str]:
-        raise NotImplementedError
-
-
-class Counter(_Metric):
-    """A monotonically increasing count, optionally labeled."""
-
-    kind = "counter"
-
-    class Child:
-        __slots__ = ("_lock", "_value")
-
-        def __init__(self) -> None:
-            self._lock = threading.Lock()
-            self._value = 0.0
-
-        def inc(self, amount: float = 1.0) -> None:
-            if amount < 0:
-                raise CampaignConfigError("counters only go up")
-            with self._lock:
-                self._value += amount
-
-        @property
-        def value(self) -> float:
-            with self._lock:
-                return self._value
-
-    def _make_child(self) -> "Counter.Child":
-        return Counter.Child()
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().value
-
-    def _expose_child(self, key: tuple[str, ...], child: "Counter.Child") -> list[str]:
-        labels = _render_labels(self.labelnames, key)
-        return [f"{self.name}{labels} {format_value(child.value)}"]
-
-
-class Gauge(_Metric):
-    """A value that can go up and down (queue depths, in-flight work)."""
-
-    kind = "gauge"
-
-    class Child:
-        __slots__ = ("_lock", "_value")
-
-        def __init__(self) -> None:
-            self._lock = threading.Lock()
-            self._value = 0.0
-
-        def set(self, value: float) -> None:
-            with self._lock:
-                self._value = float(value)
-
-        def inc(self, amount: float = 1.0) -> None:
-            with self._lock:
-                self._value += amount
-
-        def dec(self, amount: float = 1.0) -> None:
-            with self._lock:
-                self._value -= amount
-
-        @property
-        def value(self) -> float:
-            with self._lock:
-                return self._value
-
-    def _make_child(self) -> "Gauge.Child":
-        return Gauge.Child()
-
-    def set(self, value: float) -> None:
-        self._default_child().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().value
-
-    def _expose_child(self, key: tuple[str, ...], child: "Gauge.Child") -> list[str]:
-        labels = _render_labels(self.labelnames, key)
-        return [f"{self.name}{labels} {format_value(child.value)}"]
 
 
 class Histogram(_Metric):
@@ -297,25 +130,8 @@ class Histogram(_Metric):
         return lines
 
 
-class MetricsRegistry:
-    """An ordered collection of metrics with one text exposition."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._metrics: dict[str, _Metric] = {}
-
-    def register(self, metric: _Metric) -> _Metric:
-        with self._lock:
-            if metric.name in self._metrics:
-                raise CampaignConfigError(f"metric {metric.name!r} already registered")
-            self._metrics[metric.name] = metric
-        return metric
-
-    def counter(self, name: str, help: str, labelnames: Sequence[str] = ()) -> Counter:
-        return self.register(Counter(name, help, labelnames))  # type: ignore[return-value]
-
-    def gauge(self, name: str, help: str, labelnames: Sequence[str] = ()) -> Gauge:
-        return self.register(Gauge(name, help, labelnames))  # type: ignore[return-value]
+class MetricsRegistry(metrics.MetricsRegistry):
+    """The bottom-layer registry, plus histograms."""
 
     def histogram(
         self,
@@ -325,19 +141,6 @@ class MetricsRegistry:
         buckets: Iterable[float] = DEFAULT_BUCKETS,
     ) -> Histogram:
         return self.register(Histogram(name, help, labelnames, buckets))  # type: ignore[return-value]
-
-    def get(self, name: str) -> _Metric:
-        with self._lock:
-            return self._metrics[name]
-
-    def expose(self) -> str:
-        """The full ``/metrics`` payload (trailing newline included)."""
-        with self._lock:
-            metrics = list(self._metrics.values())
-        lines: list[str] = []
-        for metric in metrics:
-            lines.extend(metric.expose())
-        return "\n".join(lines) + "\n"
 
 
 #: Ground-truth-aware classification outcomes (the simulator knows which rows

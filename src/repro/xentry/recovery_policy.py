@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
 
 from repro import rng as rng_mod
@@ -194,7 +193,6 @@ class RecoveryExecutor:
         self._golden = None
         self._golden_digest = ""
         self.quarantined_domains: set[int] = set()
-        self.stats: Counter = Counter()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -263,12 +261,6 @@ class RecoveryExecutor:
         if measurement is None:  # no attempt completed; machine reset above
             measurement = self._measure()
         divergent_words, outputs_divergent, digest = measurement
-        self.stats["trials"] += 1
-        self.stats[f"action:{action_taken.value}"] += 1
-        if recovered:
-            self.stats["recovered"] += 1
-        self.stats["attempts"] += attempts
-        self.stats["downtime_instructions"] += downtime
         return RecoveryRecord(
             policy=self.policy.name,
             action=action_taken.value,

@@ -10,7 +10,7 @@ the trained rules; evaluation is "a set of simple integer comparisons"
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import NotFittedError
 from repro.ml.dataset import INCORRECT
@@ -28,7 +28,6 @@ class VMTransitionDetector:
     classifications: int = 0
     positives: int = 0
     total_comparisons: int = 0
-    _depths: list[int] = field(default_factory=list, repr=False)
 
     @classmethod
     def from_classifier(cls, classifier: DecisionTreeClassifier) -> "VMTransitionDetector":
@@ -42,7 +41,6 @@ class VMTransitionDetector:
         label, comparisons = self.rules.classify(features)
         self.classifications += 1
         self.total_comparisons += comparisons
-        self._depths.append(comparisons)
         flagged = label == INCORRECT
         if flagged:
             self.positives += 1
@@ -66,4 +64,3 @@ class VMTransitionDetector:
         self.classifications = 0
         self.positives = 0
         self.total_comparisons = 0
-        self._depths.clear()

@@ -16,25 +16,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.artifacts import runtime
 from repro.artifacts.store import GoldenStore, read_pack_table
 from repro.engine import CampaignEngine, ChaosPolicy, EngineTelemetry, RetryPolicy
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 from repro.faults import campaign as campaign_mod
 from repro.faults.campaign import benchmark_geometry
+from repro.metrics import CampaignCounters, counted
 
 CONFIG = CampaignConfig(
     n_injections=24, seed=13, benchmarks=("mcf", "postmark"), ladder_interval=16
 )
 GROUPS = len(CONFIG.benchmarks) * benchmark_geometry(CONFIG).n_goldens
 SHARDS = 4
-
-
-@pytest.fixture(autouse=True)
-def clean_ledger():
-    runtime.reset_stats()
-    yield
-    runtime.reset_stats()
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +53,7 @@ def engine(config, *, chaos=None, jobs=2, retry=None):
         config, jobs=jobs, n_shards=SHARDS, telemetry=telemetry, chaos=chaos,
         retry=retry,
     ).run()
-    return result, telemetry.golden_cache_summary()
+    return result, telemetry.counters.golden_cache()
 
 
 def packs(root: Path) -> list[Path]:
@@ -75,12 +68,14 @@ def segments() -> set[str]:
     return {p.name for p in Path("/dev/shm").glob("xgold-*")}
 
 
-def warm_rerun_matches(root: Path, baseline) -> None:
-    """A serial rerun against ``root`` is fully warm and byte-identical."""
-    runtime.reset_stats()
-    assert FaultInjectionCampaign(cached(root)).run().records == baseline
-    stats = runtime.stats()
+def warm_rerun_matches(root: Path, baseline) -> dict:
+    """A serial rerun against ``root`` is fully warm and byte-identical;
+    return its golden-cache counters."""
+    result, counts = counted(FaultInjectionCampaign(cached(root)).run)
+    assert result.records == baseline
+    stats = CampaignCounters.folded(counts).golden_cache()
     assert stats["golden_hits"] == GROUPS and stats["golden_misses"] == 0
+    return stats
 
 
 class TestPoolCommits:
@@ -198,9 +193,9 @@ class TestWarmReads:
         assert cache.get("golden_misses", 0) == 0
         assert cache.get("golden_capture_seconds", 0.0) == 0.0
         assert segments() == before
-        warm_rerun_matches(warm_store, baseline)
+        serial = warm_rerun_matches(warm_store, baseline)
         # The shards loaded exactly the bytes a serial warm run loads.
-        assert cache["artifact_bytes_loaded"] == runtime.stats()["artifact_bytes_loaded"]
+        assert cache["artifact_bytes_loaded"] == serial["artifact_bytes_loaded"]
 
     def test_warm_pool_rebuilt_after_hard_crashes(self, warm_store, baseline):
         # Every first attempt dies by os._exit, so the pool is rebuilt and

@@ -4,7 +4,7 @@ The standing contract of the whole subsystem, asserted here end to end on a
 real (small) campaign: trial records are byte-identical with the cache cold,
 warm, corrupted (a damaged artifact inside a pack, or a torn pack trailer),
 unwritable, or disabled (no store).  Corruption surfaces only as an
-``artifact_corrupt`` count in the ledger — never an exception, never a
+``artifact_corrupt`` count on the registry — never an exception, never a
 changed record.
 """
 
@@ -18,21 +18,17 @@ from repro.artifacts.runtime import GoldenSource, golden_source_for
 from repro.artifacts.store import GoldenStore, read_pack_table
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 from repro.faults.campaign import benchmark_geometry
+from repro.metrics import COUNTERS, CampaignCounters, counted
 
 CONFIG = CampaignConfig(
     n_injections=24, seed=7, benchmarks=("mcf", "postmark"), ladder_interval=16
 )
 
 
-@pytest.fixture(autouse=True)
-def clean_ledger():
-    runtime.reset_stats()
-    yield
-    runtime.reset_stats()
-
-
 def run_campaign(config):
-    return FaultInjectionCampaign(config).run()
+    """Run the campaign; return its result and its golden-cache counters."""
+    result, counts = counted(FaultInjectionCampaign(config).run)
+    return result, CampaignCounters.folded(counts).golden_cache()
 
 
 def cached(tmp_path):
@@ -77,11 +73,10 @@ class TestSourcePolicy:
 
 class TestCampaignBitIdentity:
     def test_cold_then_warm_matches_uncached(self, tmp_path):
-        baseline = run_campaign(CONFIG)
+        baseline, _ = run_campaign(CONFIG)
 
-        cold = run_campaign(cached(tmp_path))
+        cold, after_cold = run_campaign(cached(tmp_path))
         assert cold.records == baseline.records
-        after_cold = runtime.stats()
         assert after_cold["golden_misses"] == GROUPS
         assert after_cold["golden_hits"] == 0
         assert after_cold["artifact_bytes_written"] > 0
@@ -89,17 +84,15 @@ class TestCampaignBitIdentity:
         (pack,) = artifact_files(tmp_path)
         assert len(read_pack_table(pack)) == GROUPS
 
-        warm = run_campaign(cached(tmp_path))
+        warm, stats = run_campaign(cached(tmp_path))
         assert warm.records == baseline.records
-        delta_hits = runtime.stats()["golden_hits"] - after_cold["golden_hits"]
-        delta_misses = runtime.stats()["golden_misses"] - after_cold["golden_misses"]
-        assert delta_misses == 0, "warm run must execute zero golden captures"
-        assert delta_hits == after_cold["golden_misses"]
-        assert runtime.stats()["golden_load_seconds"] > 0.0
+        assert stats["golden_misses"] == 0, "warm run must execute zero golden captures"
+        assert stats["golden_hits"] == after_cold["golden_misses"]
+        assert stats["golden_load_seconds"] > 0.0
 
     @pytest.mark.parametrize("damage", ["truncate", "garbage", "version"])
     def test_corrupt_artifacts_fall_back_to_live_capture(self, tmp_path, damage):
-        baseline = run_campaign(CONFIG)
+        baseline, _ = run_campaign(CONFIG)
         run_campaign(cached(tmp_path))  # warm the store
 
         def spoil(blob: bytes) -> bytes:
@@ -112,64 +105,55 @@ class TestCampaignBitIdentity:
         damaged = repack(tmp_path / "cache", spoil)
         assert damaged == GROUPS
 
-        runtime.reset_stats()
-        rerun = run_campaign(cached(tmp_path))
+        rerun, stats = run_campaign(cached(tmp_path))
         assert rerun.records == baseline.records
-        stats = runtime.stats()
         assert stats["artifact_corrupt"] == damaged
         assert stats["golden_hits"] == 0
         assert stats["golden_misses"] == damaged
         # The rerun re-published good artifacts over the corpses...
         assert stats["artifact_bytes_written"] > 0
-        runtime.reset_stats()
-        final = run_campaign(cached(tmp_path))
+        final, stats = run_campaign(cached(tmp_path))
         # ...so the next run is warm again.
         assert final.records == baseline.records
-        assert runtime.stats()["golden_misses"] == 0
+        assert stats["golden_misses"] == 0
 
     @pytest.mark.parametrize("cut", [1, 40])
     def test_torn_pack_trailer_falls_back_to_live_capture(self, tmp_path, cut):
         # A pack cut short anywhere in its trailer is skipped whole: counted
         # once as corrupt, every group it held captured live again.
-        baseline = run_campaign(CONFIG)
+        baseline, _ = run_campaign(CONFIG)
         run_campaign(cached(tmp_path))
         (pack,) = artifact_files(tmp_path)
         raw = pack.read_bytes()
         pack.write_bytes(raw[:-cut])
 
-        runtime.reset_stats()
-        rerun = run_campaign(cached(tmp_path))
+        rerun, stats = run_campaign(cached(tmp_path))
         assert rerun.records == baseline.records
-        stats = runtime.stats()
         assert stats["artifact_corrupt"] == 1
         assert stats["golden_hits"] == 0
         assert stats["golden_misses"] == GROUPS
-        runtime.reset_stats()
-        assert run_campaign(cached(tmp_path)).records == baseline.records
-        assert runtime.stats()["golden_misses"] == 0
+        final, stats = run_campaign(cached(tmp_path))
+        assert final.records == baseline.records
+        assert stats["golden_misses"] == 0
 
     def test_unwritable_store_counts_write_errors(self, tmp_path):
-        baseline = run_campaign(CONFIG)
+        baseline, _ = run_campaign(CONFIG)
         # A plain file where the store root should be (permission bits can't
         # make a directory unwritable for root, which is how CI runs).
         root = tmp_path / "cache"
         root.write_bytes(b"not a directory")
-        runtime.reset_stats()
-        result = run_campaign(dataclasses.replace(CONFIG, artifacts=str(root)))
+        result, stats = run_campaign(dataclasses.replace(CONFIG, artifacts=str(root)))
         assert result.records == baseline.records
-        stats = runtime.stats()
         assert stats["artifact_write_errors"] > 0
         assert stats["artifact_bytes_written"] == 0
 
     def test_cache_disabled_never_touches_the_ledger(self, tmp_path):
         config = dataclasses.replace(cached(tmp_path), artifacts=None)
-        baseline = run_campaign(cached(tmp_path))
-        runtime.reset_stats()
-        result = run_campaign(config)
+        baseline, _ = run_campaign(cached(tmp_path))
+        result, stats = run_campaign(config)
         assert result.records == baseline.records
         # A store sits there, warm, but a run without one never reads it.
         assert len(artifact_files(tmp_path)) == 1
-        stats = runtime.stats()
         # Capture seconds still accrue (they feed the campaign summary's
         # capture-vs-load time-share line, cache or no cache); every
         # cache-specific counter stays untouched.
@@ -178,16 +162,9 @@ class TestCampaignBitIdentity:
 
 
 class TestLedger:
-    def test_reset_preserves_counter_types(self):
-        runtime.STATS["golden_hits"] += 3
-        runtime.STATS["golden_capture_seconds"] += 1.5
-        runtime.reset_stats()
-        assert runtime.STATS["golden_hits"] == 0
-        assert isinstance(runtime.STATS["golden_hits"], int)
-        assert runtime.STATS["golden_capture_seconds"] == 0.0
-        assert isinstance(runtime.STATS["golden_capture_seconds"], float)
-
     def test_stats_returns_a_snapshot(self):
         snap = runtime.stats()
-        runtime.STATS["golden_hits"] += 1
-        assert snap["golden_hits"] == 0
+        hits = snap["golden_hits"]
+        COUNTERS.golden_hits.inc()
+        assert snap["golden_hits"] == hits
+        assert runtime.stats()["golden_hits"] == hits + 1

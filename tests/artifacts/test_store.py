@@ -16,7 +16,6 @@ import dataclasses
 import pytest
 
 from repro.artifacts.codec import ArtifactCorrupt, encode_group
-from repro.artifacts import runtime
 from repro.artifacts.store import (
     GoldenStore,
     golden_digest,
@@ -28,6 +27,7 @@ from repro.faults.campaign import benchmark_geometry
 from repro.faults.injector import trace_plan
 from repro.faults.model import FaultModel
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor, xen
+from repro.metrics import CampaignCounters, counted
 
 CONFIG = CampaignConfig(n_injections=40, seed=11)
 
@@ -236,9 +236,8 @@ class TestImageIdentity:
             # The patch is visible in the science, so serving the old
             # goldens would have changed records.
             assert reference.records != original.records
-            runtime.reset_stats()
-            rerun = FaultInjectionCampaign(config).run()
-            stats = runtime.stats()
+            rerun, counts = counted(FaultInjectionCampaign(config).run)
+            stats = CampaignCounters.folded(counts).golden_cache()
         assert rerun.records == reference.records
         groups = 2 * benchmark_geometry(config).n_goldens
         assert stats["golden_misses"] == groups and stats["golden_hits"] == 0

@@ -23,6 +23,7 @@ from repro.engine import (
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 from repro.hypervisor.xen import XenHypervisor
 from repro.machine.translator import CACHE
+from repro.metrics import COUNTERS
 from repro.persist import save_records
 from repro.scenarios import load_scenario
 
@@ -56,7 +57,7 @@ def run(config: CampaignConfig, *, jobs: int = 2, n_shards: int = 2, **kwargs):
     result = CampaignEngine(
         config, jobs=jobs, n_shards=n_shards, telemetry=telemetry, **kwargs
     ).run()
-    return result, telemetry.machine_stats
+    return result, telemetry.counters.machine()
 
 
 def record_bytes(result, path: Path) -> bytes:
@@ -66,18 +67,20 @@ def record_bytes(result, path: Path) -> bytes:
 
 class TestHandOff:
     def test_worker_entries_reach_the_coordinator_and_are_adopted(self, fresh_cache):
+        compiled_here = COUNTERS.blocks_compiled.value
         _, machine = run(CONFIG)
         adopted = fresh_cache.adopted[text_digest()]
         assert machine["blocks_compiled"] >= machine["blocks_adopted"] == len(adopted) > 0
         # The coordinator runs no trial: nothing is compiled here until the
         # compile step before the next fork.
-        assert fresh_cache.stats()["blocks_compiled"] == 0
+        assert COUNTERS.blocks_compiled.value == compiled_here
         assert pool.warm_worker(CONFIG) == len(adopted)
         assert fresh_cache.adopted == {}
-        assert fresh_cache.stats()["blocks_compiled"] == len(adopted)
+        assert COUNTERS.blocks_compiled.value == compiled_here + len(adopted)
 
     def test_no_translate_adopts_and_compiles_nothing(self, fresh_cache):
         interpreted = dataclasses.replace(CONFIG, translate=False)
+        compiled_here = COUNTERS.blocks_compiled.value
         _, machine = run(interpreted)
         assert machine["blocks_compiled"] == machine["blocks_adopted"] == 0
         assert fresh_cache.adopted == {}
@@ -88,7 +91,7 @@ class TestHandOff:
         assert pending
         assert pool.warm_worker(interpreted) == 0
         assert fresh_cache.adopted == pending
-        assert fresh_cache.stats()["blocks_compiled"] == 0
+        assert COUNTERS.blocks_compiled.value == compiled_here
 
 
 class TestHotFork:
@@ -122,7 +125,7 @@ class TestHotFork:
         first_pool, rebuilt_pool = compiled_at_fork
         assert first_pool == 0
         assert rebuilt_pool > 0
-        assert telemetry.machine_stats["blocks_compiled_prefork"] == rebuilt_pool
+        assert telemetry.counters.machine()["blocks_compiled_prefork"] == rebuilt_pool
         assert result.records == FaultInjectionCampaign(CONFIG).run().records
 
 

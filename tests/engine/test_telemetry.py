@@ -1,7 +1,11 @@
 """Telemetry: counters, throughput, ETA, progress line, manifest."""
 
+import dataclasses
 import io
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.engine import (
     CampaignEngine,
@@ -13,10 +17,16 @@ from repro.engine import (
     ShardQuarantined,
     ShardRetried,
     ShardStarted,
+    RetryPolicy,
     WorkerCrashed,
+    parse_chaos_spec,
     stderr_progress,
 )
 from repro.faults import CampaignConfig, FaultInjectionCampaign
+from repro.faults.campaign import benchmark_geometry
+from repro.scenarios import load_scenario
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class FakeClock:
@@ -143,37 +153,127 @@ class TestManifest:
         ]
 
 
+#: Registry metrics that count simulated work: a pooled run at one shard
+#: plan counts exactly what an inline run counts.  Instructions compare as
+#: their sum over paths (which blocks were compiled when, and so which path
+#: ran them, depends on the workers' shard order), like block executions,
+#: compiles, adoptions and seconds, which are left out.
+WORK = (
+    "repro_trials_total",
+    "repro_instructions_skipped_total",
+    "repro_read_point_skipped_total",
+    "repro_proved_hangs_total",
+    "repro_twin_batches_total",
+    "repro_twins_total",
+    "repro_twin_fates_total",
+    "repro_golden_lookups_total",
+    "repro_artifact_bytes_total",
+    "repro_artifact_errors_total",
+)
+
+
+def value(telemetry: EngineTelemetry, name: str, **labels) -> float:
+    """One labeled child of the run's registry."""
+    return telemetry.counters.registry.get(name).labels(**labels).value
+
+
+def work(telemetry: EngineTelemetry) -> dict:
+    counts = {
+        key: count for key, count in telemetry.counters.registry.snapshot().items()
+        if key[0] in WORK
+    }
+    counts["executed"] = sum(
+        value(telemetry, "repro_instructions_total", path=path)
+        for path in ("translated", "interpreted")
+    )
+    return counts
+
+
+def run_id(run) -> str:
+    return run if isinstance(run, str) else "jobs{}-{}".format(*run)
+
+
 class TestMachineCounters:
-    """The manifest's ``machine`` section sums this run's shard deltas."""
+    """The manifest's counters fold one registry delta per kept attempt."""
 
-    CONFIG = CampaignConfig(benchmarks=("mcf", "postmark"), n_injections=64, seed=9)
-
-    def _machine(self, jobs: int) -> dict:
-        telemetry = EngineTelemetry()
-        CampaignEngine(self.CONFIG, jobs=jobs, n_shards=2, telemetry=telemetry).run()
-        return telemetry.manifest()["machine"]
+    PLAIN = CampaignConfig(benchmarks=("mcf", "postmark"), n_injections=64, seed=9)
+    CONFIG = load_scenario(ROOT / "examples" / "mixed.yaml").apply(
+        dataclasses.replace(PLAIN, recover="ladder")
+    )
+    GROUPS = len(CONFIG.benchmarks) * benchmark_geometry(CONFIG).n_goldens
+    CHAOS = dict(chaos=parse_chaos_spec("hard=0.3,seed=4150"),
+                 retry=RetryPolicy(max_retries=6, seed=9))
+    #: Exception crashes after 1 and 3 records, so each failed attempt has
+    #: counted part of its work into the registry of the process that ran
+    #: it (the coordinator's, inline) before it raised.
+    CRASH = dict(chaos=parse_chaos_spec("crash=0.3,seed=1"),
+                 retry=RetryPolicy(max_retries=6, seed=9))
 
     @staticmethod
-    def _executed(machine: dict) -> int:
-        return machine["translated_instructions"] + machine["interpreted_instructions"]
+    def _run(config, jobs: int, **kwargs):
+        telemetry = EngineTelemetry()
+        result = CampaignEngine(
+            config, jobs=jobs, n_shards=4, telemetry=telemetry, **kwargs
+        ).run()
+        return result, telemetry
 
-    def test_pool_run_counts_what_an_inline_run_counts(self):
-        inline = self._machine(1)
-        pooled = self._machine(2)
-        assert self._executed(pooled) == self._executed(inline) > 0
-        for key in ("twins", "dead_twins"):
-            assert pooled[key] == inline[key] > 0
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Cold then warm store runs, inline and pooled, then warm runs under
+        exception crashes (inline and pooled) and hard crashes (pooled)."""
+        runs = {}
+        for jobs in (1, 2):
+            config = dataclasses.replace(
+                self.CONFIG, artifacts=str(tmp_path_factory.mktemp(f"jobs{jobs}"))
+            )
+            for phase in ("cold", "warm"):
+                runs[jobs, phase] = self._run(config, jobs)
+            runs[jobs, "crash"] = self._run(config, jobs, **self.CRASH)
+        runs["chaos"] = self._run(config, 2, **self.CHAOS)
+        return runs
+
+    def test_pool_run_counts_what_an_inline_run_counts(self, runs):
+        for phase in ("cold", "warm"):
+            (_, inline), (_, pooled) = runs[1, phase], runs[2, phase]
+            assert work(pooled) == work(inline), phase
+            assert work(inline)["executed"] > 0
+            assert value(pooled, "repro_twin_fates_total", fate="dead") > 0
+            assert value(pooled, "repro_twin_fates_total", fate="peeled") > 0
+            assert value(pooled, "repro_trials_total", start="checkpoint") > 0
+            assert value(pooled, "repro_instructions_skipped_total", by="rung") > 0
+            assert value(pooled, "repro_proved_hangs_total") > 0
+            hits = value(pooled, "repro_golden_lookups_total", result="hit")
+            assert hits == (self.GROUPS if phase == "warm" else 0)
+
+    @pytest.mark.parametrize(
+        "run", [(1, "cold"), (2, "cold"), (2, "warm"), (1, "crash"), (2, "crash"), "chaos"],
+        ids=run_id,
+    )
+    def test_manifests_conserve(self, runs, run):
+        result, telemetry = runs[run]
+        manifest = telemetry.manifest()
+        machine, cache = manifest["machine"], manifest["golden_cache"]
+        assert machine["trials"] == len(result.records) == manifest["executed_trials"]
+        assert machine["dead_twins"] + machine["peeled_twins"] == machine["twins"]
+        assert cache["golden_hits"] + cache["golden_misses"] == self.GROUPS
+        assert machine["fast_forwards"] > 0 and machine["instructions_skipped"] > 0
+
+    @pytest.mark.parametrize("run", [(1, "crash"), (2, "crash"), "chaos"], ids=run_id)
+    def test_chaos_run_counts_only_kept_attempts(self, runs, run):
+        result, telemetry = runs[run]
+        assert telemetry.retries > 0
+        assert result.records == runs[2, "warm"][0].records
+        assert work(telemetry) == work(runs[2, "warm"][1])
 
     def test_a_second_run_counts_only_itself(self):
-        first, second = self._machine(1), self._machine(1)
-        assert self._executed(second) == self._executed(first)
-        assert second["twins"] == first["twins"]
+        (_, first), (_, second) = self._run(self.PLAIN, 1), self._run(self.PLAIN, 1)
+        assert work(second) == work(first)
+        assert value(second, "repro_twins_total") == value(first, "repro_twins_total") > 0
 
-    def test_derived_rates(self):
-        machine = self._machine(1)
-        assert machine["translated_share"] == (
-            machine["translated_instructions"] / self._executed(machine)
-        )
+    def test_derived_rates(self, runs):
+        machine = runs[1, "cold"][1].manifest()["machine"]
+        executed = machine["translated_instructions"] + machine["interpreted_instructions"]
+        assert machine["translated_share"] == machine["translated_instructions"] / executed
         assert 0.0 < machine["block_hit_rate"] <= 1.0
 
 

@@ -20,6 +20,7 @@ from repro.faults import (
     run_trial,
 )
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
+from repro.metrics import CampaignCounters, counted
 
 
 def act(name: str, *args: int, seq=0) -> Activation:
@@ -47,23 +48,24 @@ class TestEveryInjectionIndex:
         for index in range(n):
             fault = FaultSpec("rbx", 17, index)
             scratch = run_trial(hv, activation, fault, golden=baseline)
-            before = dict(hv.ff_stats)
-            fast = run_trial(hv, activation, fault, golden=laddered)
+            fast, counts = counted(run_trial, hv, activation, fault, golden=laddered)
             assert fast == scratch, f"divergence at injection index {index}"
-            fast_forwarded += hv.ff_stats["fast_forwarded"] - before["fast_forwarded"]
+            fast_forwarded += CampaignCounters.folded(counts).machine()["fast_forwards"]
         # Rung 0 sits at index 0, so every single trial skips the prepare.
         assert fast_forwarded == n
 
     def test_skip_accounting_matches_rung_indices(self, setting):
         hv, activation, _, laddered = setting
-        before = dict(hv.ff_stats)
-        run_trial(hv, activation, FaultSpec("rcx", 4, 40), golden=laddered)
-        rung = max(r.index for r in laddered.ladder if r.index <= 40)
-        assert hv.ff_stats["trials"] == before["trials"] + 1
-        assert (
-            hv.ff_stats["instructions_skipped"]
-            == before["instructions_skipped"] + rung
+        _, counts = counted(
+            run_trial, hv, activation, FaultSpec("rcx", 4, 40), golden=laddered
         )
+        rung = max(r.index for r in laddered.ladder if r.index <= 40)
+        counters = CampaignCounters.folded(counts)
+        trials = counters.registry.get("repro_trials_total")
+        assert trials.labels(start="rung").value == 1
+        assert counters.machine()["trials"] == 1
+        skipped = counters.registry.get("repro_instructions_skipped_total")
+        assert skipped.labels(by="rung").value == rung
 
 
 class TestSideExitPrecision:
@@ -103,10 +105,12 @@ class TestSideExitPrecision:
             )
 
     def test_translated_machine_actually_translates(self, machines):
-        _, trans_hv, _, _, _ = machines
-        stats = trans_hv.translation_stats()
-        assert stats["block_executions"] > 0
-        assert stats["translated_instructions"] > 0
+        _, trans_hv, activation, _, trans_golden = machines
+        trans_hv.restore(trans_golden.checkpoint)
+        _, counts = counted(trans_hv.execute, activation)
+        counters = CampaignCounters.folded(counts)
+        assert counters.block_executions.value > 0
+        assert counters.translated.value > 0
 
 
 class TestRecordsInvariance:
@@ -131,5 +135,9 @@ class TestRecordsInvariance:
         hv = XenHypervisor(seed=31)
         golden = capture_golden(hv, act("do_irq", 2), ladder_interval=0)
         assert golden.ladder == ()
-        run_trial(hv, act("do_irq", 2), FaultSpec("rdx", 3, 5), golden=golden)
-        assert hv.ff_stats["fast_forwarded"] == 0
+        _, counts = counted(
+            run_trial, hv, act("do_irq", 2), FaultSpec("rdx", 3, 5), golden=golden
+        )
+        machine = CampaignCounters.folded(counts).machine()
+        assert machine["fast_forwards"] == 0
+        assert machine["trials"] == 1

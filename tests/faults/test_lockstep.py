@@ -28,6 +28,7 @@ from repro.faults import (
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
 from repro.machine import lockstep
 from repro.machine.lockstep import DEAD, PEEL, TwinPlan, classify_twin
+from repro.metrics import CampaignCounters, counted
 
 
 def act(name: str, *args: int, seq=0) -> Activation:
@@ -187,17 +188,9 @@ class TestTwinBatchEquivalence:
         hv, activation, golden = setting
         n = golden.result.instructions
         faults = [FaultSpec("rbx", 17, index) for index in range(n)]
-        def executed_instructions() -> int:
-            return sum(
-                c.interpreted_instructions + c.translated_instructions
-                for c in hv.cores
-            )
-
-        before = dict(hv.lockstep_stats)
-        instructions_before = executed_instructions()
-        records = run_twin_batch(hv, activation, faults, golden=golden)
-        dead = hv.lockstep_stats["dead_twins"] - before["dead_twins"]
-        peeled = hv.lockstep_stats["peeled_twins"] - before["peeled_twins"]
+        records, counts = counted(run_twin_batch, hv, activation, faults, golden=golden)
+        machine = CampaignCounters.folded(counts).machine()
+        dead, peeled = machine["dead_twins"], machine["peeled_twins"]
         assert dead + peeled == n and dead > 0 and peeled > 0
         # Dead twins synthesize non-activated benign records.
         synthesized = [r for r in records if r.detail == "non-activated"]
@@ -205,7 +198,7 @@ class TestTwinBatchEquivalence:
         assert all(not r.activated and not r.manifested for r in synthesized)
         # Only the peels execute; dead twins must cost nothing (strictly
         # fewer instructions than running all n).
-        executed = executed_instructions() - instructions_before
+        executed = machine["translated_instructions"] + machine["interpreted_instructions"]
         assert executed < (n + 1) * golden.result.instructions
 
     def test_on_record_sees_every_record_in_order(self, setting):
@@ -285,22 +278,22 @@ class TestDifferentialFuzz:
 
 
 class TestStatsLedgers:
-    """Per-machine and process-wide counters stay in sync."""
+    """The twin counts are registry children, and lockstep.stats() views them."""
 
-    def test_global_ledger_mirrors_machine_ledger(self):
+    def test_stats_view_mirrors_the_registry(self):
         hv = XenHypervisor(seed=23)
         activation = act("apic_timer", 3)
         golden = capture_golden(hv, activation, ladder_interval=16)
         faults = [FaultSpec("rbx", 9, i) for i in range(0, 60, 5)]
-        global_before = lockstep.stats()
-        machine_before = dict(hv.lockstep_stats)
-        run_twin_batch(hv, activation, faults, golden=golden)
-        global_delta = {
-            k: v - global_before[k] for k, v in lockstep.stats().items()
+        view_before = lockstep.stats()
+        _, counts = counted(run_twin_batch, hv, activation, faults, golden=golden)
+        view_delta = {k: v - view_before[k] for k, v in lockstep.stats().items()}
+        counters = CampaignCounters.folded(counts)
+        fates = counters.registry.get("repro_twin_fates_total")
+        assert view_delta == {
+            "twins": counters.twins.value,
+            "dead_twins": fates.labels(fate="dead").value,
+            "peeled_twins": fates.labels(fate="peeled").value,
         }
-        machine_delta = {
-            k: v - machine_before[k] for k, v in hv.lockstep_stats.items()
-        }
-        assert global_delta == machine_delta
-        assert global_delta["twins"] == len(faults)
-        assert global_delta["twin_batches"] == 1
+        assert view_delta["twins"] == len(faults)
+        assert counters.registry.get("repro_twin_batches_total").value == 1

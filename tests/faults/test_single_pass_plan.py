@@ -26,6 +26,7 @@ from repro.machine.cpu import instr_register_accesses
 from repro.machine.isa import Op
 from repro.machine.lockstep import TwinPlan
 from repro.machine.registers import ALL_REGISTERS
+from repro.metrics import CampaignCounters, counted
 from repro.workloads import BENCHMARK_NAMES, VirtMode, WorkloadGenerator, get_profile
 
 _HV = XenHypervisor(seed=17)
@@ -108,11 +109,10 @@ def test_single_pass_plan_matches_replay(group, ladder_interval):
         hv.execute(act)
     start = hv.checkpoint()
 
-    translated = hv.cpu.translated_instructions
-    recorded = capture_golden(
-        hv, activation, followups, ladder_interval=ladder_interval
+    recorded, counts = counted(
+        capture_golden, hv, activation, followups, ladder_interval=ladder_interval
     )
-    assert hv.cpu.translated_instructions > translated
+    assert CampaignCounters.folded(counts).translated.value > 0
     hv.restore(start)
     silent = capture_golden(
         hv, activation, followups, ladder_interval=ladder_interval, record=False

@@ -4,6 +4,7 @@ import pytest
 
 from repro.machine import CPUCore, translator
 from repro.machine.debug import diff_traces, trace_execution
+from repro.metrics import CampaignCounters, counted
 
 from tests.conftest import STACK_TOP, TEXT_BASE
 
@@ -57,10 +58,11 @@ class TestTraceExecution:
             for label in ("entry", "fault"):
                 core = CPUCore(0, memory, translate=translate)
                 core.regs["rsp"] = STACK_TOP
-                traces[translate, label] = trace_execution(
-                    core, prog, prog.address_of(label)
+                traces[translate, label], counts = counted(
+                    trace_execution, core, prog, prog.address_of(label)
                 )
-                assert core.translated_instructions > 0 or not translate
+                translated = CampaignCounters.folded(counts).translated.value
+                assert translated > 0 or not translate
         for label in ("entry", "fault"):
             assert traces[True, label] == traces[False, label]
         assert "HardwareException" in traces[True, "fault"].event

@@ -16,6 +16,7 @@ import pytest
 from repro.faults import CampaignConfig
 from repro.faults.campaign import run_benchmark_groups
 from repro.hypervisor import XenHypervisor
+from repro.metrics import CampaignCounters, counted
 
 CONFIG = CampaignConfig(n_injections=400, seed=5)
 
@@ -32,15 +33,19 @@ def _machine(loop_proof: bool) -> XenHypervisor:
 class TestProverDifferential:
     @pytest.fixture(scope="class")
     def run(self):
-        proved = _machine(True)
-        concrete = _machine(False)
+        machines = {True: _machine(True), False: _machine(False)}
+        counters = {True: CampaignCounters(), False: CampaignCounters()}
         records = {}
         for benchmark in CONFIG.benchmarks[:2]:
-            records[benchmark] = (
-                run_benchmark_groups(CONFIG, benchmark, 0, 17, hv=proved),
-                run_benchmark_groups(CONFIG, benchmark, 0, 17, hv=concrete),
-            )
-        return proved, concrete, records
+            runs = []
+            for loop_proof, hv in machines.items():
+                run, counts = counted(
+                    run_benchmark_groups, CONFIG, benchmark, 0, 17, hv=hv
+                )
+                counters[loop_proof].registry.fold(counts)
+                runs.append(run)
+            records[benchmark] = tuple(runs)
+        return counters[True].machine(), counters[False].machine(), records
 
     def test_records_identical_with_prover_disabled(self, run):
         _, _, records = run
@@ -49,19 +54,16 @@ class TestProverDifferential:
 
     def test_proofs_actually_fired(self, run):
         proved, concrete, _ = run
-        assert sum(c.proved_hangs for c in proved.cores) > 0
-        assert sum(c.proved_hangs for c in concrete.cores) == 0
+        assert proved["proved_hangs"] > 0
+        assert concrete["proved_hangs"] == 0
 
     def test_proofs_skip_real_execution(self, run):
         proved, concrete, _ = run
 
-        def executed(hv):
-            return sum(
-                c.interpreted_instructions + c.translated_instructions
-                for c in hv.cores
-            )
+        def executed(machine):
+            return machine["interpreted_instructions"] + machine["translated_instructions"]
 
-        skipped = sum(c.proved_hang_instructions for c in proved.cores)
+        skipped = proved["proved_hang_instructions"]
         assert skipped > 0
         # The proved machine must have executed fewer instructions by at
         # least the amount its proofs claim to have skipped.

@@ -25,6 +25,7 @@ from repro.machine.assembler import Assembler
 from repro.machine.cpu import CPUCore
 from repro.machine.memory import Memory, PAGE_SIZE, Region
 from repro.machine.translator import translation_for
+from repro.metrics import CampaignCounters, counted
 
 
 @pytest.fixture(autouse=True)
@@ -224,9 +225,12 @@ class TestDifferentialFuzz:
         translation = translation_for(program)
         core, _ = _machine(True)
         _seed_registers(core, random.Random(7))
-        try:
-            core.run(program, TEXT_BASE, max_instructions=MAX_INSTRUCTIONS)
-        except SimulationEvent:
-            pass
+        def run() -> None:
+            try:
+                core.run(program, TEXT_BASE, max_instructions=MAX_INSTRUCTIONS)
+            except SimulationEvent:
+                pass
+
+        _, counts = counted(run)
         assert translation.compiled_blocks > 0
-        assert core.translated_instructions > 0
+        assert CampaignCounters.folded(counts).translated.value > 0
