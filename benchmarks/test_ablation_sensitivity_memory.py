@@ -70,7 +70,7 @@ def memory_campaign(trained_bundle):
         for g in range(n_per // 2):
             activation = stream[g * stride]
             follows = tuple(stream[g * stride + 1 : (g + 1) * stride])
-            golden = capture_golden(hv, activation, follows)
+            golden = capture_golden(hv, activation)
             for _ in range(2):
                 fault = model.sample(fault_rng, hv.layout)
                 records.append(
@@ -81,8 +81,8 @@ def memory_campaign(trained_bundle):
                         followups=follows,
                     )
                 )
-            hv.restore(golden.checkpoint)
-            hv.execute(activation)
+            # Advance the stream fault-free: the golden run's end state.
+            hv.restore(golden.after)
     return tuple(records)
 
 

@@ -102,9 +102,7 @@ def _run_workload(hv: XenHypervisor):
         activation = Activation(
             vmer=reason.vmer, args=(8 + g, 1), domain_id=1, seq=g
         )
-        golden = capture_golden(
-            hv, activation, (), ladder_interval=LADDER_INTERVAL
-        )
+        golden = capture_golden(hv, activation, ladder_interval=LADDER_INTERVAL)
         # Faults are drawn up front, so the trial set is the one the
         # baselines measured.
         faults = [
@@ -120,7 +118,7 @@ def _restore_microseconds(hv: XenHypervisor) -> float:
     activation = Activation(
         vmer=REGISTRY.by_name("mmu_update").vmer, args=(8, 1), domain_id=1, seq=0
     )
-    golden = capture_golden(hv, activation, (), ladder_interval=LADDER_INTERVAL)
+    golden = capture_golden(hv, activation, ladder_interval=LADDER_INTERVAL)
     rung = golden.ladder[len(golden.ladder) // 2]
     n = 200
     t0 = time.perf_counter()

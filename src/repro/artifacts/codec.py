@@ -2,17 +2,19 @@
 
 One artifact holds everything a worker needs to run a golden group's trials
 without executing the fault-free twin: the :class:`GoldenRun` (result,
-outputs, heap image, pre-run checkpoint, follow-up results, checkpoint
-ladder) and the lock-step :class:`TwinPlan` lowered from its recorded
-address stream (absent when the group was captured with twin batching off;
-the stream itself is not stored).  Artifacts travel inside packs
-(:mod:`repro.artifacts.store`).  The layout::
+outputs, pre- and post-run checkpoints, the follow-up results when a trial
+materialized them, checkpoint ladder) and the lock-step :class:`TwinPlan`
+lowered from its recorded address stream (absent when the group was
+captured with twin batching off; the stream itself is not stored).  The
+heap image is not stored either: the header records the heap's base and
+length, and the decoder cuts the image out of the post-run pages.
+Artifacts travel inside packs (:mod:`repro.artifacts.store`).  The layout::
 
     MAGIC (8 bytes, includes the format version byte)
     u64   header length
     JSON  header (structured rim via repro.persist codecs + blob index)
     pad   to 8-byte alignment
-    blobs (checkpoint pages, heap image, numpy columns; each 8-aligned)
+    blobs (checkpoint pages, numpy columns; each 8-aligned)
     blake2b-16 checksum of everything above
 
 Two properties matter more than compactness:
@@ -41,9 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faults.propagation import GoldenRun
+from repro.hypervisor.image import MemoryMap
 from repro.hypervisor.xen import MachineCheckpoint
 from repro.machine.lockstep import TwinPlan
-from repro.machine.memory import MemoryCheckpoint
+from repro.machine.memory import PAGE_SIZE, MemoryCheckpoint
 from repro.persist import (
     activation_result_from_dict,
     activation_result_to_dict,
@@ -62,8 +65,8 @@ __all__ = [
 
 #: Last byte is the binary-format version: bump it and every older reader
 #: treats the file as corrupt (fallback to live capture, never a misparse).
-MAGIC = b"XENTART\x02"
-CODEC_FORMAT = "xentry-artifact-v2"
+MAGIC = b"XENTART\x03"
+CODEC_FORMAT = "xentry-artifact-v3"
 _CHECKSUM_BYTES = 16
 
 _COLUMN_DTYPE = np.dtype("<i8")
@@ -121,17 +124,25 @@ def _pages_ref(pages: dict[int, bytes], writer: _BlobWriter) -> list[list[int]]:
 
 
 def encode_group(digest: str, golden: GoldenRun, plan: TwinPlan | None) -> bytes:
-    """Encode one golden group's products into artifact bytes."""
+    """Encode one golden group's products into artifact bytes.
+
+    ``golden.heap_image`` is recorded as the heap's location in the standard
+    memory map, which every campaign runs on; the decoder cuts the image out
+    of the ``after`` pages there.
+    """
     writer = _BlobWriter()
     header: dict = {
         "format": CODEC_FORMAT,
         "digest": digest,
         "golden": {
             "result": activation_result_to_dict(golden.result),
-            "followups": [activation_result_to_dict(f) for f in golden.followups],
+            "followups": None if golden.followups is None else [
+                activation_result_to_dict(f) for f in golden.followups
+            ],
             "outputs": [[addr, golden.outputs[addr]] for addr in sorted(golden.outputs)],
-            "heap": writer.add(golden.heap_image),
+            "heap": [MemoryMap.heap_base, len(golden.heap_image)],
             "checkpoint": _pages_ref(golden.checkpoint.pages, writer),
+            "after": _pages_ref(golden.after.pages, writer),
             "ladder": [
                 {
                     "core": core_checkpoint_to_dict(rung.core),
@@ -161,6 +172,17 @@ def encode_group(digest: str, golden: GoldenRun, plan: TwinPlan | None) -> bytes
     ]
     body = b"".join(parts)
     return body + hashlib.blake2b(body, digest_size=_CHECKSUM_BYTES).digest()
+
+
+def _region_image(pages: dict[int, bytes], base: int, size: int) -> bytes:
+    """A region's contents cut out of checkpoint pages (holes read as zero),
+    as :meth:`~repro.machine.memory.Memory.snapshot_region` reads it live."""
+    if base % PAGE_SIZE or size % PAGE_SIZE or size < 0:
+        raise ArtifactCorrupt(f"heap [{base:#x}, +{size:#x}) is not page aligned")
+    zero = bytes(PAGE_SIZE)
+    return b"".join(
+        pages.get(page, zero) for page in range(base, base + size, PAGE_SIZE)
+    )
 
 
 def _column_ref(column: np.ndarray, writer: _BlobWriter) -> int:
@@ -221,12 +243,15 @@ def decode_group(buf: bytes | memoryview, *, registry) -> ArtifactPayload:
             return out
 
         g = header["golden"]
+        after = MemoryCheckpoint(pages=pages_from(g["after"]))
+        heap_base, heap_size = g["heap"]
         golden = GoldenRun(
             result=activation_result_from_dict(g["result"], registry=registry),
             outputs={addr: value for addr, value in g["outputs"]},
-            heap_image=blob(g["heap"]),
+            heap_image=_region_image(after.pages, heap_base, heap_size),
             checkpoint=MemoryCheckpoint(pages=pages_from(g["checkpoint"])),
-            followups=tuple(
+            after=after,
+            followups=None if g["followups"] is None else tuple(
                 activation_result_from_dict(f, registry=registry)
                 for f in g["followups"]
             ),

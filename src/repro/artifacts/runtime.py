@@ -2,9 +2,9 @@
 
 :class:`GoldenSource` is the single object the campaign trial loop talks to:
 ``acquire`` loads a golden group from the store's committed packs, and
-``offer`` appends a freshly captured group to the source's pack so the
-*next* run (or the next shard sharing the store) skips the capture.  Serial
-runs and pool workers read the packs the same way.  The source's owner —
+``offer`` appends a group captured (or completed) here to the source's
+pack so the *next* run (or the next shard sharing the store) skips the
+capture.  Serial runs and pool workers read the packs the same way.  The source's owner —
 :func:`~repro.engine.pool.execute_shard` after its last slice,
 :meth:`~repro.faults.campaign.FaultInjectionCampaign.run` after its run —
 calls :meth:`GoldenSource.commit` (one ``fsync`` per pack) or, when the
@@ -15,7 +15,9 @@ are byte-identical with the cache cold, warm, shared, or disabled.
 
 Lookups, bytes moved, corrupt artifacts, write errors and load seconds are
 counted on :data:`repro.metrics.COUNTERS`, like everything else the
-campaign counts.
+campaign counts.  Torn packs are counted by the run's owner, not here: a
+pooled run has one source per shard attempt, and each would count them
+again.
 """
 
 from __future__ import annotations
@@ -51,14 +53,15 @@ class GoldenSource:
     def __init__(self, config, store: GoldenStore) -> None:
         self.config = config
         self.store = store
-        self._scanned = False
         self._pack = None
 
     def acquire(self, benchmark: str, group: int, *, registry):
         """Load one golden group's products, or ``None`` to capture live.
 
-        The store's packs are indexed on the first lookup; a torn pack or a
-        corrupt artifact counts ``artifact_corrupt`` and falls through.
+        The store's packs are indexed on the first lookup, torn ones
+        skipped (the run's owner counts those, once per run, with
+        :meth:`GoldenStore.scan`); a corrupt artifact counts
+        ``artifact_corrupt`` and falls through.
         """
         digest = golden_digest(self.config, benchmark, group)
         started = time.perf_counter()
@@ -74,9 +77,6 @@ class GoldenSource:
         return payload
 
     def _load(self, digest: str, registry):
-        if not self._scanned:
-            self._scanned = True
-            COUNTERS.artifact_corrupt.inc(self.store.scan())
         try:
             return self.store.load(digest, registry=registry)
         except ArtifactCorrupt:
@@ -84,7 +84,9 @@ class GoldenSource:
             return None
 
     def offer(self, benchmark: str, group: int, golden, plan) -> None:
-        """Append a live-captured group to this source's pack (best effort).
+        """Append a group to this source's pack (best effort), after its
+        trials: one captured live, or one whose trials materialized
+        follow-ups its stored artifact lacked.
 
         The artifact is written out now; readers see it once the owner
         calls :meth:`commit`.

@@ -48,7 +48,7 @@ __all__ = ["GoldenStore", "PackWriter", "golden_digest", "image_identity"]
 #: Version tag of the digest payload; bump when the artifact *identity*
 #: changes (what a golden group depends on), independent of the binary
 #: format version in :mod:`repro.artifacts.codec`.
-DIGEST_FORMAT = "xentry-golden-v2"
+DIGEST_FORMAT = "xentry-golden-v3"
 
 #: Trailer magic; the last byte is the pack-format version.
 PACK_MAGIC = b"XENTPAK\x01"

@@ -215,6 +215,12 @@ class CampaignEngine:
             dict(journal.state.completed) if journal is not None else {}
         )
         failures: dict[int, ShardFailure] = {}
+        if self.config.artifacts:
+            # Shard attempts skip torn packs without counting them; the
+            # run counts them here, once.
+            self.telemetry.counters.artifact_corrupt.inc(
+                GoldenStore(self.config.artifacts).scan()
+            )
         try:
             pending = [s for s in plan.shards if s.index not in done]
             self.telemetry.emit(

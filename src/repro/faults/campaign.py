@@ -227,6 +227,10 @@ def run_benchmark_groups(
     then perturb.  Records are byte-identical either way: golden products
     are a pure function of the digest the store keys them by, and every
     trial restores captured state before executing.
+
+    Golden follow-ups run only for groups whose trials read them
+    (:func:`~repro.faults.propagation.materialize_followups`); a group is
+    offered to the store after its trials, with whatever they materialized.
     """
     geo = benchmark_geometry(config)
     if not 0 <= group_start <= group_stop <= geo.n_goldens:
@@ -301,13 +305,12 @@ def run_benchmark_groups(
             hv.restore(aged_state)
             started = time.perf_counter()
             golden = capture_golden(
-                hv, activation, followups,
+                hv, activation,
                 ladder_interval=config.ladder_interval, record=config.twin_batch,
             )
             plan = trace_plan(hv.program, golden) if config.twin_batch else None
             COUNTERS.capture_seconds.inc(time.perf_counter() - started)
-            if golden_source is not None:
-                golden_source.offer(benchmark, g, golden, plan)
+        lacked_followups = golden.followups is None
         if executor is not None:
             executor.begin_group(g, activation, golden)
         if config.scenario is None:
@@ -362,6 +365,13 @@ def run_benchmark_groups(
                 records.append(record)
                 if on_record is not None:
                     on_record(record)
+        # Offered after the trials, so the artifact carries the follow-ups
+        # they materialized: a group captured live, or a stored one that
+        # lacked follow-ups these trials needed (the newer pack shadows).
+        if golden_source is not None and (
+            payload is None or (lacked_followups and golden.followups is not None)
+        ):
+            golden_source.offer(benchmark, g, golden, plan)
     return records
 
 
@@ -404,6 +414,9 @@ class FaultInjectionCampaign:
                 progress(done, total)
 
         source = golden_source_for(cfg)
+        if source is not None:
+            # The run's owner counts the store's torn packs, once.
+            COUNTERS.artifact_corrupt.inc(source.store.scan())
         try:
             for benchmark in cfg.benchmarks:
                 records.extend(

@@ -33,6 +33,7 @@ from repro.faults.propagation import (
     capture_golden,
     classify_divergence,
     compute_divergence,
+    materialize_followups,
     undetected_kind_for,
 )
 from repro.hypervisor.xen import Activation, XenHypervisor
@@ -72,7 +73,8 @@ def run_trial(
 
     ``golden`` may be supplied to amortize the fault-free run across several
     injections into the same activation; it must have been captured from the
-    current machine state (with the same ``followups``).
+    current machine state (its follow-ups, once materialized, from the same
+    ``followups``).
 
     ``followups`` continues the simulation past the injected activation, the
     way the paper's Simics campaign does: corrupted state that survived the
@@ -88,7 +90,7 @@ def run_trial(
     injection index, but skipping the shared prefix.
     """
     if golden is None:
-        golden = capture_golden(hv, activation, followups)
+        golden = capture_golden(hv, activation)
     # Fast-forward: resume from the latest ladder rung at-or-before the
     # injection index (or the scan-proven read point) instead of re-executing
     # the golden prefix.  The flip cannot fire before the rung
@@ -246,7 +248,7 @@ def run_twin_batch(
     itself (:func:`trace_plan`).
     """
     if golden is None:
-        golden = capture_golden(hv, activation, followups)
+        golden = capture_golden(hv, activation)
     faults = list(faults)
     if plan is None and faults:
         plan = trace_plan(hv.program, golden)
@@ -314,7 +316,7 @@ def run_memory_trial(
     watch; it counts as activated when the execution observably diverges.
     """
     if golden is None:
-        golden = capture_golden(hv, activation, followups)
+        golden = capture_golden(hv, activation)
     # Memory faults are present from instruction 0, so there is no prefix to
     # skip: always replay from the pre-run checkpoint.
     hv.restore(golden.checkpoint)
@@ -350,7 +352,7 @@ def run_burst_trial(
     still sound: the shared prefix is fault-free either way.
     """
     if golden is None:
-        golden = capture_golden(hv, activation, followups)
+        golden = capture_golden(hv, activation)
     rung = _start_from_ladder(hv, golden, fault.dynamic_index)
     hv.cpu.schedule_flip_set(fault.dynamic_index, fault.flips)
 
@@ -499,7 +501,7 @@ def _execute_and_classify(
     # Continue the simulation: corrupted machine state may be consumed by a
     # later hypervisor execution (and the fault detected there).
     followups_diverged = False
-    if divergence.any and golden.followups:
+    if divergence.any and followups:
         record, followups_diverged = _run_followups(
             hv, activation, fault, followups, golden, failure, was_activated,
             base_latency=max(0, faulty.instructions - _activation_index()),
@@ -553,8 +555,11 @@ def _run_followups(
 
     Returns ``(record, diverged)``: a detection record (or ``None`` when the
     corruption survives the whole window undetected) and whether any
-    follow-up execution visibly diverged from its golden twin.
+    follow-up execution visibly diverged from its golden twin.  The first
+    trial of a group to get here materializes the golden follow-ups.
     """
+    if golden.followups is None:
+        materialize_followups(hv, golden, followups)
     elapsed = base_latency
     diverged = False
     for follow, golden_follow in zip(followups, golden.followups):

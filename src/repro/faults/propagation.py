@@ -17,14 +17,22 @@ run's divergence into the paper's consequence taxonomy:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.faults.outcomes import FailureClass, UndetectedKind, most_severe
 from repro.hypervisor.layout import GLOBAL_OWNER, HypervisorLayout, Slot, ValueKind
 from repro.hypervisor.xen import ActivationResult, MachineCheckpoint, XenHypervisor
 from repro.machine.memory import MemoryCheckpoint
+from repro.metrics import COUNTERS
 
-__all__ = ["GoldenRun", "Divergence", "capture_golden", "classify_divergence"]
+__all__ = [
+    "GoldenRun",
+    "Divergence",
+    "capture_golden",
+    "classify_divergence",
+    "materialize_followups",
+]
 
 #: Corruption of bits at or above this position in an app-data word is treated
 #: as address-forming (the guest dereferences/indexes with it) -> crash.
@@ -40,23 +48,31 @@ class GoldenRun:
     if [the fault] can be detected", so corrupted state left behind by the
     injected activation is detected when later hypervisor executions consume
     it.  The golden continuation is the reference those later executions are
-    compared against.
+    compared against.  Only a trial that reaches VM entry diverged and
+    unflagged reads it, so capture leaves it ``None`` and the first such
+    trial fills it in from ``after`` (:func:`materialize_followups`).
 
-    A ``GoldenRun`` is pure reference data — trials read it, nothing mutates
-    it — which is what makes it cacheable: :mod:`repro.artifacts` persists
-    whole golden groups content-addressed and rebuilds them bit-equal, with
-    ``heap_image`` and page payloads rehydrated as memoryviews over the
-    artifact buffer read from its pack.  Every consumer must therefore treat
-    ``bytes`` fields as read-only buffers, never assume the concrete type.
-    The one field an artifact does not carry is ``trace``: it carries the
-    :class:`~repro.machine.lockstep.TwinPlan` lowered from it instead.
+    Apart from that one fill-in, a ``GoldenRun`` is pure reference data —
+    trials read it — which is what makes it cacheable:
+    :mod:`repro.artifacts` persists whole golden groups content-addressed and
+    rebuilds them bit-equal, with page payloads rehydrated as memoryviews
+    over the artifact buffer read from its pack.  Every consumer must
+    therefore treat ``bytes`` fields as read-only buffers, never assume the
+    concrete type.  The one field an artifact does not carry is ``trace``:
+    it carries the :class:`~repro.machine.lockstep.TwinPlan` lowered from it
+    instead.
     """
 
     result: ActivationResult
     outputs: dict[int, int]          # guest-visible output words
     heap_image: bytes                # full heap contents after the run
     checkpoint: MemoryCheckpoint     # machine state *before* the run
-    followups: tuple[ActivationResult, ...] = ()
+    #: Memory right after the run (copy-on-write: it shares every page the
+    #: run left clean with ``checkpoint``).  Follow-ups execute from here,
+    #: and detector training advances its state stream by restoring it.
+    after: MemoryCheckpoint
+    #: ``None`` until materialized; then one result per follow-up activation.
+    followups: tuple[ActivationResult, ...] | None = None
     #: Mid-run machine checkpoints every ``ladder_interval`` instructions
     #: (ascending by index, rung 0 at instruction 0).  Empty when the golden
     #: run was captured without a ladder.
@@ -71,15 +87,16 @@ class GoldenRun:
 def capture_golden(
     hv: XenHypervisor,
     activation,
-    followups=(),
     *,
     ladder_interval: int = 0,
     record: bool = True,
 ) -> GoldenRun:
-    """Run ``activation`` (and its follow-up stream) fault-free.
+    """Run ``activation`` fault-free and keep what trials compare against.
 
     The pre-run checkpoint is taken first so the faulty twin can be replayed
-    from the identical machine state.  A positive ``ladder_interval``
+    from the identical machine state, and the post-run one (``after``) last,
+    so the follow-up stream can be executed later, only if a trial needs it
+    (:func:`materialize_followups`).  A positive ``ladder_interval``
     additionally captures a mid-run machine checkpoint every that many
     dynamic instructions, letting :func:`~repro.faults.injector.run_trial`
     fast-forward the faulty twin to the rung at-or-before its injection
@@ -106,18 +123,42 @@ def capture_golden(
     finally:
         tracer.light = light
     heap = hv.memory.region("hypervisor_heap")
-    outputs = hv.read_outputs(activation)
-    heap_image = hv.memory.snapshot_region(heap)
-    followup_results = tuple(hv.execute(f) for f in followups)
     return GoldenRun(
         result=result,
-        outputs=outputs,
-        heap_image=heap_image,
+        outputs=hv.read_outputs(activation),
+        heap_image=hv.memory.snapshot_region(heap),
         checkpoint=checkpoint,
-        followups=followup_results,
+        after=hv.checkpoint(),
         ladder=ladder,
         trace=trace,
     )
+
+
+def materialize_followups(hv: XenHypervisor, golden: GoldenRun, followups) -> None:
+    """Execute ``golden``'s follow-up stream fault-free from ``golden.after``
+    and store the results in ``golden.followups``.
+
+    Called in the middle of a trial, so the trial's state is set aside and
+    put back: its memory is checkpointed and restored, and the core's
+    injection state (a flip still pending, an armed activation watch) is
+    parked, because the golden continuation must run fault-free.  Memory
+    and injection state are all that carries between activations
+    (:meth:`~repro.hypervisor.xen.XenHypervisor.prepare` resets registers,
+    TSC and counters).  Its seconds count as golden capture.
+    """
+    started = time.perf_counter()
+    trial = hv.checkpoint()
+    parked = hv.cpu.park_injection()
+    try:
+        hv.restore(golden.after)
+        results = tuple(hv.execute(f) for f in followups)
+    finally:
+        hv.restore(trial)
+        hv.cpu.unpark_injection(parked)
+    # The one write to a GoldenRun after capture (see its docstring).
+    object.__setattr__(golden, "followups", results)
+    COUNTERS.followups_materialized.inc()
+    COUNTERS.capture_seconds.inc(time.perf_counter() - started)
 
 
 @dataclass(frozen=True)

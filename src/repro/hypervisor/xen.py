@@ -1,10 +1,10 @@
 """The Xen-like hypervisor: image construction and activation execution.
 
-:class:`XenHypervisor` wires the substrate together: it builds the text image
-(every handler + the subroutine library), lays out and initializes the data
-structures, and executes *activations* — single hypervisor executions between
-a VM exit and the following VM entry, the unit of everything the paper
-measures.
+:class:`XenHypervisor` wires the substrate together: it takes the text image
+(every handler + the subroutine library) and the initialized data structures
+from :func:`boot_image`, built once per process, and executes *activations*
+— single hypervisor executions between a VM exit and the following VM
+entry, the unit of everything the paper measures.
 
 The execution path mirrors Fig. 4: an optional *interceptor* (Xentry) is
 called at VM exit (to arm performance counters) and again at VM entry (to run
@@ -14,7 +14,7 @@ VM-transition detection) around the original handler execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Protocol
 
 from repro import rng as rng_mod
@@ -34,9 +34,11 @@ from repro.metrics import COUNTERS
 __all__ = [
     "Activation",
     "ActivationResult",
+    "BootImage",
     "MachineCheckpoint",
     "TransitionInterceptor",
     "XenHypervisor",
+    "boot_image",
 ]
 
 _ARG_REGISTERS = ("rdi", "rsi", "rdx", "r8", "r9")
@@ -124,6 +126,63 @@ class MachineCheckpoint:
         return self.core.index
 
 
+@dataclass(frozen=True)
+class BootImage:
+    """A built hypervisor image: layout, text and post-boot memory.
+
+    Shared by every :class:`XenHypervisor` of one process built from the
+    same key (see :func:`boot_image`); nothing writes to it after the build.
+    Each instance restores its own :class:`~repro.machine.memory.Memory`
+    from ``boot``, whose page buffers are immutable.
+    """
+
+    layout: HypervisorLayout
+    builder: ImageBuilder
+    handler_table: dict
+    program: Program
+    boot: MemoryCheckpoint
+
+
+@cache
+def boot_image(
+    memory_map: MemoryMap,
+    registry: ExitReasonRegistry,
+    hardening: Hardening | None,
+    n_domains: int,
+    vcpus_per_domain: int,
+) -> BootImage:
+    """Build (once per process and key) the image every hypervisor runs.
+
+    ``MemoryMap`` and ``Hardening`` are frozen dataclasses and the registry
+    hashes by identity, so equal configurations share one image, one
+    :class:`Program` and hence one translation.  A process that must
+    rebuild (a test patching the handler table) calls
+    ``boot_image.cache_clear()``.
+    """
+    layout = HypervisorLayout(
+        heap_base=memory_map.heap_base,
+        heap_size=memory_map.heap_size,
+        n_domains=n_domains,
+        vcpus_per_domain=vcpus_per_domain,
+    )
+    memory = memory_map.create_memory()
+    builder = ImageBuilder(layout, memory_map)
+    builder.emit_subroutines()
+    handler_table = build_handler_table(registry, hardening)
+    for reason in registry:
+        emit_handler(builder, reason, handler_table[reason.vmer])
+    program = builder.assemble()
+    layout.initialize(memory)
+    memory.write_u64(layout.globals_.word_address(1), 2_130_000)  # kHz calibration
+    return BootImage(
+        layout=layout,
+        builder=builder,
+        handler_table=handler_table,
+        program=program,
+        boot=memory.checkpoint(),
+    )
+
+
 class TransitionInterceptor(Protocol):
     """Xentry's hooks around an activation (Fig. 4's shim position)."""
 
@@ -166,25 +225,18 @@ class XenHypervisor:
         self.seed = seed
         self.max_instructions = max_instructions
         self.hardening = hardening
-        self.layout = HypervisorLayout(
-            heap_base=self.memory_map.heap_base,
-            heap_size=self.memory_map.heap_size,
-            n_domains=n_domains,
-            vcpus_per_domain=vcpus_per_domain,
+        # The image is shared, read-only, with every instance built from
+        # the same key in this process; the memory is this instance's own.
+        image = boot_image(
+            self.memory_map, registry, hardening, n_domains, vcpus_per_domain
         )
+        self.layout = image.layout
+        self.builder = image.builder
+        self.handler_table = image.handler_table
+        self.program: Program = image.program
         self.memory = self.memory_map.create_memory()
-        builder = ImageBuilder(self.layout, self.memory_map)
-        builder.emit_subroutines()
-        self.handler_table = build_handler_table(registry, hardening)
-        for reason in registry:
-            emit_handler(builder, reason, self.handler_table[reason.vmer])
-        self.builder = builder
-        self.program: Program = builder.assemble()
-        self.layout.initialize(self.memory)
-        self.memory.write_u64(
-            self.layout.globals_.word_address(1), 2_130_000  # kHz calibration
-        )
-        self._initial_state = self.memory.checkpoint()
+        self.memory.restore(image.boot)
+        self._initial_state = image.boot
         #: One logical core per physical CPU (Fig. 4: Xentry instances run
         #: per-CPU; counters are not shared between logical cores).
         self.cores: tuple[CPUCore, ...] = tuple(

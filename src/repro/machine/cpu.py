@@ -512,6 +512,26 @@ class CPUCore:
         self._inj_known = None
         self._watch_reg = None
 
+    def park_injection(self) -> tuple:
+        """Disarm the injection state and return it whole (pending flip,
+        activation watch and report) for :meth:`unpark_injection`, so a
+        fault-free run can execute in the middle of a faulty one."""
+        parked = (
+            self._inj_index, self._inj_reg, self._inj_bit, self._inj_flips,
+            self._inj_applied, self._inj_known, self._watch_reg,
+            self._activated, self._activation_index,
+        )
+        self.clear_injection()
+        return parked
+
+    def unpark_injection(self, parked: tuple) -> None:
+        """Reinstate what :meth:`park_injection` returned."""
+        (
+            self._inj_index, self._inj_reg, self._inj_bit, self._inj_flips,
+            self._inj_applied, self._inj_known, self._watch_reg,
+            self._activated, self._activation_index,
+        ) = parked
+
     @property
     def injection_report(self) -> InjectionReport | None:
         """Report of the most recently scheduled fault, if any."""

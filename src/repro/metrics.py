@@ -314,8 +314,13 @@ class CampaignCounters:
                          "Corrupt artifacts or packs, and failed pack writes.", ("kind",))
         self.artifact_corrupt = kind.labels(kind="corrupt")
         self.write_errors = kind.labels(kind="write")
+        self.followups_materialized = r.counter(
+            "repro_followups_materialized_total",
+            "Golden groups whose follow-ups a trial needed, executed on demand.",
+        ).labels()
         phase = r.counter("repro_golden_seconds_total",
-                          "Seconds capturing goldens live and loading them.", ("phase",))
+                          "Seconds capturing goldens live (follow-ups materialized on "
+                          "demand included) and loading them.", ("phase",))
         self.capture_seconds = phase.labels(phase="capture")
         self.load_seconds = phase.labels(phase="load")
 
@@ -370,6 +375,7 @@ class CampaignCounters:
             "artifact_bytes_loaded": self.bytes_loaded.value,
             "artifact_bytes_written": self.bytes_written.value,
             "artifact_write_errors": self.write_errors.value,
+            "followups_materialized": self.followups_materialized.value,
             "golden_capture_seconds": self.capture_seconds.value,
             "golden_load_seconds": self.load_seconds.value,
             "hit_rate": hits / (hits + misses) if hits + misses else None,

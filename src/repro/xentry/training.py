@@ -143,7 +143,8 @@ def _collect_inj_part(
     fault_rng = rng_mod.stream(config.seed, stream, "faults", shard.benchmark)
     items: list[Sample] = []
     for activation in generator.activations(shard.n_runs, stream=f"{stream}.inj"):
-        golden = capture_golden(hv, activation)
+        # Nothing lowers a training golden's address stream: no recording.
+        golden = capture_golden(hv, activation, record=False)
         hv.restore(golden.checkpoint)
         fault = config.fault_model.sample(fault_rng, golden.result.instructions)
         hv.cpu.schedule_register_flip(
@@ -170,11 +171,9 @@ def _collect_inj_part(
             # paper's undetected Table II population, not training material).
         # However the injection ended — killed by an exception, diverged, or
         # masked — advance the stream from uncorrupted state: restore the
-        # golden checkpoint and re-execute the activation fault-free, so the
-        # next golden capture sees an evolved (never corrupted, never
-        # stalled) state stream.
-        hv.restore(golden.checkpoint)
-        hv.execute(activation)
+        # memory the golden run left behind, so the next golden capture sees
+        # an evolved (never corrupted, never stalled) state stream.
+        hv.restore(golden.after)
         if tripwire is not None:
             tripwire.step()
     return items

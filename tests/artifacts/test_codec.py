@@ -21,6 +21,7 @@ from repro.artifacts.codec import (
 )
 from repro.faults import capture_golden
 from repro.faults.injector import trace_plan
+from repro.faults.propagation import materialize_followups
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
 
 DIGEST = "ab" * 32
@@ -30,14 +31,23 @@ def act(name: str, *args: int, seq=0) -> Activation:
     return Activation(vmer=REGISTRY.by_name(name).vmer, args=args, domain_id=1, seq=seq)
 
 
+FOLLOWUPS = (act("sched_op", 2, 1, seq=1), act("page_fault", 4, seq=2))
+
+
 @pytest.fixture(scope="module")
 def captured():
     hv = XenHypervisor(seed=23)
-    activation = act("apic_timer", 3)
-    followups = (act("sched_op", 2, 1, seq=1), act("page_fault", 4, seq=2))
-    golden = capture_golden(hv, activation, followups, ladder_interval=16)
+    golden = capture_golden(hv, act("apic_timer", 3), ladder_interval=16)
     plan = trace_plan(hv.program, golden)
+    materialize_followups(hv, golden, FOLLOWUPS)
     return golden, plan
+
+
+@pytest.fixture(scope="module")
+def lazy():
+    """A golden no trial asked follow-ups of."""
+    hv = XenHypervisor(seed=23)
+    return capture_golden(hv, act("apic_timer", 3), ladder_interval=16)
 
 
 @pytest.fixture(scope="module")
@@ -53,19 +63,37 @@ class TestRoundTrip:
         assert payload.digest == DIGEST
         out = payload.golden
         assert out.result == golden.result
-        assert out.followups == golden.followups
+        assert len(golden.followups) == 2 and out.followups == golden.followups
         assert out.outputs == golden.outputs
-        # memoryview == bytes compares contents.
-        assert out.heap_image == golden.heap_image
-        assert out.checkpoint.pages.keys() == golden.checkpoint.pages.keys()
-        for base, page in golden.checkpoint.pages.items():
-            assert out.checkpoint.pages[base] == page
+        # memoryview == bytes compares contents.  The heap image is not
+        # stored: it is cut out of the post-run pages.
+        assert bytes(out.heap_image) == bytes(golden.heap_image)
+        for mine, theirs in ((out.checkpoint, golden.checkpoint), (out.after, golden.after)):
+            assert mine.pages.keys() == theirs.pages.keys()
+            for base, page in theirs.pages.items():
+                assert mine.pages[base] == page
         assert len(out.ladder) == len(golden.ladder)
         for mine, theirs in zip(out.ladder, golden.ladder):
             assert mine.core == theirs.core
             assert mine.memory.pages.keys() == theirs.memory.pages.keys()
         # The recorded stream is not stored: the artifact carries its plan.
         assert golden.trace and out.trace == ()
+
+    def test_unmaterialized_followups_round_trip_as_none(self, lazy):
+        assert lazy.followups is None
+        out = decode_group(encode_group(DIGEST, lazy, None), registry=REGISTRY).golden
+        assert out.followups is None
+        assert bytes(out.heap_image) == bytes(lazy.heap_image)
+        assert out.after == lazy.after
+
+    def test_after_pages_are_deduplicated_with_the_group(self, blob):
+        # ``after`` is stored deduplicated against the group's other pages:
+        # a page equal to one of the last rung's decodes to the same buffer.
+        golden = decode_group(blob, registry=REGISTRY).golden
+        last = golden.ladder[-1].memory.pages
+        equal = [b for b, page in golden.after.pages.items() if last.get(b) == page]
+        assert equal
+        assert all(golden.after.pages[b] is last[b] for b in equal)
 
     def test_plan_round_trips(self, captured, blob):
         _, plan = captured

@@ -181,6 +181,45 @@ class TestOverlappingPacks:
         warm_rerun_matches(serial, baseline)
 
 
+class TestTornPack:
+    """A torn pack is counted once per run, by the run's owner, however many
+    shard attempts skip it."""
+
+    @pytest.fixture(scope="class")
+    def torn_store(self, tmp_path_factory, baseline):
+        """A pool-written store with its first pack cut by 100 bytes; also
+        returns how many groups that pack held."""
+        root = tmp_path_factory.mktemp("torn")
+        result, _ = engine(cached(root))
+        assert result.records == baseline
+        assert len(packs(root)) == SHARDS
+        pack = packs(root)[0]
+        held = len(read_pack_table(pack))
+        os.truncate(pack, pack.stat().st_size - 100)
+        return root, held
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_counted_once_at_any_job_count(self, tmp_path, torn_store, baseline, jobs):
+        root, held = torn_store
+        copy = tmp_path / "store"
+        shutil.copytree(root, copy)
+        result, cache = engine(cached(copy), jobs=jobs)
+        assert result.records == baseline
+        assert cache["artifact_corrupt"] == 1
+        assert cache["golden_misses"] == held
+        assert cache["golden_hits"] == GROUPS - held
+
+    def test_counted_once_in_a_serial_run(self, tmp_path, torn_store, baseline):
+        root, held = torn_store
+        copy = tmp_path / "store"
+        shutil.copytree(root, copy)
+        result, counts = counted(FaultInjectionCampaign(cached(copy)).run)
+        assert result.records == baseline
+        cache = CampaignCounters.folded(counts).golden_cache()
+        assert cache["artifact_corrupt"] == 1
+        assert cache["golden_misses"] == held
+
+
 class TestWarmReads:
     """A warm store: every shard reads the committed packs itself."""
 

@@ -154,10 +154,11 @@ class TestCampaignBitIdentity:
         assert result.records == baseline.records
         # A store sits there, warm, but a run without one never reads it.
         assert len(artifact_files(tmp_path)) == 1
-        # Capture seconds still accrue (they feed the campaign summary's
-        # capture-vs-load time-share line, cache or no cache); every
-        # cache-specific counter stays untouched.
+        # Capture seconds and follow-up materializations still accrue (they
+        # count golden work, cache or no cache); every cache-specific
+        # counter stays untouched.
         assert stats.pop("golden_capture_seconds") > 0.0
+        assert stats.pop("followups_materialized") > 0
         assert all(not v for v in stats.values())
 
 

@@ -82,7 +82,7 @@ def encoded():
     hv = XenHypervisor(seed=5)
     spec = REGISTRY.by_name("apic_timer")
     activation = Activation(vmer=spec.vmer, args=(3,), domain_id=1, seq=0)
-    golden = capture_golden(hv, activation, (), ladder_interval=0)
+    golden = capture_golden(hv, activation, ladder_interval=0)
     d = digest()
     return d, encode_group(d, golden, trace_plan(hv.program, golden))
 
@@ -258,9 +258,11 @@ def patched_image(monkeypatch):
         return table
 
     image_identity.cache_clear()
+    xen.boot_image.cache_clear()
     with monkeypatch.context() as m:
         m.setattr(xen, "build_handler_table", patched)
         try:
             yield
         finally:
             image_identity.cache_clear()
+            xen.boot_image.cache_clear()

@@ -21,7 +21,7 @@ from repro.engine import (
     pool,
 )
 from repro.faults import CampaignConfig, FaultInjectionCampaign
-from repro.hypervisor.xen import XenHypervisor
+from repro.hypervisor.xen import XenHypervisor, boot_image
 from repro.machine.translator import CACHE
 from repro.metrics import COUNTERS
 from repro.persist import save_records
@@ -32,8 +32,12 @@ CONFIG = CampaignConfig(benchmarks=("mcf", "postmark"), n_injections=64, seed=9)
 
 
 def empty_cache() -> None:
-    """Reset the process-wide translation cache to a fresh process's."""
+    """Reset the process-wide translation cache to a fresh process's.
+
+    The per-process image goes too: its program carries its translation.
+    """
     CACHE.__init__(CACHE.max_programs)
+    boot_image.cache_clear()
 
 
 @pytest.fixture()

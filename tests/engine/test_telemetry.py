@@ -167,6 +167,7 @@ WORK = (
     "repro_twins_total",
     "repro_twin_fates_total",
     "repro_golden_lookups_total",
+    "repro_followups_materialized_total",
     "repro_artifact_bytes_total",
     "repro_artifact_errors_total",
 )
@@ -244,6 +245,9 @@ class TestMachineCounters:
             assert value(pooled, "repro_proved_hangs_total") > 0
             hits = value(pooled, "repro_golden_lookups_total", result="hit")
             assert hits == (self.GROUPS if phase == "warm" else 0)
+            # The cold run's artifacts carry the follow-ups it materialized.
+            materialized = value(pooled, "repro_followups_materialized_total")
+            assert (materialized == 0) == (phase == "warm")
 
     @pytest.mark.parametrize(
         "run", [(1, "cold"), (2, "cold"), (2, "warm"), (1, "crash"), (2, "crash"), "chaos"],

@@ -11,8 +11,10 @@ from repro.faults import (
     compute_divergence,
     undetected_kind_for,
 )
+from repro.faults.propagation import materialize_followups
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
 from repro.hypervisor.layout import GLOBAL_OWNER, Slot, ValueKind
+from tests.faults.eager import capture_golden_eager
 
 
 def slot(name="s", owner=1, kind=ValueKind.APP_DATA) -> Slot:
@@ -140,6 +142,18 @@ class TestDivergenceComputation:
             Activation(vmer=REGISTRY.by_name("set_timer_op").vmer, args=(2,), domain_id=1, seq=1),
             Activation(vmer=REGISTRY.by_name("do_irq").vmer, args=(3,), domain_id=2, seq=2),
         )
-        golden = capture_golden(hv, act, follows)
+        start = hv.checkpoint()
+        golden = capture_golden(hv, act)
+        # Capture runs no follow-up; the first trial that needs them does.
+        assert golden.followups is None
+        hv.restore(start)
+        eager = capture_golden_eager(hv, act, follows)
+        hv.restore(start)
+        hv.memory.write_u64(hv.layout.scratch.word_address(0), 0xBEEF)
+        trial = hv.checkpoint()
+        materialize_followups(hv, golden, follows)
+        assert golden.followups == eager.followups
         assert len(golden.followups) == 2
         assert golden.followups[0].reason.name == "set_timer_op"
+        # The trial's memory is put back.
+        assert hv.checkpoint() == trial

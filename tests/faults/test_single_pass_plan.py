@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.faults import capture_golden
 from repro.faults.injector import trace_plan
+from repro.faults.propagation import materialize_followups
 from repro.hypervisor import XenHypervisor
 from repro.machine import translator
 from repro.machine.cpu import instr_register_accesses
@@ -110,18 +111,21 @@ def test_single_pass_plan_matches_replay(group, ladder_interval):
     start = hv.checkpoint()
 
     recorded, counts = counted(
-        capture_golden, hv, activation, followups, ladder_interval=ladder_interval
+        capture_golden, hv, activation, ladder_interval=ladder_interval
     )
     assert CampaignCounters.folded(counts).translated.value > 0
+    materialize_followups(hv, recorded, followups)
     hv.restore(start)
     silent = capture_golden(
-        hv, activation, followups, ladder_interval=ladder_interval, record=False
+        hv, activation, ladder_interval=ladder_interval, record=False
     )
+    materialize_followups(hv, silent, followups)
     assert silent.trace == ()
     assert hv.cpu.tracer.light
 
     # Recording is an observation.
     assert recorded.result == silent.result
+    assert recorded.after == silent.after
     assert recorded.followups == silent.followups
     assert recorded.outputs == silent.outputs
     assert recorded.heap_image == silent.heap_image

@@ -34,6 +34,23 @@ class TestConstruction:
         for sub in ("sub.memcpy", "sub.evtchn_set_pending", "sub.sched_pick"):
             hv.program.address_of(sub)
 
+    def test_instances_share_the_image_but_not_memory(self):
+        """The image is built once per process; each instance restores its
+        own memory from it."""
+        a, b = XenHypervisor(seed=1), XenHypervisor(seed=2, translate=False)
+        assert a.program is b.program and a.layout is b.layout
+        assert a.handler_table is b.handler_table and a.builder is b.builder
+        assert a.memory is not b.memory
+        assert a.checkpoint() == b.checkpoint()
+        word = a.layout.globals_.word_address(0)
+        before = b.memory.read_u64(word)
+        a.memory.write_u64(word, before ^ 0xFF)
+        assert b.memory.read_u64(word) == before
+        a.reset()
+        assert a.memory.read_u64(word) == before
+        # A different domain count is a different image.
+        assert XenHypervisor(n_domains=4).program is not a.program
+
 
 class TestExecution:
     def test_every_reason_executes_fault_free(self, hv):

@@ -111,7 +111,7 @@ class TestRungReplayProperty:
         activation = Activation(
             vmer=REGISTRY.by_name(reason).vmer, args=(arg, 1), domain_id=1, seq=0
         )
-        golden = capture_golden(hv, activation, (), ladder_interval=24)
+        golden = capture_golden(hv, activation, ladder_interval=24)
         heap = hv.memory.region("hypervisor_heap")
         assert golden.ladder, "ladder_interval > 0 must produce rungs"
         for rung in golden.ladder:

@@ -1,10 +1,13 @@
 """VM transition detector, training pipeline, and framework facade."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import rng as rng_mod
 from repro.errors import CampaignConfigError, NotFittedError
+from repro.faults import FaultModel
 from repro.faults.outcomes import DetectionTechnique, FaultSpec
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
 from repro.ml import CORRECT, Dataset, DecisionTreeClassifier, INCORRECT
@@ -17,6 +20,8 @@ from repro.xentry import (
     collect_dataset,
     train_and_evaluate,
 )
+from repro.xentry import training
+from tests.xentry.training_oracle import collect_inj_part_three_executions
 
 
 def tiny_dataset(seed=0) -> Dataset:
@@ -181,6 +186,43 @@ class TestStreamBugfixes:
         # 1 fault-free sample + one masked sample per even-indexed run;
         # the 10 killed runs contribute activations but no samples.
         assert len(ds) == 1 + self.N_INJ // 2
+
+
+class TestTwoExecutionCollector:
+    """Restoring the golden run's end state equals executing it a third time."""
+
+    @staticmethod
+    def _collect(config, monkeypatch, *, oracle: bool):
+        hv = XenHypervisor(n_domains=config.n_domains, seed=config.seed)
+        executions = 0
+        original = hv.execute
+
+        def execute(activation, **kwargs):
+            nonlocal executions
+            executions += 1
+            return original(activation, **kwargs)
+
+        hv.execute = execute
+        with monkeypatch.context() as m:
+            if oracle:
+                m.setattr(training, "_collect_inj_part", collect_inj_part_three_executions)
+            dataset = collect_dataset(config, hypervisor=hv)
+        return dataset, executions
+
+    @pytest.mark.parametrize("model", ["default", "alternating-kill"])
+    def test_datasets_equal_the_three_execution_oracle(self, model, monkeypatch):
+        fault_model = AlternatingKillFaultModel if model != "default" else FaultModel
+        config = TrainingConfig(
+            benchmarks=("mcf", "postmark"), fault_free_runs=20, injection_runs=80,
+            seed=9, fault_model=fault_model(),
+        )
+        expected, oracle_runs = self._collect(config, monkeypatch, oracle=True)
+        config = dataclasses.replace(config, fault_model=fault_model())
+        got, runs = self._collect(config, monkeypatch, oracle=False)
+        assert got.X.tolist() == expected.X.tolist()
+        assert got.y.tolist() == expected.y.tolist()
+        # One execution fewer per injected run.
+        assert oracle_runs - runs == config.injection_runs
 
 
 class TestXentryFramework:
