@@ -3,7 +3,7 @@
 Measures trials/sec on a fixed-seed workload shaped like the campaign's
 inner loop — capture a golden run, then execute a batch of injected trials
 against it — plus the per-trial state-reset cost (restore µs) and the
-golden-prefix fast-forward hit rate.  A machine-readable summary is written
+instructions settled without executing them.  A machine-readable summary is written
 to ``BENCH_machine.json`` next to this file (override with
 ``REPRO_BENCH_OUTPUT``).
 
@@ -15,7 +15,7 @@ so the timed region measures the steady state
 campaigns actually see (the translation cache is process-wide, and
 production pool workers fork with the blocks earlier workers compiled);
 the baselines were all re-measured through the same warm-up.  Three gates: the
-checkpoint/fast-forward work must hold ≥ 3× the interpreter-era baseline,
+trial hot path must hold ≥ 3× the interpreter-era baseline,
 the basic-block translation cache must hold ≥ 1.5× the pre-translation
 tree (plus carry > 50% of retired instructions, so the cache can't "pass"
 by staying cold), and lock-step twin batching must hold ≥ 2× the
@@ -47,7 +47,6 @@ N_GOLDENS = 6
 #: at this scale, so benchmarking at toy trial counts would measure
 #: compile overhead instead of the steady state campaigns actually see.
 TRIALS_PER_GOLDEN = scaled(800)
-LADDER_INTERVAL = 32
 
 #: trials/sec of this exact harness against the pre-change implementation
 #: (full-copy checkpoints, no resumable core, pre-optimization interpreter),
@@ -102,7 +101,7 @@ def _run_workload(hv: XenHypervisor):
         activation = Activation(
             vmer=reason.vmer, args=(8 + g, 1), domain_id=1, seq=g
         )
-        golden = capture_golden(hv, activation, ladder_interval=LADDER_INTERVAL)
+        golden = capture_golden(hv, activation)
         # Faults are drawn up front, so the trial set is the one the
         # baselines measured.
         faults = [
@@ -114,16 +113,16 @@ def _run_workload(hv: XenHypervisor):
 
 
 def _restore_microseconds(hv: XenHypervisor) -> float:
-    """Mean per-trial state-reset cost (copy-on-write restore)."""
+    """Mean per-trial state-reset cost (copy-on-write restore of the
+    pre-activation checkpoint, where every trial starts)."""
     activation = Activation(
         vmer=REGISTRY.by_name("mmu_update").vmer, args=(8, 1), domain_id=1, seq=0
     )
-    golden = capture_golden(hv, activation, ladder_interval=LADDER_INTERVAL)
-    rung = golden.ladder[len(golden.ladder) // 2]
+    golden = capture_golden(hv, activation)
     n = 200
     t0 = time.perf_counter()
     for _ in range(n):
-        hv.restore_machine(rung)
+        hv.restore(golden.checkpoint)
     return (time.perf_counter() - t0) / n * 1e6
 
 
@@ -159,10 +158,8 @@ def test_machine_trial_throughput():
         "n_trials": len(records),
         "elapsed_seconds": elapsed,
         "trials_per_sec": trials_per_sec,
-        "ladder_interval": LADDER_INTERVAL,
         "restore_microseconds": _restore_microseconds(hv),
         "fast_forward": {
-            "hit_rate": machine["fast_forwards"] / max(1, machine["trials"]),
             "instructions_skipped": machine["instructions_skipped"],
         },
         "translation": {
@@ -184,7 +181,6 @@ def test_machine_trial_throughput():
             "dead_rate": machine["dead_twins"] / max(1, machine["twins"]),
             "peel_rate": machine["peeled_twins"] / max(1, machine["twins"]),
             "synthesized_instructions": machine["synthesized_instructions"],
-            "read_ff_instructions": machine["read_ff_instructions"],
             "proved_hangs": machine["proved_hangs"],
             "proved_hang_instructions": machine["proved_hang_instructions"],
         },
@@ -216,9 +212,8 @@ def test_machine_trial_throughput():
     print(f"\nmachine trial throughput — {len(records)} trials, seed {SEED}")
     print(f"  trials/sec:        {trials_per_sec:10.1f}")
     print(f"  restore:           {summary['restore_microseconds']:10.2f} µs")
-    print(f"  fast-forward hits: {machine['fast_forwards']}/{machine['trials']} "
-          f"({summary['fast_forward']['hit_rate']:.0%}), "
-          f"{machine['instructions_skipped']:,} instructions skipped")
+    print(f"  skipped:           {machine['instructions_skipped']:,} instructions "
+          f"settled without executing them")
     tr = summary["translation"]
     print(f"  block cache:       {tr['blocks_compiled']} blocks compiled, "
           f"hit rate {tr['block_hit_rate']:.1%}")
@@ -261,6 +256,6 @@ def test_machine_trial_throughput():
         # The scan must actually settle twins, not just exist.
         assert summary["lockstep"]["dead_twins"] > 0
     # The optimization must never change the science: every trial still
-    # classifies, and the fast-forward path serves (nearly) all of them.
+    # classifies, and the counters account for every one of them.
     assert all(r.benchmark == "" for r in records)
-    assert machine["fast_forwards"] == machine["trials"] == len(records)
+    assert machine["trials"] == len(records)

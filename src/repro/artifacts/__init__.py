@@ -3,8 +3,8 @@
 Every golden group of a fault-injection campaign is a pure function of the
 digest-relevant subset of :class:`~repro.faults.campaign.CampaignConfig`
 and its ``(benchmark, group)`` coordinate, so its products — the
-:class:`~repro.faults.propagation.GoldenRun`, the checkpoint ladder, and
-the lock-step :class:`~repro.machine.lockstep.TwinPlan` — can be captured
+:class:`~repro.faults.propagation.GoldenRun` with its pre- and post-run
+checkpoints, and the lock-step :class:`~repro.machine.lockstep.TwinPlan` — can be captured
 once, stored by content address, and loaded by every later run; serial
 runs and pool workers read the same packs:
 

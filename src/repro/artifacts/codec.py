@@ -3,7 +3,7 @@
 One artifact holds everything a worker needs to run a golden group's trials
 without executing the fault-free twin: the :class:`GoldenRun` (result,
 outputs, pre- and post-run checkpoints, the follow-up results when a trial
-materialized them, checkpoint ladder) and the lock-step :class:`TwinPlan`
+materialized them) and the lock-step :class:`TwinPlan`
 lowered from its recorded address stream (absent when the group was
 captured with twin batching off; the stream itself is not stored).  The
 heap image is not stored either: the header records the heap's base and
@@ -19,11 +19,12 @@ Artifacts travel inside packs (:mod:`repro.artifacts.store`).  The layout::
 
 Two properties matter more than compactness:
 
-* **Deduplicated pages.**  Checkpoint-ladder rungs share almost every page
-  with their neighbours; pages are stored once and referenced by index, and
-  the decoder materializes one buffer per unique page *shared across every
-  checkpoint of the group* — restoring the copy-on-write structural sharing
-  :meth:`Memory.restore` exploits (its diff is by buffer identity).
+* **Deduplicated pages.**  Pages are stored once by content and referenced
+  by index: the post-run checkpoint repeats every page the activation left
+  clean or rewrote unchanged.  The decoder materializes one buffer per
+  unique page *shared by both checkpoints* — restoring the copy-on-write
+  structural sharing :meth:`Memory.restore` exploits (its diff is by buffer
+  identity).
 * **Mappable columns.**  TwinPlan position columns are raw little-endian
   int64 runs at 8-aligned offsets, so the decoder builds its arrays with
   ``np.frombuffer`` over the bytes read from the pack — zero-copy.
@@ -44,15 +45,9 @@ import numpy as np
 
 from repro.faults.propagation import GoldenRun
 from repro.hypervisor.image import MemoryMap
-from repro.hypervisor.xen import MachineCheckpoint
 from repro.machine.lockstep import TwinPlan
 from repro.machine.memory import PAGE_SIZE, MemoryCheckpoint
-from repro.persist import (
-    activation_result_from_dict,
-    activation_result_to_dict,
-    core_checkpoint_from_dict,
-    core_checkpoint_to_dict,
-)
+from repro.persist import activation_result_from_dict, activation_result_to_dict
 
 __all__ = [
     "ArtifactCorrupt",
@@ -65,8 +60,8 @@ __all__ = [
 
 #: Last byte is the binary-format version: bump it and every older reader
 #: treats the file as corrupt (fallback to live capture, never a misparse).
-MAGIC = b"XENTART\x03"
-CODEC_FORMAT = "xentry-artifact-v3"
+MAGIC = b"XENTART\x04"
+CODEC_FORMAT = "xentry-artifact-v4"
 _CHECKSUM_BYTES = 16
 
 _COLUMN_DTYPE = np.dtype("<i8")
@@ -143,13 +138,6 @@ def encode_group(digest: str, golden: GoldenRun, plan: TwinPlan | None) -> bytes
             "heap": [MemoryMap.heap_base, len(golden.heap_image)],
             "checkpoint": _pages_ref(golden.checkpoint.pages, writer),
             "after": _pages_ref(golden.after.pages, writer),
-            "ladder": [
-                {
-                    "core": core_checkpoint_to_dict(rung.core),
-                    "pages": _pages_ref(rung.memory.pages, writer),
-                }
-                for rung in golden.ladder
-            ],
         },
     }
     header["plan"] = None if plan is None else {
@@ -229,8 +217,8 @@ def decode_group(buf: bytes | memoryview, *, registry) -> ArtifactPayload:
                 raise ArtifactCorrupt(f"blob {blob_id} out of bounds")
             return blob_area[off : off + length]
 
-        # One buffer per unique page blob, shared across every checkpoint
-        # that references it (COW structural sharing survives the roundtrip).
+        # One buffer per unique page blob, shared by both checkpoints when
+        # they reference it (COW structural sharing survives the roundtrip).
         page_cache: dict[int, memoryview] = {}
 
         def pages_from(refs) -> dict[int, bytes]:
@@ -254,13 +242,6 @@ def decode_group(buf: bytes | memoryview, *, registry) -> ArtifactPayload:
             followups=None if g["followups"] is None else tuple(
                 activation_result_from_dict(f, registry=registry)
                 for f in g["followups"]
-            ),
-            ladder=tuple(
-                MachineCheckpoint(
-                    core=core_checkpoint_from_dict(rung["core"]),
-                    memory=MemoryCheckpoint(pages=pages_from(rung["pages"])),
-                )
-                for rung in g["ladder"]
             ),
         )
 

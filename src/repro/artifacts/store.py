@@ -1,7 +1,7 @@
 """Content-addressed on-disk store for golden-group artifacts, in packs.
 
 Every golden group of a campaign — the fault-free :class:`GoldenRun` with
-its checkpoint ladder, plus the lock-step :class:`TwinPlan` lowered from its
+its pre- and post-run checkpoints, plus the lock-step :class:`TwinPlan` lowered from its
 recorded address stream — is a pure function of the digest-relevant subset
 of :class:`~repro.faults.campaign.CampaignConfig`, the hypervisor image and
 the ``(benchmark, group)`` coordinates.  :func:`golden_digest` fingerprints
@@ -48,7 +48,7 @@ __all__ = ["GoldenStore", "PackWriter", "golden_digest", "image_identity"]
 #: Version tag of the digest payload; bump when the artifact *identity*
 #: changes (what a golden group depends on), independent of the binary
 #: format version in :mod:`repro.artifacts.codec`.
-DIGEST_FORMAT = "xentry-golden-v3"
+DIGEST_FORMAT = "xentry-golden-v4"
 
 #: Trailer magic; the last byte is the pack-format version.
 PACK_MAGIC = b"XENTPAK\x01"
@@ -93,8 +93,7 @@ def golden_digest(config: CampaignConfig, benchmark: str, group: int) -> str:
       array up front, so activation ``i`` depends on the total stream
       length, not just its prefix;
     * the group coordinate within that stream;
-    * ``ladder_interval`` (rung placement is part of the artifact) and
-      ``twin_batch`` (whether a :class:`TwinPlan` is captured);
+    * ``twin_batch`` (whether a :class:`TwinPlan` is captured);
     * the scenario payload when one is armed (workload overrides reshape
       the activation mix; the whole payload keys conservatively).
 
@@ -118,7 +117,6 @@ def golden_digest(config: CampaignConfig, benchmark: str, group: int) -> str:
         "warmup_activations": config.warmup_activations,
         "stride": geo.stride,
         "stream_length": geo.n_goldens * geo.stride,
-        "ladder_interval": config.ladder_interval,
         "twin_batch": config.twin_batch,
     }
     if config.scenario is not None:

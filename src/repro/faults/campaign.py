@@ -66,11 +66,6 @@ class CampaignConfig:
     #: continue to observe if it can be detected").
     followup_activations: int = 8
     fault_model: FaultModel = field(default_factory=FaultModel)
-    #: Dynamic-instruction spacing of the golden run's mid-run checkpoint
-    #: ladder; faulty runs fast-forward to the rung at-or-before their
-    #: injection index.  0 disables the ladder (every trial replays the whole
-    #: activation).  Excluded from the config digest: records are invariant.
-    ladder_interval: int = 32
     #: Execute through the basic-block translation cache (the interpreter
     #: remains the differential oracle; ``--no-translate`` forces it).
     #: Excluded from the config digest: records are invariant under it.
@@ -114,8 +109,6 @@ class CampaignConfig:
             raise CampaignConfigError("injections_per_golden must be positive")
         if self.followup_activations < 0:
             raise CampaignConfigError("followup_activations must be non-negative")
-        if self.ladder_interval < 0:
-            raise CampaignConfigError("ladder_interval must be non-negative")
         if not 0.0 <= self.recovery_hazard < 1.0:
             raise CampaignConfigError("recovery_hazard must be in [0, 1)")
         if self.recover is not None:
@@ -278,9 +271,7 @@ def run_benchmark_groups(
         def recover_hook(record: TrialRecord, index: int) -> TrialRecord:
             if not record.detected:
                 return record
-            return dataclasses.replace(
-                record, recovery=executor.recover(record, index)
-            )
+            return dataclasses.replace(record, recovery=executor.recover(index))
 
     # The activation stream is one bulk draw; regenerating it in full keeps
     # every slice's view of group g identical to the serial run's.
@@ -304,10 +295,7 @@ def run_benchmark_groups(
         else:
             hv.restore(aged_state)
             started = time.perf_counter()
-            golden = capture_golden(
-                hv, activation,
-                ladder_interval=config.ladder_interval, record=config.twin_batch,
-            )
+            golden = capture_golden(hv, activation, record=config.twin_batch)
             plan = trace_plan(hv.program, golden) if config.twin_batch else None
             COUNTERS.capture_seconds.inc(time.perf_counter() - started)
         lacked_followups = golden.followups is None

@@ -82,55 +82,28 @@ def run_trial(
     (a fatal exception, a failed assertion, or a transition-feature anomaly),
     with the detection latency accumulating across activations.
 
-    ``read_point`` (from the lock-step batch scan) asserts that the golden
-    run neither reads nor writes the flipped register between the injection
-    index and that dynamic index: the resume may then fast-forward to the
-    ladder rung at-or-before the *read point* and re-apply the flip to the
-    restored golden register value — bit-identical to flipping at the
-    injection index, but skipping the shared prefix.
+    ``read_point`` (from the lock-step batch scan) is the dynamic index of
+    the golden run's first read of the flipped register, with no access to
+    it between the injection index and there: the flip activates exactly
+    at that read.  The core settles the activation report from it instead
+    of watching the register, which keeps the whole window on the
+    translated path.
     """
     if golden is None:
         golden = capture_golden(hv, activation)
-    # Fast-forward: resume from the latest ladder rung at-or-before the
-    # injection index (or the scan-proven read point) instead of re-executing
-    # the golden prefix.  The flip cannot fire before the rung
-    # (rung.index <= dynamic_index) and the prefix is deterministic, so the
-    # faulty run is bit-identical either way.
-    rung = _start_from_ladder(
-        hv, golden, fault.dynamic_index if read_point is None else read_point
-    )
-    multibit = isinstance(fault, MultiBitFaultSpec)
-    if rung is not None and rung.index > fault.dynamic_index:
-        # Past the injection index: the register still holds its golden
-        # value here (the scan proved no access), so flip it now.
-        COUNTERS.read_point_skipped.inc(rung.index - fault.dynamic_index)
-        if multibit:
-            hv.cpu.arm_applied_flip_set(
-                fault.dynamic_index,
-                tuple((fault.register, b) for b in fault.bits),
-                known_activation=read_point,
-            )
-        else:
-            hv.cpu.arm_applied_flip(
-                fault.dynamic_index, fault.register, fault.bit,
-                known_activation=read_point,
-            )
+    hv.restore(golden.checkpoint)
+    COUNTERS.trials_replayed.inc()
+    if isinstance(fault, MultiBitFaultSpec):
+        hv.cpu.schedule_flip_set(
+            fault.dynamic_index,
+            tuple((fault.register, b) for b in fault.bits),
+            known_activation=read_point,
+        )
     else:
-        # ``read_point`` doubles as the analytically proven activation
-        # index (the golden trace's first post-flip access is a read
-        # there), letting the core skip the activation watch and keep the
-        # whole window on the translated path.
-        if multibit:
-            hv.cpu.schedule_flip_set(
-                fault.dynamic_index,
-                tuple((fault.register, b) for b in fault.bits),
-                known_activation=read_point,
-            )
-        else:
-            hv.cpu.schedule_register_flip(
-                fault.dynamic_index, fault.register, fault.bit,
-                known_activation=read_point,
-            )
+        hv.cpu.schedule_register_flip(
+            fault.dynamic_index, fault.register, fault.bit,
+            known_activation=read_point,
+        )
 
     def _activation_index() -> int:
         report = hv.cpu.injection_report
@@ -146,27 +119,7 @@ def run_trial(
         hv, activation, fault, golden,
         detector=detector, benchmark=benchmark, followups=followups,
         activation_index=_activation_index, activated=_activated,
-        resume=rung is not None,
     )
-
-
-def _start_from_ladder(hv: XenHypervisor, golden: GoldenRun, target: int):
-    """Restore the latest ladder rung at-or-before ``target`` — or, without
-    one, the pre-activation checkpoint — count how the trial started, and
-    return the rung (``None`` for the checkpoint)."""
-    rung = None
-    for candidate in golden.ladder:  # ascending by index
-        if candidate.index > target:
-            break
-        rung = candidate
-    if rung is None:
-        hv.restore(golden.checkpoint)
-        COUNTERS.trials_replayed.inc()
-    else:
-        hv.restore_machine(rung)
-        COUNTERS.trials_resumed.inc()
-        COUNTERS.skipped_by_rung.inc(rung.index)
-    return rung
 
 
 def trace_plan(program: Program, golden: GoldenRun) -> lockstep.TwinPlan:
@@ -230,7 +183,8 @@ def run_twin_batch(
     (:mod:`repro.machine.lockstep`): *dead* twins — flip overwritten
     before the next read, or never touched again — synthesize their
     non-activated record without executing; diverging twins peel into
-    :func:`run_trial`, fast-forwarded to their first-read point.  Record
+    :func:`run_trial`, which replays them from the checkpoint with their
+    activation settled at the first-read point.  Record
     order matches the ``faults`` order, and every record is bit-identical
     to what per-trial execution would produce.
 
@@ -258,8 +212,8 @@ def run_twin_batch(
     for index, fault in enumerate(faults):
         kind, read_point = _classify_spec_twin(plan, fault)
         if kind == lockstep.DEAD:
-            # The whole faulty run is provably golden: account it as a
-            # full-length fast-forward.
+            # The whole faulty run is provably golden: count all of it as
+            # skipped.
             COUNTERS.dead_twins.inc()
             COUNTERS.trials_synthesized.inc()
             COUNTERS.skipped_by_dead_twin.inc(golden.result.instructions)
@@ -317,8 +271,6 @@ def run_memory_trial(
     """
     if golden is None:
         golden = capture_golden(hv, activation)
-    # Memory faults are present from instruction 0, so there is no prefix to
-    # skip: always replay from the pre-run checkpoint.
     hv.restore(golden.checkpoint)
     COUNTERS.trials_replayed.inc()
     hv.cpu.clear_injection()
@@ -348,12 +300,11 @@ def run_burst_trial(
 
     A burst spans registers, so there is no single register to watch —
     activation is inferred from divergence, exactly like memory faults.
-    The ladder fast-forward to the rung at-or-before the storm index is
-    still sound: the shared prefix is fault-free either way.
     """
     if golden is None:
         golden = capture_golden(hv, activation)
-    rung = _start_from_ladder(hv, golden, fault.dynamic_index)
+    hv.restore(golden.checkpoint)
+    COUNTERS.trials_replayed.inc()
     hv.cpu.schedule_flip_set(fault.dynamic_index, fault.flips)
 
     return _execute_and_classify(
@@ -361,7 +312,6 @@ def run_burst_trial(
         detector=detector, benchmark=benchmark, followups=followups,
         activation_index=lambda: fault.dynamic_index,
         activated=None,  # inferred from divergence
-        resume=rung is not None,
     )
 
 
@@ -415,16 +365,11 @@ def _execute_and_classify(
     followups: tuple[Activation, ...],
     activation_index,
     activated,
-    resume: bool = False,
 ) -> TrialRecord:
-    """Run the prepared faulty activation and classify (shared trial core).
-
-    With ``resume=True`` the machine already sits at a restored mid-run
-    checkpoint, so only the activation's suffix executes.
-    """
+    """Run the prepared faulty activation and classify (shared trial core)."""
     _activation_index = activation_index
     try:
-        faulty = hv.resume_execution(activation) if resume else hv.execute(activation)
+        faulty = hv.execute(activation)
     except HardwareException as exc:
         verdict = classify_exception(exc)
         latency = max(0, hv.cpu.tracer.count - _activation_index())

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.faults.outcomes import FailureClass, UndetectedKind, most_severe
 from repro.hypervisor.layout import GLOBAL_OWNER, HypervisorLayout, Slot, ValueKind
-from repro.hypervisor.xen import ActivationResult, MachineCheckpoint, XenHypervisor
+from repro.hypervisor.xen import ActivationResult, XenHypervisor
 from repro.machine.memory import MemoryCheckpoint
 from repro.metrics import COUNTERS
 
@@ -73,10 +73,6 @@ class GoldenRun:
     after: MemoryCheckpoint
     #: ``None`` until materialized; then one result per follow-up activation.
     followups: tuple[ActivationResult, ...] | None = None
-    #: Mid-run machine checkpoints every ``ladder_interval`` instructions
-    #: (ascending by index, rung 0 at instruction 0).  Empty when the golden
-    #: run was captured without a ladder.
-    ladder: tuple[MachineCheckpoint, ...] = ()
     #: Per-retirement address stream of the injected activation (not its
     #: follow-ups), recorded while it executed; what the lock-step batch
     #: lowers into its TwinPlan.  Empty when captured without recording or
@@ -88,37 +84,27 @@ def capture_golden(
     hv: XenHypervisor,
     activation,
     *,
-    ladder_interval: int = 0,
     record: bool = True,
 ) -> GoldenRun:
     """Run ``activation`` fault-free and keep what trials compare against.
 
-    The pre-run checkpoint is taken first so the faulty twin can be replayed
-    from the identical machine state, and the post-run one (``after``) last,
-    so the follow-up stream can be executed later, only if a trial needs it
-    (:func:`materialize_followups`).  A positive ``ladder_interval``
-    additionally captures a mid-run machine checkpoint every that many
-    dynamic instructions, letting :func:`~repro.faults.injector.run_trial`
-    fast-forward the faulty twin to the rung at-or-before its injection
-    index instead of re-executing the whole golden prefix.
+    The pre-run checkpoint is taken first so every faulty twin can be
+    replayed from the identical machine state, and the post-run one
+    (``after``) last, so the follow-up stream can be executed later, only
+    if a trial needs it (:func:`materialize_followups`).
 
     With ``record`` the activation runs under the full tracer and the run
     keeps its own address stream (``GoldenRun.trace``), so one execution
-    yields the features, the ladder and the input of
+    yields both the features and the input of
     :func:`~repro.faults.injector.trace_plan`.  Recording is an
-    observation: results, outputs, heap image and rungs are identical
-    either way.
+    observation: results, outputs and heap image are identical either way.
     """
     checkpoint = hv.checkpoint()
     tracer = hv.cpu.tracer
     light = tracer.light
     tracer.light = not record
     try:
-        if ladder_interval > 0:
-            result, ladder = hv.execute_with_ladder(activation, interval=ladder_interval)
-        else:
-            result = hv.execute(activation)
-            ladder = ()
+        result = hv.execute(activation)
         trace = tuple(tracer.addresses) if record else ()
     finally:
         tracer.light = light
@@ -129,7 +115,6 @@ def capture_golden(
         heap_image=hv.memory.snapshot_region(heap),
         checkpoint=checkpoint,
         after=hv.checkpoint(),
-        ladder=ladder,
         trace=trace,
     )
 

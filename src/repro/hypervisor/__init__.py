@@ -43,7 +43,6 @@ from repro.hypervisor.vmexit import (
 from repro.hypervisor.xen import (
     Activation,
     ActivationResult,
-    MachineCheckpoint,
     TransitionInterceptor,
     XenHypervisor,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "Hardening",
     "HypervisorLayout",
     "ImageBuilder",
-    "MachineCheckpoint",
     "MemoryMap",
     "OutputRef",
     "REGISTRY",

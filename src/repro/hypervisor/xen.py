@@ -25,7 +25,7 @@ from repro.hypervisor.handlers.registry import Hardening, build_handler_table
 from repro.hypervisor.image import ImageBuilder, MemoryMap
 from repro.hypervisor.layout import HypervisorLayout, Slot
 from repro.hypervisor.vmexit import ExitReason, ExitReasonRegistry, REGISTRY
-from repro.machine.cpu import CoreCheckpoint, CPUCore, ExecutionResult
+from repro.machine.cpu import CPUCore, ExecutionResult
 from repro.machine.isa import Op, Program
 from repro.machine.memory import MemoryCheckpoint
 from repro.machine.perfcounters import CounterSample
@@ -35,7 +35,6 @@ __all__ = [
     "Activation",
     "ActivationResult",
     "BootImage",
-    "MachineCheckpoint",
     "TransitionInterceptor",
     "XenHypervisor",
     "boot_image",
@@ -104,26 +103,6 @@ class ActivationResult:
             self.sample.loads,
             self.sample.stores,
         )
-
-
-@dataclass(frozen=True)
-class MachineCheckpoint:
-    """Full machine state at a mid-activation instruction boundary.
-
-    Pairs one core's :class:`CoreCheckpoint` with a copy-on-write
-    :class:`MemoryCheckpoint`; restoring both and calling
-    :meth:`XenHypervisor.resume_execution` continues the activation
-    bit-identically to an uninterrupted run.  This is the rung type of the
-    golden run's fast-forward ladder.
-    """
-
-    core: CoreCheckpoint
-    memory: MemoryCheckpoint
-
-    @property
-    def index(self) -> int:
-        """Dynamic instruction index (instructions retired before this point)."""
-        return self.core.index
 
 
 @dataclass(frozen=True)
@@ -285,18 +264,6 @@ class XenHypervisor:
     def restore(self, snapshot: MemoryCheckpoint) -> None:
         self.memory.restore(snapshot)
 
-    def capture_machine(self, *, core_id: int = 0) -> MachineCheckpoint:
-        """Capture memory plus one core's state at an instruction boundary."""
-        return MachineCheckpoint(
-            core=self.cores[core_id].checkpoint_core(),
-            memory=self.memory.checkpoint(),
-        )
-
-    def restore_machine(self, checkpoint: MachineCheckpoint, *, core_id: int = 0) -> None:
-        """Restore a :meth:`capture_machine` snapshot, ready to resume."""
-        self.memory.restore(checkpoint.memory)
-        self.cores[core_id].restore_core(checkpoint.core)
-
     # -- activation execution ----------------------------------------------------------
 
     def prepare(self, activation: Activation, *, core_id: int = 0) -> None:
@@ -375,94 +342,16 @@ class XenHypervisor:
             interceptor.on_vm_entry(self, activation, result)
         return result
 
-    def execute_with_ladder(
-        self,
-        activation: Activation,
-        *,
-        interval: int,
-        interceptor: TransitionInterceptor | None = None,
-        max_instructions: int | None = None,
-        core_id: int = 0,
-    ) -> tuple[ActivationResult, tuple[MachineCheckpoint, ...]]:
-        """Run one activation like :meth:`execute`, capturing a ladder of
-        machine checkpoints every ``interval`` dynamic instructions.
+    # Read by perfbench/spans.py, which wraps these three names; nothing in
+    # the program calls them.
+    def execute_with_ladder(self, *args, **kwargs):
+        raise NotImplementedError
 
-        The first rung sits at index 0 (post-:meth:`prepare`, pre-first
-        instruction), so resuming from a rung skips activation preparation
-        entirely.  The executed run is bit-identical to :meth:`execute` —
-        checkpoints are captured at instruction boundaries between resume
-        slices and never perturb architectural state.
-        """
-        if interval <= 0:
-            raise MachineConfigError("ladder interval must be positive")
-        reason = self.registry.by_vmer(activation.vmer)
-        core = self.cores[core_id]
-        self.prepare(activation, core_id=core_id)
-        if interceptor is not None:
-            interceptor.on_vm_exit(self, activation)
-        core.tracer.reset()
-        core.pmu.arm()
-        entry = self.program.address_of(reason.handler_label)
-        budget = max_instructions or self.max_instructions
-        core.begin(entry)
-        ladder: list[MachineCheckpoint] = []
-        mark = 0
-        while True:
-            exec_result = core.resume(self.program, max_instructions=budget, stop_at=mark)
-            if exec_result is not None:
-                break
-            ladder.append(self.capture_machine(core_id=core_id))
-            mark += interval
-        sample = core.pmu.collect()
-        result = ActivationResult(
-            activation=activation,
-            reason=reason,
-            exit_op=exec_result.exit_op,
-            instructions=exec_result.instructions,
-            path_hash=exec_result.path_hash,
-            sample=sample,
-            tsc_end=exec_result.tsc_end,
-        )
-        if interceptor is not None:
-            interceptor.on_vm_entry(self, activation, result)
-        return result, tuple(ladder)
+    def resume_execution(self, *args, **kwargs):
+        raise NotImplementedError
 
-    def resume_execution(
-        self,
-        activation: Activation,
-        *,
-        interceptor: TransitionInterceptor | None = None,
-        max_instructions: int | None = None,
-        core_id: int = 0,
-    ) -> ActivationResult:
-        """Finish an activation from a restored mid-run machine checkpoint.
-
-        The fast-forward counterpart of :meth:`execute`: preparation, tracer
-        reset and counter arming already happened before the checkpoint was
-        captured (and were restored with it), so only the remaining suffix of
-        the activation executes.  Simulated architectural events propagate
-        exactly as from :meth:`execute`.
-        """
-        reason = self.registry.by_vmer(activation.vmer)
-        core = self.cores[core_id]
-        exec_result = core.resume(
-            self.program,
-            max_instructions=max_instructions or self.max_instructions,
-        )
-        assert exec_result is not None  # no stop_at: runs to a terminator
-        sample = core.pmu.collect()
-        result = ActivationResult(
-            activation=activation,
-            reason=reason,
-            exit_op=exec_result.exit_op,
-            instructions=exec_result.instructions,
-            path_hash=exec_result.path_hash,
-            sample=sample,
-            tsc_end=exec_result.tsc_end,
-        )
-        if interceptor is not None:
-            interceptor.on_vm_entry(self, activation, result)
-        return result
+    def restore_machine(self, *args, **kwargs):
+        raise NotImplementedError
 
     # -- guest-visible outputs ------------------------------------------------------
 

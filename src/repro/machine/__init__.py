@@ -8,7 +8,6 @@ architectural behaviour rather than sampled outcomes.
 
 from repro.machine.assembler import Assembler, parse_asm
 from repro.machine.cpu import (
-    CoreCheckpoint,
     CPUCore,
     DEFAULT_CPUID_TABLE,
     ExecutionResult,
@@ -60,7 +59,6 @@ __all__ = [
     "CACHE",
     "CONDITION_CODES",
     "CPUCore",
-    "CoreCheckpoint",
     "CounterSample",
     "DEFAULT_CPUID_TABLE",
     "Event",

@@ -45,7 +45,6 @@ from repro.metrics import COUNTERS
 
 __all__ = [
     "CPUCore",
-    "CoreCheckpoint",
     "ExecutionResult",
     "InjectionReport",
     "instr_register_accesses",
@@ -222,27 +221,6 @@ class InjectionReport:
 
 
 @dataclass(frozen=True)
-class CoreCheckpoint:
-    """Mid-run architectural state of one core, captured at an instruction
-    boundary (``index`` instructions retired, RIP holding the next fetch).
-
-    Together with a memory checkpoint this is everything needed to resume
-    execution bit-identically: registers, PMU totals and collection window,
-    tracer count and path hash, TSC, and the assertion-check tally.
-    Injection state is deliberately excluded — the injector re-arms after
-    restoring — and so is the tracer's address log (an observation, not
-    state: a rung never grows with the stream).
-    """
-
-    index: int
-    regs: tuple[int, ...]
-    pmu: tuple
-    tracer: tuple[int, int]
-    tsc: int
-    assert_checks: int
-
-
-@dataclass(frozen=True)
 class ExecutionResult:
     """Outcome of one host-mode execution that ran to a terminator."""
 
@@ -405,104 +383,6 @@ class CPUCore:
         self._activated = None
         self._activation_index = None
 
-    def arm_applied_flip_set(
-        self,
-        dynamic_index: int,
-        flips: tuple[tuple[str, int], ...],
-        *,
-        known_activation: int | None = None,
-    ) -> None:
-        """Apply a single-register flip set *now* (resume-side twin of
-        :meth:`schedule_flip_set`, mirroring :meth:`arm_applied_flip`).
-
-        Only legal for sets confined to one register: the lock-step scan's
-        no-access proof is per register, so a multi-register burst cannot
-        soundly fast-forward past its injection index this way.
-        """
-        flips = tuple(flips)
-        if not flips:
-            raise MachineConfigError("flip set must not be empty")
-        registers = {register for register, _ in flips}
-        if len(registers) != 1:
-            raise MachineConfigError(
-                "arm_applied_flip_set needs a single-register flip set"
-            )
-        register = flips[0][0]
-        reg_index = RegisterFile.index_of(register)
-        for _, bit in flips:
-            if not 0 <= bit < 64:
-                raise MachineConfigError(f"bit index {bit} outside [0, 64)")
-        if dynamic_index < 0:
-            raise MachineConfigError("dynamic_index must be non-negative")
-        self._inj_index = dynamic_index
-        self._inj_reg = register
-        self._inj_bit = flips[0][1]
-        self._inj_flips = flips
-        self._inj_applied = True
-        self._inj_known = None
-        self._activated = None
-        self._activation_index = None
-        for _, bit in flips:
-            self.regs.flip_bit(register, bit)
-        if reg_index == _RIP:
-            self._activated = True
-            self._activation_index = dynamic_index
-            self._watch_reg = None
-        elif known_activation is not None:
-            self._activated = True
-            self._activation_index = known_activation
-            self._watch_reg = None
-        else:
-            self._watch_reg = reg_index
-
-    def arm_applied_flip(
-        self,
-        dynamic_index: int,
-        register: str,
-        bit: int,
-        *,
-        known_activation: int | None = None,
-    ) -> None:
-        """Apply a flip *now* and arm only the activation watch.
-
-        Resume-side twin of :meth:`schedule_register_flip` for the
-        lock-step peel path: when the golden prefix provably never
-        touches ``register`` between the injection index and the restore
-        point, flipping the restored (golden) value is bit-identical to
-        having flipped it at ``dynamic_index`` — so the injector may
-        fast-forward past the injection and re-apply the flip here.  The
-        report carries the original ``dynamic_index``.
-
-        With ``known_activation`` the watch is not armed at all: the
-        golden trace already proved the first access is a read at that
-        index, so the report is settled analytically and the run stays
-        eligible for translated execution throughout.
-        """
-        reg_index = RegisterFile.index_of(register)
-        if not 0 <= bit < 64:
-            raise MachineConfigError(f"bit index {bit} outside [0, 64)")
-        if dynamic_index < 0:
-            raise MachineConfigError("dynamic_index must be non-negative")
-        self._inj_index = dynamic_index
-        self._inj_reg = register
-        self._inj_bit = bit
-        self._inj_flips = None
-        self._inj_applied = True
-        self._inj_known = None
-        self._activated = None
-        self._activation_index = None
-        self.regs.flip_bit(register, bit)
-        if reg_index == _RIP:
-            self._activated = True
-            self._activation_index = dynamic_index
-            self._watch_reg = None
-        elif known_activation is not None:
-            self._activated = True
-            self._activation_index = known_activation
-            self._watch_reg = None
-        else:
-            self._watch_reg = reg_index
-
     def clear_injection(self) -> None:
         """Disarm any scheduled fault."""
         self._inj_index = None
@@ -600,39 +480,7 @@ class CPUCore:
             self._activated = False
             self._watch_reg = None
 
-    # -- checkpointing --------------------------------------------------------
-
-    def checkpoint_core(self) -> CoreCheckpoint:
-        """Capture the core's architectural state at the current instruction
-        boundary (valid between :meth:`resume` slices or after a run)."""
-        return CoreCheckpoint(
-            index=self.tracer.count,
-            regs=self.regs.snapshot(),
-            pmu=self.pmu.snapshot(),
-            tracer=self.tracer.snapshot(),
-            tsc=self.tsc,
-            assert_checks=self._assert_checks,
-        )
-
-    def restore_core(self, checkpoint: CoreCheckpoint) -> None:
-        """Restore state captured by :meth:`checkpoint_core`.
-
-        Injection state is untouched; callers arming a fault do so *after*
-        restoring (as :meth:`schedule_register_flip` fully re-initializes it).
-        """
-        self.regs.restore(checkpoint.regs)
-        self.pmu.restore(checkpoint.pmu)
-        self.tracer.restore(checkpoint.tracer)
-        self.tsc = checkpoint.tsc
-        self._assert_checks = checkpoint.assert_checks
-
     # -- execution ------------------------------------------------------------
-
-    def begin(self, entry: int) -> None:
-        """Position the core at ``entry`` with a fresh assertion tally,
-        ready for :meth:`resume`.  ``run`` == ``begin`` + drain."""
-        self.regs.write_index(_RIP, entry)
-        self._assert_checks = 0
 
     def run(
         self,
@@ -647,32 +495,11 @@ class CPUCore:
         simulated architectural events and :class:`SimulationLimitExceeded`
         when the watchdog budget is exhausted (a modeled hang).
         """
-        self.begin(entry)
-        result = self._dispatch(program, max_instructions, None)
-        assert result is not None  # stop_at=None always drains to a terminator
-        return result
+        self.regs.write_index(_RIP, entry)
+        self._assert_checks = 0
+        return self._dispatch(program, max_instructions)
 
-    def resume(
-        self,
-        program: Program,
-        *,
-        max_instructions: int = 200_000,
-        stop_at: int | None = None,
-    ) -> ExecutionResult | None:
-        """Continue execution from the current architectural state.
-
-        With ``stop_at``, execution pauses *before* dynamic instruction index
-        ``stop_at`` retires and returns ``None`` — the core then sits at an
-        instruction boundary suitable for :meth:`checkpoint_core`.  Without
-        it, runs to a terminator exactly like :meth:`run` (the watchdog
-        budget is absolute, measured against the tracer's total count, so a
-        resumed run behaves bit-identically to an uninterrupted one).
-        """
-        return self._dispatch(program, max_instructions, stop_at)
-
-    def _dispatch(
-        self, program: Program, budget: int, stop_at: int | None
-    ) -> ExecutionResult | None:
+    def _dispatch(self, program: Program, budget: int) -> ExecutionResult:
         # Hot loop: every per-iteration attribute load that cannot change
         # mid-run is hoisted into a local, and the per-instruction machine
         # state (dynamic count, path hash, PMU inst/branch totals, TSC) is
@@ -702,19 +529,16 @@ class CPUCore:
         inj_index = self._inj_index
         injecting = inj_index is not None and not self._inj_applied
         watching = self._watch_reg is not None
-        # Single hot-loop comparison: pausing (ladder checkpoint) and the
-        # watchdog budget share one threshold; the slow path disambiguates,
+        # Single hot-loop comparison: the watchdog budget and the runaway-loop
+        # probe's next stop share one threshold; the slow path disambiguates,
         # with the budget raise winning when both trip at the same count.
-        pause = budget if stop_at is None or stop_at > budget else stop_at
-        # Runaway-loop probe (repro.machine.loopproof): armed only for
-        # full-budget runs with light tracing — ladder slices observe
-        # mid-run state and a full trace logs every retired address, so
-        # both must execute concretely.  The probe shares the loop-top ``pause``
-        # comparison; ``real_pause`` keeps the genuine stop threshold.
-        real_pause = pause
+        pause = budget
+        # Runaway-loop probe (repro.machine.loopproof): armed only with
+        # light tracing — a full trace logs every retired address, so it
+        # must execute concretely.
         probe_state = (
             1
-            if self.loop_proof and stop_at is None and light and enabled
+            if self.loop_proof and light and enabled
             and pause > _PROBE_AT + tracer.count
             else 0
         )
@@ -798,10 +622,8 @@ class CPUCore:
                 if count >= pause:
                     if count >= budget:
                         raise SimulationLimitExceeded(budget)
-                    if not probe_state:
-                        return None
                     # -- runaway-loop probe state machine (count < budget,
-                    # so this trip belongs to the probe, not the caller) --
+                    # so this trip belongs to the probe) --
                     advanced = False
                     if probe_state == 1:
                         # Suspicion threshold: start recording a window of
@@ -811,7 +633,7 @@ class CPUCore:
                         if not injecting and not watching:
                             probe_hist = []
                             probe_state = 2
-                            pause = min(real_pause, count + _PROBE_WINDOW)
+                            pause = min(budget, count + _PROBE_WINDOW)
                             advanced = True
                     elif probe_state == 2:
                         # Window complete (unless a bulk retire overshot
@@ -834,24 +656,24 @@ class CPUCore:
                                 if rot == 0:
                                     probe_s0 = rvals[:]
                                     probe_state = 4
-                                    pause = min(real_pause, count + probe_p)
+                                    pause = min(budget, count + probe_p)
                                 else:
                                     probe_state = 3
-                                    pause = min(real_pause, count + rot)
+                                    pause = min(budget, count + rot)
                                 advanced = True
                     elif probe_state == 3:
                         # Rotated to the anchor: snapshot S0.
                         if count == pause and rvals[i_rip] == probe_anchor:
                             probe_s0 = rvals[:]
                             probe_state = 4
-                            pause = min(real_pause, count + probe_p)
+                            pause = min(budget, count + probe_p)
                             advanced = True
                     elif probe_state == 4:
                         # One real period later: snapshot S1.
                         if count == pause and rvals[i_rip] == probe_anchor:
                             probe_s1 = rvals[:]
                             probe_state = 5
-                            pause = min(real_pause, count + probe_p)
+                            pause = min(budget, count + probe_p)
                             advanced = True
                     else:  # probe_state == 5: S2 — deltas, then the proof.
                         if count == pause and rvals[i_rip] == probe_anchor:
@@ -887,10 +709,10 @@ class CPUCore:
                         probe_hist = None
                         if probe_attempts >= _PROBE_MAX_ATTEMPTS:
                             probe_state = 0
-                            pause = real_pause
+                            pause = budget
                         else:
                             probe_state = 1
-                            pause = min(real_pause, count + _PROBE_RETRY)
+                            pause = min(budget, count + _PROBE_RETRY)
                     block_limit = (
                         inj_index if injecting and inj_index < pause else pause
                     )

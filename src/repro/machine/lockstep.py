@@ -22,11 +22,10 @@ divergence point then falls out analytically instead of by execution:
   diverge from the golden one, so its trial record is synthesized
   without executing a single instruction;
 * a twin whose register is **read first** diverges there: it peels off
-  into the per-trial path.  The peel resumes from the golden ladder
-  rung at-or-before the *read point*, not merely the injection index —
-  the prefix up to the first read is bit-identical to golden except
-  for the flipped bit itself, which the injector re-applies to the
-  restored rung (:meth:`CPUCore.arm_applied_flip`).
+  into the per-trial path, which replays it from the pre-activation
+  checkpoint.  The first read is the *read point*: the flip activates
+  exactly there, so the injector hands it to the core as the known
+  activation index and the run needs no activation watch.
 
 RIP and RFLAGS flips always peel (control is consumed on the very next
 fetch / flags have implicit readers), as do injection indices at or
@@ -185,8 +184,8 @@ def classify_twin(
     twin from the golden column (synthesize the non-activated record),
     or ``(PEEL, read_point)`` when it must execute per-trial —
     ``read_point`` is the dynamic index of the first golden read of the
-    flipped register (a resume hint: state before it is golden except
-    the flipped bit), or ``None`` when the scan cannot bound it.
+    flipped register (where the flip activates), or ``None`` when the
+    scan cannot bound it.
     """
     reg = RegisterFile.index_of(register)
     if reg == _RIP or reg == _RFLAGS:

@@ -100,8 +100,8 @@ class MemoryCheckpoint:
     diff O(pages touched) instead of O(pages mapped).
 
     Checkpoints are logically immutable values; equality compares page
-    contents (two checkpoints of identical machine states are equal even if
-    captured on different ladders).
+    contents (two checkpoints of identical machine states are equal whatever
+    their capture epochs).
     """
 
     pages: dict[int, bytes]
@@ -326,7 +326,7 @@ class Memory:
             offset += chunk
         return bytes(out)
 
-    # -- checkpointing (golden/faulty run pairs, mid-run ladders) --------------
+    # -- checkpointing (golden/faulty run pairs) --------------------------------
 
     def checkpoint(self) -> MemoryCheckpoint:
         """Capture the current contents of all materialized pages (COW).

@@ -111,14 +111,6 @@ class PerformanceCounterUnit:
         self._armed = False
         return sample
 
-    def snapshot(self) -> tuple:
-        """Capture counter state (totals + window) for a mid-run checkpoint."""
-        return (self._inst, self._br, self._loads, self._stores, self._armed, self._base)
-
-    def restore(self, snap: tuple) -> None:
-        """Restore state captured by :meth:`snapshot`."""
-        self._inst, self._br, self._loads, self._stores, self._armed, self._base = snap
-
     def totals(self) -> CounterSample:
         """Free-running totals since construction (for utilization accounting)."""
         return CounterSample(self._inst, self._br, self._loads, self._stores)

@@ -16,9 +16,7 @@ be slow and memory-hungry, so the tracer supports a ``light`` mode recording
 only the dynamic count plus an order-sensitive path hash.  Full mode appends
 every retired address to :attr:`Tracer.addresses` — the golden run records
 its own stream this way, on the translated path, and the lock-step batch
-lowers it (:func:`repro.machine.lockstep.build_plan`).  The address log is
-an observation, not machine state: :meth:`Tracer.snapshot` keeps the count
-and path hash only, so checkpoints never grow with the stream.
+lowers it (:func:`repro.machine.lockstep.build_plan`).
 """
 
 from __future__ import annotations
@@ -73,21 +71,6 @@ class Tracer:
     def reset(self) -> None:
         self.count = 0
         self.path_hash = _FNV_OFFSET
-        self.addresses.clear()
-
-    def snapshot(self) -> tuple[int, int]:
-        """Capture trace state for a mid-run core checkpoint: the count and
-        path hash (the address log is not part of it)."""
-        return (self.count, self.path_hash)
-
-    def restore(self, snap: tuple[int, int]) -> None:
-        """Restore state captured by :meth:`snapshot`.
-
-        The address log restarts empty: it observes the execution since the
-        last reset, and a restored core has not executed that prefix.
-        """
-        self.count = snap[0]
-        self.path_hash = snap[1]
         self.addresses.clear()
 
     def same_path(self, other: "Tracer") -> bool:

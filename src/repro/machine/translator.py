@@ -42,9 +42,9 @@ dispatched :data:`COMPILE_THRESHOLD` times, so one-off entry points (every
 injection index creates one) never pay the compile cost.
 
 Compiled traces are shared process-wide through :data:`CACHE`, keyed by
-``(text digest, entry address)`` — all trials of a golden group, every
-``resume_execution`` rung, and even separate :class:`XenHypervisor`
-instances with identical images reuse one compiled set.  Pool workers
+``(text digest, entry address)`` — all trials of a golden group, and even
+separate :class:`XenHypervisor` instances with identical images, reuse one
+compiled set.  Pool workers
 inherit the set of the process that forked them, which compiles the entries
 its earlier workers reported before each fork (:meth:`TranslationCache.adopt`).
 """
@@ -87,8 +87,9 @@ __all__ = [
 ]
 
 #: Longest trace compiled into one closure.  Bounds generated source size
-#: and keeps traces enterable between ladder checkpoints (the dispatch loop
-#: only enters a trace whose longest path finishes before the next stop).
+#: and keeps traces enterable close to the dispatch loop's stops (it only
+#: enters a trace whose longest path finishes before the next one: a pending
+#: injection, a loop-probe window, or the watchdog budget).
 MAX_BLOCK_INSTRUCTIONS = 64
 
 #: Dispatches of an entry before it compiles.  Golden paths cross this

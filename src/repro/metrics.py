@@ -8,8 +8,8 @@ Prometheus text exposition (version 0.0.4), collected in a
 layer).
 
 Everything a campaign counts about its own work — instructions by execution
-path, translation blocks, lock-step twins, ladder fast-forwards, proved
-hangs, golden artifact lookups — is a child of :data:`COUNTERS`, this
+path, translation blocks, lock-step twins, trials, skipped instructions,
+proved hangs, golden artifact lookups — is a child of :data:`COUNTERS`, this
 process's :class:`CampaignCounters`, which binds every labeled child once,
 as an attribute, so an increment is one ``Child.inc`` and never a
 ``.labels()`` lookup.  Work is attributed by difference: :func:`counted`
@@ -279,18 +279,13 @@ class CampaignCounters:
         self.blocks_prefork = stage.labels(stage="prefork")
         start = r.counter("repro_trials_total",
                           "Faulty trials, by how their run started: synthesized (dead "
-                          "twins), from a ladder rung, or from the checkpoint.", ("start",))
+                          "twins) or from the checkpoint.", ("start",))
         self.trials_synthesized = start.labels(start="synthesized")
-        self.trials_resumed = start.labels(start="rung")
         self.trials_replayed = start.labels(start="checkpoint")
         by = r.counter("repro_instructions_skipped_total",
                        "Instructions settled without executing them.", ("by",))
-        self.skipped_by_rung = by.labels(by="rung")
         self.skipped_by_dead_twin = by.labels(by="dead_twin")
         self.skipped_by_proof = by.labels(by="loop_proof")
-        self.read_point_skipped = r.counter(
-            "repro_read_point_skipped_total",
-            "Rung-skipped instructions past the injection index.").labels()
         self.proved_hangs = r.counter(
             "repro_proved_hangs_total", "Watchdog kills proved, not executed.").labels()
         self.twin_batches = r.counter(
@@ -336,12 +331,10 @@ class CampaignCounters:
         with the block-cache hit rate and the translated share derived."""
         translated, interpreted = self.translated.value, self.interpreted.value
         executions, compiled = self.block_executions.value, self.blocks_compiled.value
-        synthesized, resumed = self.trials_synthesized.value, self.trials_resumed.value
         dead_skipped = self.skipped_by_dead_twin.value
         return {
-            "trials": synthesized + resumed + self.trials_replayed.value,
-            "fast_forwards": synthesized + resumed,
-            "instructions_skipped": self.skipped_by_rung.value + dead_skipped,
+            "trials": self.trials_synthesized.value + self.trials_replayed.value,
+            "instructions_skipped": dead_skipped,
             "proved_hangs": self.proved_hangs.value,
             "proved_hang_instructions": self.skipped_by_proof.value,
             "translated_instructions": translated,
@@ -355,7 +348,6 @@ class CampaignCounters:
             "dead_twins": self.dead_twins.value,
             "peeled_twins": self.peeled_twins.value,
             "synthesized_instructions": dead_skipped,
-            "read_ff_instructions": self.read_point_skipped.value,
             "block_hit_rate": (
                 (executions - compiled) / executions if executions > compiled else 0.0
             ),

@@ -14,7 +14,7 @@ system, and each gets a stable on-disk format:
 
 A fifth kind, the **golden artifact** (:mod:`repro.artifacts`), is binary
 (checkpoint pages and numpy columns dominate it), but its structured rim —
-activations, activation results, core checkpoints — round-trips through the
+activations and activation results — round-trips through the
 JSON codecs below, so the artifact header stays greppable and the binary
 layer stays a pure blob index.
 """
@@ -60,8 +60,6 @@ __all__ = [
     "activation_from_dict",
     "activation_result_to_dict",
     "activation_result_from_dict",
-    "core_checkpoint_to_dict",
-    "core_checkpoint_from_dict",
 ]
 
 _RULES_FORMAT = "xentry-rules-v1"
@@ -419,35 +417,6 @@ def activation_result_from_dict(data: dict, *, registry):
         path_hash=data["path_hash"],
         sample=CounterSample(*data["sample"]),
         tsc_end=data["tsc_end"],
-    )
-
-
-def core_checkpoint_to_dict(core) -> dict:
-    """Serialize a :class:`~repro.machine.cpu.CoreCheckpoint` (all scalars)."""
-    return {
-        "index": core.index,
-        "regs": list(core.regs),
-        "pmu": list(core.pmu),
-        "tracer": list(core.tracer),
-        "tsc": core.tsc,
-        "assert_checks": core.assert_checks,
-    }
-
-
-def core_checkpoint_from_dict(data: dict):
-    """Rebuild a core checkpoint serialized by :func:`core_checkpoint_to_dict`."""
-    from repro.machine.cpu import CoreCheckpoint
-
-    count, path_hash = data["tracer"]
-    return CoreCheckpoint(
-        index=data["index"],
-        regs=tuple(data["regs"]),
-        # The PMU snapshot nests one tuple (the collection-window base);
-        # JSON round-trips it as a list, so re-tuple recursively.
-        pmu=tuple(tuple(x) if isinstance(x, list) else x for x in data["pmu"]),
-        tracer=(count, path_hash),
-        tsc=data["tsc"],
-        assert_checks=data["assert_checks"],
     )
 
 

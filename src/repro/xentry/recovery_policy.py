@@ -9,11 +9,10 @@ the paper's per-activation restore-and-re-execute to whole-machine recovery:
 * ``REEXECUTE`` — the Section VI scheme: restore the per-VM-exit critical
   copy (every layout slot), drop the transient, re-initiate the hypervisor
   execution.  Cheap, but blind to corruption outside the critical copy.
-* ``MICROREBOOT`` — ReHype-style: restore the nearest golden-prefix
-  :class:`~repro.hypervisor.xen.MachineCheckpoint` rung *before* the fault
-  fired (rungs past the injection are untrusted) and replay the activation's
-  suffix.  Whole-machine state rolls back, guest-visible state stays live in
-  the checkpoint, and the replay is bit-identical to the golden run.
+* ``MICROREBOOT`` — ReHype-style: roll the whole machine back to the clean
+  pre-activation checkpoint (``GoldenRun.checkpoint``) and replay the whole
+  activation.  Guest-visible state stays live in the checkpoint, and the
+  replay is bit-identical to the golden run.
 * ``QUARANTINE_VM`` — squash the poisoned activation: roll back to the
   pre-activation state, skip the activation, and quarantine the domain.  The
   machine survives; the activation's effects are sacrificed.
@@ -205,7 +204,7 @@ class RecoveryExecutor:
         self._critical = critical if critical is not None else self.snapshot_critical()
 
     def begin_group(self, group: int, activation, golden) -> None:
-        """Bind one golden group's artifacts (activation, golden run, rung ladder)."""
+        """Bind one golden group's activation and golden run."""
         self._group = group
         self._activation = activation
         self._golden = golden
@@ -213,7 +212,7 @@ class RecoveryExecutor:
 
     # -- the ladder ------------------------------------------------------------
 
-    def recover(self, record, index: int) -> RecoveryRecord:
+    def recover(self, index: int) -> RecoveryRecord:
         """Run the escalation ladder for one detected trial.
 
         ``index`` is the trial's position within its golden group — together
@@ -240,7 +239,7 @@ class RecoveryExecutor:
             if action is RecoveryAction.REEXECUTE:
                 attempt = self._reexecute(hazard)
             else:
-                attempt = self._microreboot(record.fault, hazard)
+                attempt = self._microreboot(hazard)
             downtime += attempt.retired
             if not attempt.completed:
                 detail = attempt.detail
@@ -295,55 +294,27 @@ class RecoveryExecutor:
             return _Attempt(False, hv.cpu.tracer.count, "re-execution hung (watchdog NMI)")
         return _Attempt(True, result.instructions, "re-executed from critical copy")
 
-    def _microreboot(self, fault, hazard: FaultSpec | None) -> _Attempt:
-        """ReHype: roll the whole machine back to the nearest golden-prefix
-        rung *before* the fault fired and replay the activation's suffix."""
+    def _microreboot(self, hazard: FaultSpec | None) -> _Attempt:
+        """ReHype: roll the whole machine back to the clean pre-activation
+        checkpoint and replay the activation."""
         hv = self.hv
-        golden = self._golden
-        rung = None
-        for candidate in golden.ladder:  # ascending by index
-            if candidate.index > fault.dynamic_index:
-                break
-            rung = candidate
-        base = 0
+        hv.restore(self._golden.checkpoint)
+        hv.cpu.clear_injection()
+        if hazard is not None:
+            hv.cpu.schedule_register_flip(hazard.dynamic_index, hazard.register, hazard.bit)
         try:
-            if rung is not None:
-                hv.restore_machine(rung)
-                hv.cpu.clear_injection()
-                base = rung.index
-                if hazard is not None and hazard.dynamic_index >= rung.index:
-                    hv.cpu.schedule_register_flip(
-                        hazard.dynamic_index, hazard.register, hazard.bit
-                    )
-                result = hv.resume_execution(self._activation)
-            else:
-                # No ladder: whole-activation replay from the pre-run state.
-                hv.restore(golden.checkpoint)
-                hv.cpu.clear_injection()
-                if hazard is not None:
-                    hv.cpu.schedule_register_flip(
-                        hazard.dynamic_index, hazard.register, hazard.bit
-                    )
-                result = hv.execute(self._activation)
+            result = hv.execute(self._activation)
         except HardwareException as exc:
-            return _Attempt(
-                False, hv.cpu.tracer.count - base, f"micro-reboot died: {exc.vector.name}"
-            )
+            return _Attempt(False, hv.cpu.tracer.count, f"micro-reboot died: {exc.vector.name}")
         except AssertionViolation as exc:
             return _Attempt(
-                False,
-                hv.cpu.tracer.count - base,
-                f"micro-reboot assertion {exc.assertion_id}",
+                False, hv.cpu.tracer.count, f"micro-reboot assertion {exc.assertion_id}"
             )
         except SimulationLimitExceeded:
-            return _Attempt(
-                False, hv.cpu.tracer.count - base, "micro-reboot hung (watchdog NMI)"
-            )
-        return _Attempt(
-            True,
-            result.instructions - base,
-            f"micro-rebooted from rung @{base}",
-        )
+            return _Attempt(False, hv.cpu.tracer.count, "micro-reboot hung (watchdog NMI)")
+        # "rung @0": the wording of the pre-activation restart since the
+        # records first carried it; rewording it would change the records.
+        return _Attempt(True, result.instructions, "micro-rebooted from rung @0")
 
     def _quarantine(self) -> _Attempt:
         """Squash the activation: pre-activation rollback + domain quarantine."""

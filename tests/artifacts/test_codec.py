@@ -37,7 +37,7 @@ FOLLOWUPS = (act("sched_op", 2, 1, seq=1), act("page_fault", 4, seq=2))
 @pytest.fixture(scope="module")
 def captured():
     hv = XenHypervisor(seed=23)
-    golden = capture_golden(hv, act("apic_timer", 3), ladder_interval=16)
+    golden = capture_golden(hv, act("apic_timer", 3))
     plan = trace_plan(hv.program, golden)
     materialize_followups(hv, golden, FOLLOWUPS)
     return golden, plan
@@ -47,7 +47,17 @@ def captured():
 def lazy():
     """A golden no trial asked follow-ups of."""
     hv = XenHypervisor(seed=23)
-    return capture_golden(hv, act("apic_timer", 3), ladder_interval=16)
+    return capture_golden(hv, act("apic_timer", 3))
+
+
+@pytest.fixture(scope="module")
+def rerun():
+    """A golden whose activation already ran once from its checkpoint's
+    state, so the run rewrites some pages with the contents they held."""
+    hv = XenHypervisor(seed=23)
+    hv.execute(act("apic_timer", 3))
+    golden = capture_golden(hv, act("apic_timer", 3))
+    return golden, encode_group(DIGEST, golden, None)
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +82,6 @@ class TestRoundTrip:
             assert mine.pages.keys() == theirs.pages.keys()
             for base, page in theirs.pages.items():
                 assert mine.pages[base] == page
-        assert len(out.ladder) == len(golden.ladder)
-        for mine, theirs in zip(out.ladder, golden.ladder):
-            assert mine.core == theirs.core
-            assert mine.memory.pages.keys() == theirs.memory.pages.keys()
         # The recorded stream is not stored: the artifact carries its plan.
         assert golden.trace and out.trace == ()
 
@@ -86,14 +92,15 @@ class TestRoundTrip:
         assert bytes(out.heap_image) == bytes(lazy.heap_image)
         assert out.after == lazy.after
 
-    def test_after_pages_are_deduplicated_with_the_group(self, blob):
-        # ``after`` is stored deduplicated against the group's other pages:
-        # a page equal to one of the last rung's decodes to the same buffer.
+    def test_after_pages_are_deduplicated_with_the_group(self, rerun):
+        # ``after`` is stored deduplicated against the checkpoint: a page
+        # equal to one of the checkpoint's decodes to the same buffer.
+        _, blob = rerun
         golden = decode_group(blob, registry=REGISTRY).golden
-        last = golden.ladder[-1].memory.pages
-        equal = [b for b, page in golden.after.pages.items() if last.get(b) == page]
+        before = golden.checkpoint.pages
+        equal = [b for b, page in golden.after.pages.items() if before.get(b) == page]
         assert equal
-        assert all(golden.after.pages[b] is last[b] for b in equal)
+        assert all(golden.after.pages[b] is before[b] for b in equal)
 
     def test_plan_round_trips(self, captured, blob):
         _, plan = captured
@@ -117,17 +124,22 @@ class TestRoundTrip:
         b = encode_group(DIGEST, golden, plan)
         assert a == b
 
-    def test_structural_sharing_restored(self, blob):
+    def test_structural_sharing_restored(self, rerun):
         # One object per unique page blob, shared by the checkpoint and
-        # every ladder rung: after the first restore rebinds Memory._base
-        # to these pages, later rung restores identity-diff to near no-ops.
-        payload = decode_group(blob, registry=REGISTRY)
-        golden = payload.golden
-        for rung in golden.ladder:
-            for base, page in rung.memory.pages.items():
-                baseline = golden.checkpoint.pages.get(base)
-                if baseline is not None and page == baseline:
-                    assert page is baseline
+        # ``after``: after a restore of one rebinds Memory._base to these
+        # pages, a restore of the other identity-diffs only the pages whose
+        # contents differ.
+        golden, blob = rerun
+        out = decode_group(blob, registry=REGISTRY).golden
+        differ = {
+            b for b in golden.checkpoint.pages.keys() | golden.after.pages.keys()
+            if golden.checkpoint.pages.get(b) != golden.after.pages.get(b)
+        }
+        assert differ
+        assert differ == {
+            b for b in out.checkpoint.pages.keys() | out.after.pages.keys()
+            if out.checkpoint.pages.get(b) is not out.after.pages.get(b)
+        }
 
     def test_plan_columns_are_aligned_views(self, blob):
         # int64 columns must map without copy, which requires 8-alignment.

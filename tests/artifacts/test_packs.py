@@ -24,7 +24,7 @@ from repro.faults.campaign import benchmark_geometry
 from repro.metrics import CampaignCounters, counted
 
 CONFIG = CampaignConfig(
-    n_injections=24, seed=13, benchmarks=("mcf", "postmark"), ladder_interval=16
+    n_injections=24, seed=13, benchmarks=("mcf", "postmark")
 )
 GROUPS = len(CONFIG.benchmarks) * benchmark_geometry(CONFIG).n_goldens
 SHARDS = 4

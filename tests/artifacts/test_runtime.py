@@ -21,7 +21,7 @@ from repro.faults.campaign import benchmark_geometry
 from repro.metrics import COUNTERS, CampaignCounters, counted
 
 CONFIG = CampaignConfig(
-    n_injections=24, seed=7, benchmarks=("mcf", "postmark"), ladder_interval=16
+    n_injections=24, seed=7, benchmarks=("mcf", "postmark")
 )
 
 

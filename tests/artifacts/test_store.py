@@ -2,8 +2,8 @@
 
 The digest is the cache's entire correctness story: two configs map to the
 same artifact exactly when their golden products are byte-identical.  Knobs
-that shape the golden capture (seed, workload geometry, ladder placement,
-twin-batch capture) must move the digest; knobs that only shape *trials*
+that shape the golden capture (seed, workload geometry, twin-batch
+capture) must move the digest; knobs that only shape *trials*
 (fault model, recovery policy, translation, detection) must not — that is
 what lets a detector sweep share one warm cache.  The store side: packs
 appear only when committed, leave no temp file, and a torn trailer or a
@@ -51,7 +51,6 @@ class TestDigestIdentity:
         {"seed": 12},
         {"n_domains": 4},
         {"warmup_activations": 6},
-        {"ladder_interval": 16},
         {"twin_batch": False},
         # Stream geometry: the workload generator bulk-draws the whole
         # activation-index array, so activation i depends on the total
@@ -82,7 +81,7 @@ def encoded():
     hv = XenHypervisor(seed=5)
     spec = REGISTRY.by_name("apic_timer")
     activation = Activation(vmer=spec.vmer, args=(3,), domain_id=1, seq=0)
-    golden = capture_golden(hv, activation, ladder_interval=0)
+    golden = capture_golden(hv, activation)
     d = digest()
     return d, encode_group(d, golden, trace_plan(hv.program, golden))
 

@@ -14,8 +14,8 @@ import dataclasses
 from repro.faults.propagation import GoldenRun, capture_golden
 
 
-def capture_golden_eager(hv, activation, followups, **kwargs) -> GoldenRun:
+def capture_golden_eager(hv, activation, followups) -> GoldenRun:
     """Capture ``activation`` and execute ``followups`` right after it."""
-    golden = capture_golden(hv, activation, **kwargs)
+    golden = capture_golden(hv, activation)
     results = tuple(hv.execute(f) for f in followups)
     return dataclasses.replace(golden, followups=results)

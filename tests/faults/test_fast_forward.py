@@ -1,11 +1,10 @@
-"""Golden-prefix fast-forward: ladder trials ≡ from-scratch trials.
+"""Trials under the execution knobs: translated ≡ interpreted.
 
-The campaign's trial hot path resumes the faulty run from the nearest
-mid-run machine checkpoint at-or-before the injection index instead of
-re-executing the whole golden prefix.  These tests hold that optimization
-to the determinism contract: for *every* injection index, the fast-forward
-path must produce a trial record bit-identical to full re-execution, and
-campaign records must be invariant to the ladder interval and tracer mode.
+Every faulty trial replays its activation from the pre-activation
+checkpoint.  These tests hold the translation cache to the determinism
+contract: for *every* injection index a translated trial must produce a
+record bit-identical to an interpreted one, and campaign records must be
+invariant to translation.
 """
 
 import dataclasses
@@ -27,47 +26,6 @@ def act(name: str, *args: int, seq=0) -> Activation:
     return Activation(vmer=REGISTRY.by_name(name).vmer, args=args, domain_id=1, seq=seq)
 
 
-class TestEveryInjectionIndex:
-    """Exhaustive ladder ≡ from-scratch sweep over one small activation."""
-
-    @pytest.fixture(scope="class")
-    def setting(self):
-        hv = XenHypervisor(seed=23)
-        activation = act("apic_timer", 3)
-        baseline = capture_golden(hv, activation)
-        hv.restore(baseline.checkpoint)
-        laddered = capture_golden(hv, activation, ladder_interval=16)
-        assert laddered.result == baseline.result
-        assert len(laddered.ladder) >= 2, "activation too short to ladder"
-        return hv, activation, baseline, laddered
-
-    def test_records_identical_at_every_index(self, setting):
-        hv, activation, baseline, laddered = setting
-        n = baseline.result.instructions
-        fast_forwarded = 0
-        for index in range(n):
-            fault = FaultSpec("rbx", 17, index)
-            scratch = run_trial(hv, activation, fault, golden=baseline)
-            fast, counts = counted(run_trial, hv, activation, fault, golden=laddered)
-            assert fast == scratch, f"divergence at injection index {index}"
-            fast_forwarded += CampaignCounters.folded(counts).machine()["fast_forwards"]
-        # Rung 0 sits at index 0, so every single trial skips the prepare.
-        assert fast_forwarded == n
-
-    def test_skip_accounting_matches_rung_indices(self, setting):
-        hv, activation, _, laddered = setting
-        _, counts = counted(
-            run_trial, hv, activation, FaultSpec("rcx", 4, 40), golden=laddered
-        )
-        rung = max(r.index for r in laddered.ladder if r.index <= 40)
-        counters = CampaignCounters.folded(counts)
-        trials = counters.registry.get("repro_trials_total")
-        assert trials.labels(start="rung").value == 1
-        assert counters.machine()["trials"] == 1
-        skipped = counters.registry.get("repro_instructions_skipped_total")
-        assert skipped.labels(by="rung").value == rung
-
-
 class TestSideExitPrecision:
     """Translated trials ≡ interpreted trials at *every* injection index.
 
@@ -85,10 +43,9 @@ class TestSideExitPrecision:
         interp_hv = XenHypervisor(seed=23, translate=False)
         trans_hv = XenHypervisor(seed=23, translate=True)
         activation = act("apic_timer", 3)
-        interp_golden = capture_golden(interp_hv, activation, ladder_interval=16)
-        trans_golden = capture_golden(trans_hv, activation, ladder_interval=16)
+        interp_golden = capture_golden(interp_hv, activation)
+        trans_golden = capture_golden(trans_hv, activation)
         assert interp_golden.result == trans_golden.result
-        assert interp_golden.ladder == trans_golden.ladder
         return interp_hv, trans_hv, activation, interp_golden, trans_golden
 
     @pytest.mark.parametrize("register,bit", [("rbx", 17), ("rip", 2), ("rflags", 6)])
@@ -122,22 +79,17 @@ class TestRecordsInvariance:
     def reference(self):
         return FaultInjectionCampaign(self.CONFIG).run().records
 
-    @pytest.mark.parametrize("interval", [0, 1, 7, 500])
-    def test_ladder_interval_does_not_change_records(self, reference, interval):
-        config = dataclasses.replace(self.CONFIG, ladder_interval=interval)
-        assert FaultInjectionCampaign(config).run().records == reference
-
     def test_disabling_translation_does_not_change_records(self, reference):
         config = dataclasses.replace(self.CONFIG, translate=False)
         assert FaultInjectionCampaign(config).run().records == reference
 
     def test_interval_zero_never_fast_forwards(self):
         hv = XenHypervisor(seed=31)
-        golden = capture_golden(hv, act("do_irq", 2), ladder_interval=0)
-        assert golden.ladder == ()
+        golden = capture_golden(hv, act("do_irq", 2))
         _, counts = counted(
             run_trial, hv, act("do_irq", 2), FaultSpec("rdx", 3, 5), golden=golden
         )
-        machine = CampaignCounters.folded(counts).machine()
-        assert machine["fast_forwards"] == 0
-        assert machine["trials"] == 1
+        counters = CampaignCounters.folded(counts)
+        trials = counters.registry.get("repro_trials_total")
+        assert trials.labels(start="checkpoint").value == 1
+        assert counters.machine()["trials"] == 1

@@ -106,8 +106,7 @@ def test_lazy_records_equal_eager(kind, twin_batch):
             # not reach this group's capture.
             hv.cpu.clear_injection()
             start = hv.checkpoint()
-            ladder = 16 if g % 2 else 0
-            eager = capture_golden_eager(hv, activation, followups, ladder_interval=ladder)
+            eager = capture_golden_eager(hv, activation, followups)
             faults = sample_faults(MODELS[kind], rng, hv, eager.result.instructions, 6)
             if kind == "register":
                 # A flip that lies past the activation, inside a follow-up.
@@ -119,7 +118,7 @@ def test_lazy_records_equal_eager(kind, twin_batch):
             )
             hv.restore(start)
             hv.cpu.clear_injection()
-            lazy = capture_golden(hv, activation, ladder_interval=ladder)
+            lazy = capture_golden(hv, activation)
             assert lazy.followups is None
             got = run_group(
                 hv, activation, followups, faults, lazy,

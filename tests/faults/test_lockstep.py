@@ -2,7 +2,7 @@
 
 The campaign's batch scan settles *dead* twins (flip overwritten before
 the next read, or never touched again) analytically and peels diverging
-twins into the per-trial path with a read-point resume hint.  These tests
+twins into the per-trial path with their read point.  These tests
 hold the scan to the determinism contract: for every injection index and
 register — including RIP/RFLAGS and indices past the traced run — the
 batched records must be bit-identical to per-trial execution, campaign
@@ -100,7 +100,7 @@ class TestBuildPlan:
 
         hv = XenHypervisor(seed=23)
         activation = act("apic_timer", 3)
-        golden = capture_golden(hv, activation, ladder_interval=16)
+        golden = capture_golden(hv, activation)
         return trace_plan(hv.program, golden), golden
 
     def test_shape_and_monotonicity(self, plan):
@@ -129,37 +129,6 @@ class TestBuildPlan:
         assert any(len(a) for a in plan.writes_pos)
 
 
-class TestArmAppliedFlip:
-    """The read-point resume's injection primitive."""
-
-    def test_flip_is_immediate_and_watch_arms(self):
-        hv = XenHypervisor(seed=23)
-        activation = act("apic_timer", 3)
-        golden = capture_golden(hv, activation)
-        hv.restore(golden.checkpoint)
-        before = hv.cpu.regs.read("rbx")
-        hv.cpu.arm_applied_flip(7, "rbx", 5)
-        assert hv.cpu.regs.read("rbx") == before ^ (1 << 5)
-        report = hv.cpu.injection_report
-        assert report.applied and report.activated is None
-
-    def test_rip_flip_counts_as_activated(self):
-        hv = XenHypervisor(seed=23)
-        golden = capture_golden(hv, act("apic_timer", 3))
-        hv.restore(golden.checkpoint)
-        hv.cpu.arm_applied_flip(7, "rip", 2)
-        report = hv.cpu.injection_report
-        assert report.applied and report.activated
-        assert report.activation_index == 7
-
-    def test_rejects_bad_arguments(self):
-        hv = XenHypervisor(seed=23)
-        with pytest.raises(Exception):
-            hv.cpu.arm_applied_flip(0, "not_a_register", 0)
-        with pytest.raises(Exception):
-            hv.cpu.arm_applied_flip(0, "rbx", 64)
-
-
 class TestTwinBatchEquivalence:
     """Exhaustive batch ≡ per-trial sweep over one activation."""
 
@@ -167,7 +136,7 @@ class TestTwinBatchEquivalence:
     def setting(self):
         hv = XenHypervisor(seed=23)
         activation = act("apic_timer", 3)
-        golden = capture_golden(hv, activation, ladder_interval=16)
+        golden = capture_golden(hv, activation)
         return hv, activation, golden
 
     @pytest.mark.parametrize("register,bit", [("rbx", 17), ("rip", 2), ("rflags", 6)])
@@ -235,7 +204,7 @@ class TestDifferentialFuzz:
     """≥200 seeded scenarios, every injection index batched vs per-trial.
 
     Scenario diversity comes from the machine seed (memory image and
-    handler data), the exit reason, its arguments and the ladder interval;
+    handler data), the exit reason and its arguments;
     each scenario sweeps *every* dynamic instruction index of its golden
     run for a scenario-chosen register (RIP/RFLAGS included, so the
     always-peel paths are fuzzed too), plus out-of-range indices.
@@ -255,9 +224,7 @@ class TestDifferentialFuzz:
                 rng.choice(reasons), rng.randint(1, 4), rng.randint(1, 2),
                 seq=scenario,
             )
-            golden = capture_golden(
-                hv, activation, ladder_interval=rng.choice((8, 16, 32))
-            )
+            golden = capture_golden(hv, activation)
             n = golden.result.instructions
             register = rng.choice(self._REGS)
             bit = rng.randrange(64)
@@ -283,7 +250,7 @@ class TestStatsLedgers:
     def test_stats_view_mirrors_the_registry(self):
         hv = XenHypervisor(seed=23)
         activation = act("apic_timer", 3)
-        golden = capture_golden(hv, activation, ladder_interval=16)
+        golden = capture_golden(hv, activation)
         faults = [FaultSpec("rbx", 9, i) for i in range(0, 60, 5)]
         view_before = lockstep.stats()
         _, counts = counted(run_twin_batch, hv, activation, faults, golden=golden)

@@ -5,12 +5,11 @@ recorded while it executed (translated, full-trace).  The oracle here is the
 path that used to run in production: restore the golden checkpoint,
 re-execute the activation *interpreted* under the full tracer, and lower the
 stream address by address.  Over random activations of every benchmark
-profile, PV and HVM, at ladder intervals 0, 16 and 32:
+profile, PV and HVM:
 
 * the single-pass plan equals the oracle's, column for column;
 * recording is an observation: capture with it on and off yields equal
-  results, follow-ups, outputs, heap images and rung register files;
-* ladder rungs carry no address log (count and path hash only).
+  results, follow-ups, outputs and heap images.
 """
 
 import numpy as np
@@ -101,8 +100,8 @@ def groups(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(group=groups(), ladder_interval=st.sampled_from((0, 16, 32)))
-def test_single_pass_plan_matches_replay(group, ladder_interval):
+@given(group=groups())
+def test_single_pass_plan_matches_replay(group):
     warmup, activation, followups = group
     hv = _HV
     hv.reset()
@@ -110,15 +109,11 @@ def test_single_pass_plan_matches_replay(group, ladder_interval):
         hv.execute(act)
     start = hv.checkpoint()
 
-    recorded, counts = counted(
-        capture_golden, hv, activation, ladder_interval=ladder_interval
-    )
+    recorded, counts = counted(capture_golden, hv, activation)
     assert CampaignCounters.folded(counts).translated.value > 0
     materialize_followups(hv, recorded, followups)
     hv.restore(start)
-    silent = capture_golden(
-        hv, activation, ladder_interval=ladder_interval, record=False
-    )
+    silent = capture_golden(hv, activation, record=False)
     materialize_followups(hv, silent, followups)
     assert silent.trace == ()
     assert hv.cpu.tracer.light
@@ -129,12 +124,6 @@ def test_single_pass_plan_matches_replay(group, ladder_interval):
     assert recorded.followups == silent.followups
     assert recorded.outputs == silent.outputs
     assert recorded.heap_image == silent.heap_image
-    assert [r.index for r in recorded.ladder] == [r.index for r in silent.ladder]
-    for mine, theirs in zip(recorded.ladder, silent.ladder):
-        assert mine.core.regs == theirs.core.regs
-        # Rungs keep the count and path hash, never the address log.
-        assert mine.core.tracer == theirs.core.tracer
-        assert len(mine.core.tracer) == 2 and mine.core.tracer[0] == mine.index
 
     plan = trace_plan(hv.program, recorded)
     oracle = replay_plan(hv, activation, recorded)

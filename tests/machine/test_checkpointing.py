@@ -1,4 +1,4 @@
-"""COW checkpoints, dirty-page accounting, and resumable execution.
+"""COW checkpoints and dirty-page accounting.
 
 The copy-on-write checkpoint/restore path is the trial hot path of the
 fault-injection campaign; an eager full copy of the live pages
@@ -10,15 +10,7 @@ checkpoint generations, and interleaved restores.
 import numpy as np
 import pytest
 
-from repro.hypervisor import Activation, REGISTRY, XenHypervisor
-from repro.machine import (
-    CPUCore,
-    Memory,
-    MemoryCheckpoint,
-    PAGE_SIZE,
-    Region,
-    parse_asm,
-)
+from repro.machine import Memory, MemoryCheckpoint, PAGE_SIZE, Region
 
 
 def make_memory() -> Memory:
@@ -141,95 +133,3 @@ class TestDirtyAccounting:
         assert mem.dirty_page_count == 0
         assert checkpoint_full(mem) == {}
 
-
-ASM = """
-start:
-    mov rax, 0
-    mov rcx, 10
-loop:
-    add rax, 3
-    store [rbp+0], rax
-    dec rcx
-    jne loop
-    halt
-"""
-
-
-class TestResumableCore:
-    def make_core(self):
-        mem = Memory()
-        mem.map_region(Region("text", 0x1000, PAGE_SIZE, writable=False, executable=True))
-        mem.map_region(Region("data", 0x10000, PAGE_SIZE))
-        mem.map_region(Region("stack", 0x20000, PAGE_SIZE))
-        program = parse_asm(ASM, base=0x1000)
-        core = CPUCore(0, mem)
-        core.regs["rbp"] = 0x10000
-        core.regs["rsp"] = 0x20000 + PAGE_SIZE
-        return core, program, mem
-
-    def test_resume_in_slices_matches_uninterrupted_run(self):
-        core, program, _ = self.make_core()
-        reference = core.run(program, 0x1000)
-
-        core2, program2, _ = self.make_core()
-        core2.begin(0x1000)
-        stop = 0
-        result = None
-        while result is None:
-            stop += 5
-            result = core2.resume(program2, stop_at=stop)
-        assert result == reference
-
-    def test_checkpoint_restore_replays_suffix_bit_identically(self):
-        core, program, mem = self.make_core()
-        core.begin(0x1000)
-        assert core.resume(program, stop_at=12) is None
-        snap_core = core.checkpoint_core()
-        snap_mem = mem.checkpoint()
-        reference = core.resume(program)
-
-        # Diverge, then rewind to the mid-run boundary and replay.
-        mem.write_u64(0x10000, 0xDEAD)
-        core.restore_core(snap_core)
-        mem.restore(snap_mem)
-        assert core.resume(program) == reference
-
-    def test_core_checkpoint_index_is_dynamic_count(self):
-        core, program, _ = self.make_core()
-        core.begin(0x1000)
-        core.resume(program, stop_at=7)
-        assert core.checkpoint_core().index == 7
-
-
-class TestMachineCheckpointLadder:
-    """XenHypervisor-level ladder capture and resume."""
-
-    @pytest.fixture(scope="class")
-    def hv(self) -> XenHypervisor:
-        return XenHypervisor(seed=17)
-
-    def act(self, seq=0) -> Activation:
-        return Activation(
-            vmer=REGISTRY.by_name("mmu_update").vmer, args=(8, 1),
-            domain_id=1, seq=seq,
-        )
-
-    def test_ladder_run_is_bit_identical_to_execute(self, hv):
-        hv.reset()
-        plain = hv.execute(self.act())
-        hv.reset()
-        laddered, ladder = hv.execute_with_ladder(self.act(), interval=16)
-        assert laddered == plain
-        assert ladder, "expected at least the index-0 rung"
-        indices = [rung.index for rung in ladder]
-        assert indices == sorted(indices)
-        assert indices[0] == 0
-        assert all(idx % 16 == 0 for idx in indices)
-
-    def test_resume_from_every_rung_reaches_same_result(self, hv):
-        hv.reset()
-        reference, ladder = hv.execute_with_ladder(self.act(), interval=32)
-        for rung in ladder:
-            hv.restore_machine(rung)
-            resumed = hv.resume_execution(self.act())
-            assert resumed == reference

@@ -6,13 +6,13 @@ import pytest
 
 PACKAGES = {
     "repro.machine": (
-        "CPUCore", "CoreCheckpoint", "Memory", "MemoryCheckpoint",
+        "CPUCore", "Memory", "MemoryCheckpoint",
         "Region", "RegisterFile", "Assembler", "parse_asm",
         "HardwareException", "AssertionViolation", "Vector", "classify_exception",
         "PerformanceCounterUnit", "Tracer", "Program", "Op",
     ),
     "repro.hypervisor": (
-        "XenHypervisor", "Activation", "ActivationResult", "MachineCheckpoint",
+        "XenHypervisor", "Activation", "ActivationResult",
         "REGISTRY",
         "ExitCategory", "HYPERCALL_NAMES", "EXCEPTION_NAMES", "Hardening",
         "DomainView", "VcpuView", "MemoryMap", "HypervisorLayout",
