@@ -12,7 +12,6 @@ from repro.machine.cpu import (
     DEFAULT_CPUID_TABLE,
     ExecutionResult,
     InjectionReport,
-    instr_register_accesses,
 )
 from repro.machine.exceptions import (
     AssertionViolation,
@@ -33,6 +32,7 @@ from repro.machine.isa import (
     Op,
     Program,
     Reg,
+    instr_register_accesses,
 )
 from repro.machine.memory import Memory, MemoryCheckpoint, PAGE_SIZE, Region, is_canonical
 from repro.machine.perfcounters import CounterSample, Event, PerformanceCounterUnit

@@ -30,11 +30,11 @@ from repro.machine.isa import (
     INSTRUCTION_BYTES,
     OP_INDEX,
     Instr,
-    Mem,
     Op,
     Program,
-    Reg,
+    instr_register_accesses,
 )
+from repro.machine.loopproof import PROBE_AT, LoopProbe
 from repro.machine.memory import Memory, is_canonical
 from repro.machine.perfcounters import PerformanceCounterUnit
 from repro.machine.registers import MASK64, RegisterFile
@@ -47,7 +47,6 @@ __all__ = [
     "CPUCore",
     "ExecutionResult",
     "InjectionReport",
-    "instr_register_accesses",
     "DEFAULT_CPUID_TABLE",
 ]
 
@@ -61,52 +60,19 @@ _RDX = RegisterFile.index_of("rdx")
 _RSI = RegisterFile.index_of("rsi")
 _RDI = RegisterFile.index_of("rdi")
 
-# Execution-mix and loop-prover counters, bound once (see repro.metrics).
+# Execution-mix counters, bound once (see repro.metrics).
 _TRANSLATED = COUNTERS.translated
 _INTERPRETED = COUNTERS.interpreted
 _BLOCK_EXECUTIONS = COUNTERS.block_executions
-_PROVED_HANGS = COUNTERS.proved_hangs
-_SKIPPED_BY_PROOF = COUNTERS.skipped_by_proof
 
-# Dense op indices for the dispatch loop's inline bodies (ordered there by
-# measured dynamic frequency) and its terminator test — VMENTRY/HALT are the
-# last two enum members, so one >= comparison classifies both.
-_I_JCC = OP_INDEX[Op.JCC]
-_I_CMP = OP_INDEX[Op.CMP]
-_I_MOV = OP_INDEX[Op.MOV]
-_I_INC = OP_INDEX[Op.INC]
-_I_JMP = OP_INDEX[Op.JMP]
-_I_ADD = OP_INDEX[Op.ADD]
-_I_TEST = OP_INDEX[Op.TEST]
-_I_STORE = OP_INDEX[Op.STORE]
-_I_LOAD = OP_INDEX[Op.LOAD]
-_I_SHL = OP_INDEX[Op.SHL]
-_I_DEC = OP_INDEX[Op.DEC]
-_I_SHR = OP_INDEX[Op.SHR]
-_I_AND = OP_INDEX[Op.AND]
-_I_OR = OP_INDEX[Op.OR]
-_I_POP = OP_INDEX[Op.POP]
-_I_IMUL = OP_INDEX[Op.IMUL]
-_I_PUSH = OP_INDEX[Op.PUSH]
+# VMENTRY/HALT are the last two enum members, so one >= comparison on the
+# dense op index classifies both terminators.
 _TERMINATOR_MIN = OP_INDEX[Op.VMENTRY]
 assert _TERMINATOR_MIN == len(OP_INDEX) - 2  # VMENTRY, HALT close the enum
 
 # Stack-access #SS conversion — one implementation shared with the
 # translated-block codegen (see repro.machine.exceptions.raise_stack_fault).
 _raise_stack_fault = raise_stack_fault
-
-# Runaway-loop probe tuning (see repro.machine.loopproof).  A full-budget run
-# that retires _PROBE_AT instructions is suspected of spinning: the dispatch
-# loop records a _PROBE_WINDOW address history, looks for a rip-periodic
-# cycle, measures its per-period register deltas over two real periods, and
-# asks the induction prover to certify the hang.  Failed attempts re-arm
-# _PROBE_RETRY instructions later, at most _PROBE_MAX_ATTEMPTS times.  All
-# of this is invisible to outcomes: proofs are exact and bails keep
-# executing concretely.
-_PROBE_AT = 1_024
-_PROBE_WINDOW = 320
-_PROBE_RETRY = 2_048
-_PROBE_MAX_ATTEMPTS = 3
 
 
 #: Deterministic CPUID leaves: leaf -> (eax, ebx, ecx, edx).  Values echo a
@@ -121,88 +87,6 @@ DEFAULT_CPUID_TABLE: dict[int, tuple[int, int, int, int]] = {
     0x80000000: (0x80000008, 0, 0, 0),
     0x80000008: (0x00003028, 0, 0, 0),
 }
-
-
-def instr_register_accesses(instr: Instr) -> tuple[frozenset[int], frozenset[int]]:
-    """Return ``(reads, writes)`` register-index sets for ``instr``.
-
-    RIP is deliberately excluded (every instruction touches it); flips in RIP
-    are always considered activated by the injector.  The sets drive the
-    activated/non-activated classification of injected faults.
-
-    The result is memoized on the (static) instruction object: the injector's
-    watch loop calls this once per retired instruction while a flipped
-    register is live, so recomputation would dominate that window.
-    """
-    cached = instr.__dict__.get("_accesses")
-    if cached is not None:
-        return cached
-    op = instr.op
-    reads: set[int] = set()
-    writes: set[int] = set()
-
-    def _src_reads() -> None:
-        if isinstance(instr.src, Reg):
-            reads.add(instr.src.index)
-        elif isinstance(instr.src, Mem):
-            reads.add(instr.src.base.index)
-
-    if op is Op.MOV:
-        _src_reads()
-        writes.add(instr.dst.index)  # type: ignore[union-attr]
-    elif op in (Op.LOAD, Op.LEA):
-        reads.add(instr.src.base.index)  # type: ignore[union-attr]
-        writes.add(instr.dst.index)  # type: ignore[union-attr]
-    elif op is Op.STORE:
-        reads.add(instr.dst.base.index)  # type: ignore[union-attr]
-        if isinstance(instr.src, Reg):
-            reads.add(instr.src.index)
-    elif op in (Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.IMUL, Op.DIV, Op.SHL, Op.SHR):
-        reads.add(instr.dst.index)  # type: ignore[union-attr]
-        _src_reads()
-        writes.add(instr.dst.index)  # type: ignore[union-attr]
-        writes.add(_RFLAGS)
-    elif op in (Op.CMP, Op.TEST):
-        reads.add(instr.dst.index)  # type: ignore[union-attr]
-        _src_reads()
-        writes.add(_RFLAGS)
-    elif op in (Op.INC, Op.DEC):
-        reads.add(instr.dst.index)  # type: ignore[union-attr]
-        writes.add(instr.dst.index)  # type: ignore[union-attr]
-        writes.add(_RFLAGS)
-    elif op is Op.JCC:
-        reads.add(_RFLAGS)
-    elif op is Op.CALL:
-        reads.add(_RSP)
-        writes.add(_RSP)
-    elif op is Op.RET:
-        reads.add(_RSP)
-        writes.add(_RSP)
-    elif op is Op.PUSH:
-        reads.add(_RSP)
-        reads.add(instr.src.index)  # type: ignore[union-attr]
-        writes.add(_RSP)
-    elif op is Op.POP:
-        reads.add(_RSP)
-        writes.add(_RSP)
-        writes.add(instr.dst.index)  # type: ignore[union-attr]
-    elif op is Op.REP_MOVS:
-        reads.update((_RCX, _RSI, _RDI))
-        writes.update((_RCX, _RSI, _RDI))
-    elif op is Op.RDTSC:
-        writes.update((_RAX, _RDX))
-    elif op is Op.CPUID:
-        reads.add(_RAX)
-        writes.update((_RAX, _RBX, _RCX, _RDX))
-    elif op in (Op.ASSERT_RANGE, Op.ASSERT_EQ):
-        reads.add(instr.dst.index)  # type: ignore[union-attr]
-    elif op is Op.ASSERT_EQ_REG:
-        reads.add(instr.dst.index)  # type: ignore[union-attr]
-        reads.add(instr.src.index)  # type: ignore[union-attr]
-    # JMP/NOP/VMENTRY/HALT touch nothing but RIP.
-    result = (frozenset(reads), frozenset(writes))
-    object.__setattr__(instr, "_accesses", result)  # frozen dataclass, no slots
-    return result
 
 
 @dataclass(frozen=True)
@@ -502,23 +386,18 @@ class CPUCore:
     def _dispatch(self, program: Program, budget: int) -> ExecutionResult:
         # Hot loop: every per-iteration attribute load that cannot change
         # mid-run is hoisted into a local, and the per-instruction machine
-        # state (dynamic count, path hash, PMU inst/branch totals, TSC) is
-        # buffered in locals — flushed on every exit path by the finally
-        # block, and synced around the two ops that consume it mid-loop
-        # (rep_movs mutates tracer/PMU/TSC in bulk, rdtsc reads the TSC).
-        regs = self.regs
-        rvals = regs._values
+        # state (dynamic count, path hash, PMU totals, TSC) is buffered in
+        # locals — flushed on every exit path by the finally block, and
+        # around every interpreted op's handler (rep_movs bumps tracer, PMU
+        # and TSC in bulk, rdtsc reads the TSC, memory ops bump the PMU).
+        rvals = self.regs._values
         tracer = self.tracer
         pmu = self.pmu
         light = tracer.light
-        enabled = tracer.enabled
         addresses = tracer.addresses
         tsc_step = self.tsc_per_instruction
         mem_read = self.memory.read_u64
         mem_write = self.memory.write_u64
-        add_f = add_flags
-        sub_f = sub_flags
-        logic_f = update_flags_logic
         ib = INSTRUCTION_BYTES
         # Fast-fetch bounds: addresses inside the program text are decoded by
         # direct indexing; everything else goes through the faulting path.
@@ -529,54 +408,10 @@ class CPUCore:
         inj_index = self._inj_index
         injecting = inj_index is not None and not self._inj_applied
         watching = self._watch_reg is not None
-        # Single hot-loop comparison: the watchdog budget and the runaway-loop
-        # probe's next stop share one threshold; the slow path disambiguates,
-        # with the budget raise winning when both trip at the same count.
-        pause = budget
-        # Runaway-loop probe (repro.machine.loopproof): armed only with
-        # light tracing — a full trace logs every retired address, so it
-        # must execute concretely.
-        probe_state = (
-            1
-            if self.loop_proof and light and enabled
-            and pause > _PROBE_AT + tracer.count
-            else 0
-        )
-        if probe_state:
-            pause = tracer.count + _PROBE_AT
-        probe_hist: list[int] | None = None
-        probe_period: list[int] = []
-        probe_anchor = 0
-        probe_p = 0
-        probe_s0: list[int] = []
-        probe_s1: list[int] = []
-        probe_attempts = 0
-        proved_skip = 0
-        # Constants rebound as locals (LOAD_FAST beats LOAD_GLOBAL in the
-        # per-retirement opcode comparison chain below).
         m64 = MASK64
         fnv = _FNV_PRIME
         i_rip = _RIP
-        i_fl = _RFLAGS
-        i_sp = _RSP
         term_min = _TERMINATOR_MIN
-        c_jcc = _I_JCC
-        c_cmp = _I_CMP
-        c_mov = _I_MOV
-        c_inc = _I_INC
-        c_jmp = _I_JMP
-        c_add = _I_ADD
-        c_test = _I_TEST
-        c_store = _I_STORE
-        c_load = _I_LOAD
-        c_shl = _I_SHL
-        c_dec = _I_DEC
-        c_shr = _I_SHR
-        c_and = _I_AND
-        c_or = _I_OR
-        c_pop = _I_POP
-        c_imul = _I_IMUL
-        c_push = _I_PUSH
 
         count = tracer.count
         path_hash = tracer.path_hash
@@ -586,18 +421,30 @@ class CPUCore:
         p_stores = pmu._stores
         tsc = self.tsc
 
-        # Translated-block dispatch is only legal when a block's batched
-        # accounting matches what per-instruction interpretation would have
-        # done: tracer enabled (blocks always count) and in-text execution.
-        # A full trace stays on the translated path: a block that retires k
-        # instructions logs its first k ``meta.addrs``, on normal and side
-        # exits alike — exactly the addresses interpretation would have
-        # logged.  A pending injection needs per-instruction visibility
-        # (``block_limit`` stops blocks short of the flip), and a live
-        # activation watch interprets any block that touches the watched
-        # register — blocks that cannot resolve the watch (``meta.touched``)
-        # still run translated.
-        use_trans = self.translate and enabled and text_span > 0
+        # Single hot-loop comparison: the watchdog budget and the runaway-loop
+        # probe's next stop share one threshold; the slow path disambiguates,
+        # with the budget raise winning when both trip at the same count.
+        # The probe (repro.machine.loopproof) arms only with light tracing:
+        # it records its window through the full-trace branch below, and a
+        # full trace must execute concretely anyway.
+        probe = (
+            LoopProbe(program, self.memory, rvals, budget, count)
+            if self.loop_proof and light and budget > count + PROBE_AT
+            else None
+        )
+        pause = budget if probe is None else probe.due
+
+        # Translated blocks run only from in-text addresses, where a block's
+        # batched accounting matches what per-instruction interpretation
+        # would have done.  A full trace stays on the translated path: a
+        # block that retires k instructions logs its first k ``meta.addrs``,
+        # on normal and side exits alike — exactly the addresses
+        # interpretation would have logged.  A pending injection needs
+        # per-instruction visibility (``block_limit`` stops blocks short of
+        # the flip), and a live activation watch interprets any block that
+        # touches the watched register — blocks that cannot resolve the
+        # watch (``meta.touched``) still run translated.
+        use_trans = self.translate and text_span > 0
         if use_trans:
             translation = translation_for(program)
             blocks = translation.blocks
@@ -622,97 +469,21 @@ class CPUCore:
                 if count >= pause:
                     if count >= budget:
                         raise SimulationLimitExceeded(budget)
-                    # -- runaway-loop probe state machine (count < budget,
-                    # so this trip belongs to the probe) --
-                    advanced = False
-                    if probe_state == 1:
-                        # Suspicion threshold: start recording a window of
-                        # retirement addresses (a pending flip or live
-                        # watch needs per-instruction visibility — retry
-                        # once it resolves).
-                        if not injecting and not watching:
-                            probe_hist = []
-                            probe_state = 2
-                            pause = min(budget, count + _PROBE_WINDOW)
-                            advanced = True
-                    elif probe_state == 2:
-                        # Window complete (unless a bulk retire overshot
-                        # it): look for a rip-periodic cycle the prover
-                        # can rotate to a flags-clean anchor.
-                        from repro.machine import loopproof as _loopproof
-
-                        period = (
-                            _loopproof.find_period(probe_hist, rvals[i_rip])
-                            if count == pause and probe_hist is not None
-                            else None
-                        )
-                        probe_hist = None
-                        if period is not None:
-                            rot = _loopproof.plan_rotation(program, period)
-                            if rot is not None:
-                                probe_period = period[rot:] + period[:rot]
-                                probe_anchor = probe_period[0]
-                                probe_p = len(period)
-                                if rot == 0:
-                                    probe_s0 = rvals[:]
-                                    probe_state = 4
-                                    pause = min(budget, count + probe_p)
-                                else:
-                                    probe_state = 3
-                                    pause = min(budget, count + rot)
-                                advanced = True
-                    elif probe_state == 3:
-                        # Rotated to the anchor: snapshot S0.
-                        if count == pause and rvals[i_rip] == probe_anchor:
-                            probe_s0 = rvals[:]
-                            probe_state = 4
-                            pause = min(budget, count + probe_p)
-                            advanced = True
-                    elif probe_state == 4:
-                        # One real period later: snapshot S1.
-                        if count == pause and rvals[i_rip] == probe_anchor:
-                            probe_s1 = rvals[:]
-                            probe_state = 5
-                            pause = min(budget, count + probe_p)
-                            advanced = True
-                    else:  # probe_state == 5: S2 — deltas, then the proof.
-                        if count == pause and rvals[i_rip] == probe_anchor:
-                            from repro.machine import loopproof as _loopproof
-
-                            s0, s1 = probe_s0, probe_s1
-                            if _loopproof.prove_runaway(
-                                program,
-                                self.memory,
-                                probe_period,
-                                rvals[:],
-                                [(b - a) & m64 for a, b in zip(s0, s1)],
-                                [(b - a) & m64 for a, b in zip(s1, rvals)],
-                                budget - count,
-                            ):
-                                # Certified: the cycle retires one
-                                # instruction per address until the budget.
-                                # Only the final count is architecturally
-                                # observable past a watchdog kill — no
-                                # checkpoint is taken and the classifier
-                                # reads tracer.count alone — so jump
-                                # straight to the exhausted budget.
-                                skipped = budget - count
-                                proved_skip = skipped
-                                count = budget
-                                p_inst += skipped
-                                tsc += tsc_step * skipped
-                                _PROVED_HANGS.inc()
-                                _SKIPPED_BY_PROOF.inc(skipped)
-                                raise SimulationLimitExceeded(budget)
-                    if not advanced:
-                        probe_attempts += 1
-                        probe_hist = None
-                        if probe_attempts >= _PROBE_MAX_ATTEMPTS:
-                            probe_state = 0
-                            pause = budget
-                        else:
-                            probe_state = 1
-                            pause = min(budget, count + _PROBE_RETRY)
+                    # count < budget, so this stop belongs to the probe.
+                    pause = probe.at_pause(count, injecting or watching)
+                    skipped = probe.skipped
+                    if skipped:
+                        # Proved runaway: retire the rest of the budget at
+                        # once and deliver the watchdog kill.
+                        count += skipped
+                        p_inst += skipped
+                        tsc += tsc_step * skipped
+                        raise SimulationLimitExceeded(budget)
+                    # While the probe records its window, the window stands
+                    # in for the full trace (it arms only under light
+                    # tracing, so light tracing resumes after).
+                    addresses = probe.window
+                    light = addresses is None
                     block_limit = (
                         inj_index if injecting and inj_index < pause else pause
                     )
@@ -789,21 +560,24 @@ class CPUCore:
                             t_blocks += 1
                             if not light:
                                 addresses.extend(entry[6].addrs[:n])
-                            if probe_hist is not None:
-                                probe_hist.extend(entry[6].addrs[:n])
                             continue
                     instr = instructions[offset >> 2]
                 else:
                     instr = self._fetch(program, rip)
+                if watching:
+                    # (Terminators access no register: the watch ignores them.)
+                    self._watch(instr, count)
+                    watching = self._watch_reg is not None
+                    if not watching:
+                        fast = use_trans
+                count += 1
+                path_hash = ((path_hash ^ rip) * fnv) & m64
+                if not light:
+                    addresses.append(rip)
+                p_inst += 1
+                tsc += tsc_step
                 oi = instr.op_index
                 if oi >= term_min:
-                    if enabled:
-                        count += 1
-                        path_hash = ((path_hash ^ rip) * fnv) & m64
-                        if not light:
-                            addresses.append(rip)
-                    p_inst += 1
-                    tsc += tsc_step
                     return ExecutionResult(
                         exit_op=instr.op,
                         instructions=count,
@@ -812,162 +586,8 @@ class CPUCore:
                         tsc_end=tsc,
                         assertion_checks=self._assert_checks,
                     )
-                if watching:
-                    self._watch(instr, count)
-                    watching = self._watch_reg is not None
-                    if not watching:
-                        fast = use_trans
-                if enabled:
-                    count += 1
-                    path_hash = ((path_hash ^ rip) * fnv) & m64
-                    if not light:
-                        addresses.append(rip)
-                if probe_hist is not None:
-                    probe_hist.append(rip)
-                p_inst += 1
-                tsc += tsc_step
-                # Inline bodies for the ops that dominate the dynamic mix
-                # (ordered by measured frequency; together ~98% of retirements).
-                # Each block ends by writing RIP and continuing — the generic
-                # tail below only serves the rare fallback ops.
-                if oi == c_jcc:
-                    p_br += 1
-                    f = rvals[i_fl]
-                    if (instr.cond_table >> ((f & 1) | ((f >> 5) & 6) | ((f >> 8) & 8))) & 1:
-                        rvals[i_rip] = instr.target & m64  # type: ignore[operator]
-                    else:
-                        rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_cmp:
-                    a = rvals[instr.dst_index]
-                    b = rvals[instr.src_index] if instr.src_is_reg else instr.src_imm
-                    rvals[i_fl] = sub_f(rvals[i_fl], a - b, a, b)
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_mov:
-                    rvals[instr.dst_index] = (
-                        rvals[instr.src_index] if instr.src_is_reg else instr.src_imm
-                    )
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_inc:
-                    di = instr.dst_index
-                    a = rvals[di]
-                    rvals[di] = (a + 1) & m64
-                    rvals[i_fl] = add_f(rvals[i_fl], a + 1, a, 1)
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_jmp:
-                    p_br += 1
-                    rvals[i_rip] = instr.target & m64  # type: ignore[operator]
-                    continue
-                if oi == c_add:
-                    di = instr.dst_index
-                    a = rvals[di]
-                    b = rvals[instr.src_index] if instr.src_is_reg else instr.src_imm
-                    wide = a + b
-                    rvals[di] = wide & m64
-                    rvals[i_fl] = add_f(rvals[i_fl], wide, a, b)
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_test:
-                    a = rvals[instr.dst_index]
-                    b = rvals[instr.src_index] if instr.src_is_reg else instr.src_imm
-                    rvals[i_fl] = logic_f(rvals[i_fl], a & b)
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_store:
-                    mem_write(
-                        (rvals[instr.mem_base_index] + instr.mem_disp) & m64,
-                        rvals[instr.src_index] if instr.src_is_reg else instr.src_imm,
-                        rip=rip,
-                    )
-                    p_stores += 1
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_load:
-                    value = mem_read(
-                        (rvals[instr.mem_base_index] + instr.mem_disp) & m64, rip=rip
-                    )
-                    p_loads += 1
-                    rvals[instr.dst_index] = value
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_shl:
-                    di = instr.dst_index
-                    b = rvals[instr.src_index] if instr.src_is_reg else instr.src_imm
-                    result = (rvals[di] << (b & 63)) & m64
-                    rvals[di] = result
-                    rvals[i_fl] = logic_f(rvals[i_fl], result)
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_dec:
-                    di = instr.dst_index
-                    a = rvals[di]
-                    rvals[di] = (a - 1) & m64
-                    rvals[i_fl] = sub_f(rvals[i_fl], a - 1, a, 1)
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_shr:
-                    di = instr.dst_index
-                    b = rvals[instr.src_index] if instr.src_is_reg else instr.src_imm
-                    result = rvals[di] >> (b & 63)
-                    rvals[di] = result
-                    rvals[i_fl] = logic_f(rvals[i_fl], result)
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_and:
-                    di = instr.dst_index
-                    result = rvals[di] & (
-                        rvals[instr.src_index] if instr.src_is_reg else instr.src_imm
-                    )
-                    rvals[di] = result
-                    rvals[i_fl] = logic_f(rvals[i_fl], result)
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_or:
-                    di = instr.dst_index
-                    result = rvals[di] | (
-                        rvals[instr.src_index] if instr.src_is_reg else instr.src_imm
-                    )
-                    rvals[di] = result
-                    rvals[i_fl] = logic_f(rvals[i_fl], result)
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_pop:
-                    rsp = rvals[i_sp]
-                    try:
-                        value = mem_read(rsp, rip=rip)
-                    except HardwareException as exc:
-                        _raise_stack_fault(exc)
-                    p_loads += 1
-                    rvals[instr.dst_index] = value
-                    rvals[i_sp] = (rsp + 8) & m64
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_imul:
-                    di = instr.dst_index
-                    result = (
-                        rvals[di]
-                        * (rvals[instr.src_index] if instr.src_is_reg else instr.src_imm)
-                    ) & m64
-                    rvals[di] = result
-                    rvals[i_fl] = logic_f(rvals[i_fl], result)
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                if oi == c_push:
-                    rsp = (rvals[i_sp] - 8) & m64
-                    try:
-                        mem_write(rsp, rvals[instr.src_index], rip=rip)
-                    except HardwareException as exc:
-                        _raise_stack_fault(exc)
-                    p_stores += 1
-                    rvals[i_sp] = rsp
-                    rvals[i_rip] = (rip + ib) & m64
-                    continue
-                # Fallback: rare ops run through their handler with the
-                # buffered state flushed first (rep_movs/rdtsc consume it,
-                # call/ret bump PMU memory counters) and reloaded after.
+                # One generic tail: the op's handler runs with the buffered
+                # state flushed first and reloaded after.
                 if instr.is_branch:
                     p_br += 1
                 tracer.count = count
@@ -999,7 +619,9 @@ class CPUCore:
                 _TRANSLATED.inc(t_instr)
                 if t_blocks:
                     _BLOCK_EXECUTIONS.inc(t_blocks)
-            interp = count - count0 - t_instr - proved_skip
+            interp = count - count0 - t_instr
+            if probe is not None:
+                interp -= probe.skipped
             if interp:
                 _INTERPRETED.inc(interp)
 
@@ -1330,6 +952,3 @@ class CPUCore:
 
     def _op_nop(self, instr: Instr) -> None:
         return None
-
-
-_BRANCH_OPS = frozenset({Op.JMP, Op.JCC, Op.CALL, Op.RET})

@@ -48,11 +48,6 @@ STATUS_MASK = _ALL
 SIGN_BIT = _SIGN
 
 
-def _parity(value: int) -> bool:
-    """x86 PF: set when the low byte has an even number of set bits."""
-    return bool(_PARITY_TABLE[value & 0xFF])
-
-
 def update_flags_logic(rflags: int, result: int) -> int:
     """Flag update for logical ops (AND/OR/XOR/TEST): CF=OF=0, ZF/SF/PF set."""
     result &= _MASK64

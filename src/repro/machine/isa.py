@@ -39,6 +39,7 @@ __all__ = [
     "OP_MEM_LOADS",
     "OP_MEM_STORES",
     "STACK_OPS",
+    "instr_register_accesses",
 ]
 
 INSTRUCTION_BYTES = 4
@@ -218,6 +219,99 @@ class Instr:
             ops.append(f"{self.lo}..{self.hi}" if self.op is Op.ASSERT_RANGE else f"{self.hi}")
             ops.append(str(self.assert_id))
         return parts[0] + (" " + ", ".join(ops) if ops else "")
+
+
+# Register indices the access sets below name (RIP is never listed).
+_RAX = RegisterFile.index_of("rax")
+_RBX = RegisterFile.index_of("rbx")
+_RCX = RegisterFile.index_of("rcx")
+_RDX = RegisterFile.index_of("rdx")
+_RSI = RegisterFile.index_of("rsi")
+_RDI = RegisterFile.index_of("rdi")
+_RSP = RegisterFile.index_of("rsp")
+_RFLAGS = RegisterFile.index_of("rflags")
+
+
+def instr_register_accesses(instr: Instr) -> tuple[frozenset[int], frozenset[int]]:
+    """Return ``(reads, writes)`` register-index sets for ``instr``.
+
+    RIP is deliberately excluded (every instruction touches it); flips in RIP
+    are always considered activated by the injector.  The sets drive the
+    activated/non-activated classification of injected faults.
+
+    The result is memoized on the (static) instruction object: the injector's
+    watch loop calls this once per retired instruction while a flipped
+    register is live, so recomputation would dominate that window.
+    """
+    cached = instr.__dict__.get("_accesses")
+    if cached is not None:
+        return cached
+    op = instr.op
+    reads: set[int] = set()
+    writes: set[int] = set()
+
+    def _src_reads() -> None:
+        if isinstance(instr.src, Reg):
+            reads.add(instr.src.index)
+        elif isinstance(instr.src, Mem):
+            reads.add(instr.src.base.index)
+
+    if op is Op.MOV:
+        _src_reads()
+        writes.add(instr.dst.index)  # type: ignore[union-attr]
+    elif op in (Op.LOAD, Op.LEA):
+        reads.add(instr.src.base.index)  # type: ignore[union-attr]
+        writes.add(instr.dst.index)  # type: ignore[union-attr]
+    elif op is Op.STORE:
+        reads.add(instr.dst.base.index)  # type: ignore[union-attr]
+        if isinstance(instr.src, Reg):
+            reads.add(instr.src.index)
+    elif op in (Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.IMUL, Op.DIV, Op.SHL, Op.SHR):
+        reads.add(instr.dst.index)  # type: ignore[union-attr]
+        _src_reads()
+        writes.add(instr.dst.index)  # type: ignore[union-attr]
+        writes.add(_RFLAGS)
+    elif op in (Op.CMP, Op.TEST):
+        reads.add(instr.dst.index)  # type: ignore[union-attr]
+        _src_reads()
+        writes.add(_RFLAGS)
+    elif op in (Op.INC, Op.DEC):
+        reads.add(instr.dst.index)  # type: ignore[union-attr]
+        writes.add(instr.dst.index)  # type: ignore[union-attr]
+        writes.add(_RFLAGS)
+    elif op is Op.JCC:
+        reads.add(_RFLAGS)
+    elif op is Op.CALL:
+        reads.add(_RSP)
+        writes.add(_RSP)
+    elif op is Op.RET:
+        reads.add(_RSP)
+        writes.add(_RSP)
+    elif op is Op.PUSH:
+        reads.add(_RSP)
+        reads.add(instr.src.index)  # type: ignore[union-attr]
+        writes.add(_RSP)
+    elif op is Op.POP:
+        reads.add(_RSP)
+        writes.add(_RSP)
+        writes.add(instr.dst.index)  # type: ignore[union-attr]
+    elif op is Op.REP_MOVS:
+        reads.update((_RCX, _RSI, _RDI))
+        writes.update((_RCX, _RSI, _RDI))
+    elif op is Op.RDTSC:
+        writes.update((_RAX, _RDX))
+    elif op is Op.CPUID:
+        reads.add(_RAX)
+        writes.update((_RAX, _RBX, _RCX, _RDX))
+    elif op in (Op.ASSERT_RANGE, Op.ASSERT_EQ):
+        reads.add(instr.dst.index)  # type: ignore[union-attr]
+    elif op is Op.ASSERT_EQ_REG:
+        reads.add(instr.dst.index)  # type: ignore[union-attr]
+        reads.add(instr.src.index)  # type: ignore[union-attr]
+    # JMP/NOP/VMENTRY/HALT touch nothing but RIP.
+    result = (frozenset(reads), frozenset(writes))
+    object.__setattr__(instr, "_accesses", result)  # frozen dataclass, no slots
+    return result
 
 
 class Program:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.isa import Op, Program
+from repro.machine.isa import Op, Program, instr_register_accesses
 from repro.machine.registers import ALL_REGISTERS, RegisterFile
 from repro.metrics import COUNTERS
 
@@ -120,10 +120,6 @@ def _mask_tables(program: Program, slots: np.ndarray) -> tuple[np.ndarray, np.nd
     hits, is_rep, filled = tables
     missing = slots[~filled[slots]]
     if len(missing):
-        # Imported here: cpu imports this module's sibling helpers lazily
-        # elsewhere and a module-level import would be cyclic.
-        from repro.machine.cpu import instr_register_accesses
-
         for slot in np.unique(missing).tolist():
             ins = program.instructions[slot]
             reads, writes = instr_register_accesses(ins)

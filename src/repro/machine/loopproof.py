@@ -36,16 +36,35 @@ closure makes the proof **bail** — the dispatch loop simply keeps executing
 concretely, so conservatism can never change an outcome.  A successful
 proof lets the CPU advance its retirement count straight to the budget and
 deliver the watchdog exception bit-identically to the slow path.
+
+:class:`LoopProbe` decides when to look: the dispatch loop calls it only at
+its pause threshold, never per instruction.
 """
 
 from __future__ import annotations
 
-from repro.machine.cpu import instr_register_accesses
-from repro.machine.isa import INSTRUCTION_BYTES, Instr, Mem, Op, Program
+from repro.machine.isa import (
+    INSTRUCTION_BYTES,
+    Instr,
+    Mem,
+    Op,
+    Program,
+    instr_register_accesses,
+)
 from repro.machine.memory import Memory
 from repro.machine.registers import MASK64, RegisterFile
+from repro.metrics import COUNTERS
 
-__all__ = ["find_period", "plan_rotation", "prove_runaway"]
+__all__ = [
+    "LoopProbe",
+    "PROBE_AT",
+    "PROBE_MAX_ATTEMPTS",
+    "PROBE_RETRY",
+    "PROBE_WINDOW",
+    "find_period",
+    "plan_rotation",
+    "prove_runaway",
+]
 
 _RIP = RegisterFile.index_of("rip")
 _RFLAGS = RegisterFile.index_of("rflags")
@@ -748,3 +767,123 @@ def prove_runaway(
         if v[1] != regs[r] + signed_d[r] or v[2] != signed_d[r]:
             return False
     return True
+
+
+# Probe tuning.  A full-budget run that retires PROBE_AT instructions is
+# suspected of spinning: the probe records a PROBE_WINDOW address history,
+# looks for a rip-periodic cycle, measures its per-period register deltas
+# over two real periods, and asks the prover to certify the hang.  Failed
+# attempts re-arm PROBE_RETRY instructions later, at most PROBE_MAX_ATTEMPTS
+# times.  All of this is invisible to outcomes: proofs are exact and bails
+# keep executing concretely.
+PROBE_AT = 1_024
+PROBE_WINDOW = 320
+PROBE_RETRY = 2_048
+PROBE_MAX_ATTEMPTS = 3
+
+# Probe states: armed (waiting to record), recording the window, running to
+# the cycle's anchor, then one and two real periods past the anchor.
+_ARMED, _RECORDING, _ANCHOR, _PERIOD1, _PERIOD2, _OFF = range(6)
+
+
+class LoopProbe:
+    """The runaway-loop probe of one dispatch.
+
+    The dispatch loop creates one when a light-traced run's budget leaves
+    room for :data:`PROBE_AT` retirements, pauses at :attr:`due` and then
+    calls :meth:`at_pause` each time its count reaches the pause it was
+    given.  While :attr:`window` is a list, the loop appends every retired
+    address to it (through its full-trace branch).  When :attr:`skipped` is
+    non-zero the proof succeeded: the loop retires that many instructions at
+    once and raises the watchdog exception.
+    """
+
+    __slots__ = (
+        "program", "memory", "rvals", "budget", "state", "due", "attempts",
+        "window", "period", "s0", "s1", "skipped",
+    )
+
+    def __init__(
+        self, program: Program, memory: Memory, rvals: list[int], budget: int, count: int
+    ) -> None:
+        self.program = program
+        self.memory = memory
+        #: The live register values the dispatch loop executes on.
+        self.rvals = rvals
+        self.budget = budget
+        self.state = _ARMED
+        #: The pause this probe asked for last (the first one is PROBE_AT
+        #: retirements past ``count``, where the dispatch starts).
+        self.due = count + PROBE_AT
+        self.attempts = 0
+        #: Retirement addresses of the window being recorded, else ``None``.
+        self.window: list[int] | None = None
+        self.period: list[int] = []
+        self.s0: list[int] = []
+        self.s1: list[int] = []
+        #: Instructions a successful proof retires without executing them.
+        self.skipped = 0
+
+    def at_pause(self, count: int, busy: bool) -> int:
+        """Advance the probe at retirement ``count`` and return the next
+        pause (at most the budget).
+
+        ``busy`` says a flip is pending or an activation watch is live; both
+        need per-instruction visibility, so recording waits for a retry.  A
+        bulk retire (``rep movs``) can carry ``count`` past the pause, and
+        that bails the window or snapshot it overshot.
+        """
+        on_time = count == self.due
+        rvals = self.rvals
+        state = self.state
+        if state == _ARMED:
+            if not busy:
+                self.window = []
+                return self._next(_RECORDING, count + PROBE_WINDOW)
+        elif state == _RECORDING:
+            window, self.window = self.window, None
+            period = find_period(window, rvals[_RIP]) if on_time else None
+            rot = None if period is None else plan_rotation(self.program, period)
+            if rot is not None:
+                # Rotate to a flags-clean anchor; snapshot S0 there.
+                self.period = period[rot:] + period[:rot]
+                if rot == 0:
+                    self.s0 = rvals[:]
+                    return self._next(_PERIOD1, count + len(period))
+                return self._next(_ANCHOR, count + rot)
+        elif on_time and rvals[_RIP] == self.period[0]:
+            if state == _ANCHOR:
+                self.s0 = rvals[:]
+                return self._next(_PERIOD1, count + len(self.period))
+            if state == _PERIOD1:
+                self.s1 = rvals[:]
+                return self._next(_PERIOD2, count + len(self.period))
+            # Two real periods measured: their deltas, then the proof.
+            s0, s1 = self.s0, self.s1
+            if prove_runaway(
+                self.program,
+                self.memory,
+                self.period,
+                rvals[:],
+                [(b - a) & MASK64 for a, b in zip(s0, s1)],
+                [(b - a) & MASK64 for a, b in zip(s1, rvals)],
+                self.budget - count,
+            ):
+                # Certified: the cycle retires one instruction per address
+                # until the budget.  Only the final count is architecturally
+                # observable past a watchdog kill (the classifier reads
+                # tracer.count alone), so the run jumps straight to it.
+                self.skipped = self.budget - count
+                COUNTERS.proved_hangs.inc()
+                COUNTERS.skipped_by_proof.inc(self.skipped)
+                return self._next(_OFF, self.budget)
+        # This attempt failed (or waited on a busy run): re-arm or give up.
+        self.attempts += 1
+        if self.attempts >= PROBE_MAX_ATTEMPTS:
+            return self._next(_OFF, self.budget)
+        return self._next(_ARMED, count + PROBE_RETRY)
+
+    def _next(self, state: int, due: int) -> int:
+        self.state = state
+        self.due = min(self.budget, due)
+        return self.due

@@ -41,7 +41,6 @@ PAGE_SIZE = 4096
 _PAGE_MASK = PAGE_SIZE - 1
 _WORD_LIMIT = PAGE_SIZE - 8
 _MASK64 = (1 << 64) - 1
-_CANON_HIGH = 0xFFFF_8000_0000_0000
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
@@ -108,10 +107,6 @@ class MemoryCheckpoint:
     #: Monotonic capture sequence number of the owning :class:`Memory`
     #: (diagnostics only; not part of the checkpoint's identity).
     epoch: int = field(default=0, compare=False)
-
-    @property
-    def n_pages(self) -> int:
-        return len(self.pages)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MemoryCheckpoint):

@@ -46,10 +46,12 @@ class CounterSample:
 class PerformanceCounterUnit:
     """Per-logical-core counter bank with arm/disarm semantics.
 
-    The CPU increments counters unconditionally through the fast-path
-    ``count_*`` methods; arming snapshots the running totals so a collection
-    window is the difference between two snapshots — the same
-    free-running-counter discipline real PMUs use.
+    The counters run free: the CPU's dispatch loop buffers the running
+    totals in locals and writes them back at every exit (and around every
+    interpreted op), and bulk executors add through :meth:`count_block`.
+    Arming snapshots the running totals so a collection window is the
+    difference between two snapshots — the same free-running-counter
+    discipline real PMUs use.
     """
 
     __slots__ = ("_inst", "_br", "_loads", "_stores", "_armed", "_base")
@@ -62,28 +64,11 @@ class PerformanceCounterUnit:
         self._armed = False
         self._base = (0, 0, 0, 0)
 
-    # -- CPU fast path ------------------------------------------------------
-
-    def count_instruction(self, n: int = 1) -> None:
-        self._inst += n
-
-    def count_branch(self) -> None:
-        self._br += 1
-
-    def count_load(self, n: int = 1) -> None:
-        self._loads += n
-
-    def count_store(self, n: int = 1) -> None:
-        self._stores += n
+    # -- bulk retirement ----------------------------------------------------
 
     def count_block(self, instructions: int, branches: int, loads: int, stores: int) -> None:
-        """Batched retirement of a whole basic block (one call per block).
-
-        Used by bulk executors (``rep movs``, translated blocks when they
-        flush through the PMU rather than the dispatch loop's buffered
-        locals): identical to issuing the four ``count_*`` updates
-        individually, just without per-event call overhead.
-        """
+        """Add a batch of retired events at once (``rep movs`` counts its
+        copied words through here)."""
         self._inst += instructions
         self._br += branches
         self._loads += loads

@@ -29,13 +29,17 @@ _MASK64 = (1 << 64) - 1
 
 
 class Tracer:
-    """Records the dynamic instruction stream of one execution."""
+    """Records the dynamic instruction stream of one execution.
 
-    __slots__ = ("light", "count", "path_hash", "addresses", "enabled")
+    The CPU's dispatch loop keeps the count and path hash in locals while it
+    runs and writes them back at every exit and around every interpreted
+    op; ``rep movs`` adds its iterations through :meth:`record_bulk`.
+    """
+
+    __slots__ = ("light", "count", "path_hash", "addresses")
 
     def __init__(self, *, light: bool = True) -> None:
         self.light = light
-        self.enabled = True
         self.count = 0
         self.path_hash = _FNV_OFFSET
         #: Executed instruction addresses (full mode only).
@@ -43,8 +47,6 @@ class Tracer:
 
     def record(self, address: int) -> None:
         """Record the retirement of the instruction at ``address``."""
-        if not self.enabled:
-            return
         self.count += 1
         # FNV-1a over the address stream: order-sensitive, collision-resistant
         # enough to distinguish control-flow paths.
@@ -60,7 +62,7 @@ class Tracer:
         hash as a function of both the address and the repeat count, so two
         executions differing only in iteration count hash differently.
         """
-        if not self.enabled or n <= 0:
+        if n <= 0:
             return
         self.count += n
         h = self.path_hash ^ ((address ^ (n * 0x9E3779B97F4A7C15)) & _MASK64)

@@ -71,6 +71,7 @@ from repro.machine.isa import (
     OP_MEM_LOADS,
     OP_MEM_STORES,
     Program,
+    instr_register_accesses,
 )
 from repro.machine.registers import MASK64, RegisterFile
 from repro.machine.tracer import _FNV_PRIME
@@ -100,9 +101,9 @@ MAX_BLOCK_INSTRUCTIONS = 64
 #: trials/sec at campaign scale.
 COMPILE_THRESHOLD = 32
 
-_I_RIP = RegisterFile.index_of("rip")
-_I_RSP = RegisterFile.index_of("rsp")
-_I_FL = RegisterFile.index_of("rflags")
+_RIP = RegisterFile.index_of("rip")
+_RSP = RegisterFile.index_of("rsp")
+_RFLAGS = RegisterFile.index_of("rflags")
 
 # Literals baked into generated source (never looked up at run time).
 _M = f"{MASK64:#x}"
@@ -218,22 +219,22 @@ _PRED_TABLES = {"sub": _SUB_PREDS, "add": _ADD_PREDS, "logic": _LOGIC_PREDS}
 
 def _push_word(mem_write, rvals, value: int, addr: int) -> None:
     """PUSH's stack half: write below RSP, #SS on fault, then commit RSP."""
-    s = (rvals[_I_RSP] - 8) & MASK64
+    s = (rvals[_RSP] - 8) & MASK64
     try:
         mem_write(s, value, addr)
     except HardwareException as exc:
         raise_stack_fault(exc)
-    rvals[_I_RSP] = s
+    rvals[_RSP] = s
 
 
 def _pop_word(mem_read, rvals, addr: int) -> int:
     """POP's stack half: read at RSP, #SS on fault, then commit RSP."""
-    s = rvals[_I_RSP]
+    s = rvals[_RSP]
     try:
         value = mem_read(s, addr)
     except HardwareException as exc:
         raise_stack_fault(exc)
-    rvals[_I_RSP] = (s + 8) & MASK64
+    rvals[_RSP] = (s + 8) & MASK64
     return value
 
 
@@ -317,18 +318,18 @@ class _Emitter:
             return
         kind, b = p
         if kind == "logic":
-            self.line(f"rvals[{_I_FL}] = _LF(rvals[{_I_FL}], _r)", indent)
+            self.line(f"rvals[{_RFLAGS}] = _LF(rvals[{_RFLAGS}], _r)", indent)
         elif kind == "add":
-            self.line(f"rvals[{_I_FL}] = _AF(rvals[{_I_FL}], _w, _a, {b})", indent)
+            self.line(f"rvals[{_RFLAGS}] = _AF(rvals[{_RFLAGS}], _w, _a, {b})", indent)
         else:
-            self.line(f"rvals[{_I_FL}] = _SF(rvals[{_I_FL}], _w, _a, {b})", indent)
+            self.line(f"rvals[{_RFLAGS}] = _SF(rvals[{_RFLAGS}], _w, _a, {b})", indent)
         if not keep:
             self.pending = None
 
     def exit_(self, rip: int, acct: tuple, indent: str = _IND) -> None:
         """One trace exit: the RIP write plus its baked accounting."""
         n, branches, loads, stores, asserts = acct
-        self.line(f"rvals[{_I_RIP}] = {rip & MASK64}", indent)
+        self.line(f"rvals[{_RIP}] = {rip & MASK64}", indent)
         self.line(f"return h, {n}, {branches}, {loads}, {stores}, {asserts}", indent)
 
 
@@ -492,10 +493,6 @@ def compile_block(instructions: tuple[Instr, ...], index: int, base: int):
     (h, n, branches, loads, stores, asserts)`` — the architectural effects
     including the final RIP write, plus the taken exit's retirement deltas.
     """
-    # Late import: cpu imports this module at load time, and the accessor is
-    # only needed once per compiled trace, never on the hot path.
-    from repro.machine.cpu import instr_register_accesses
-
     n_instrs = len(instructions)
     addrs: list[int] = []
     loads_before: list[int] = []
@@ -628,7 +625,7 @@ def compile_block(instructions: tuple[Instr, ...], index: int, base: int):
             em.flush_folds()
             if pred is None:
                 em.materialize()
-                em.line(f"_f = rvals[{_I_FL}]")
+                em.line(f"_f = rvals[{_RFLAGS}]")
                 em.line(
                     f"if ({ins.cond_table} >> ((_f & 1) | ((_f >> 5) & 6)"
                     " | ((_f >> 8) & 8))) & 1:"
@@ -643,7 +640,7 @@ def compile_block(instructions: tuple[Instr, ...], index: int, base: int):
             em.line(f"_t = _pop(mem_read, rvals, {addr})")
             em.retire(addr)
             em.flush_folds()
-            em.line(f"rvals[{_I_RIP}] = _t")
+            em.line(f"rvals[{_RIP}] = _t")
             n_through, n_br, n_ld, n_st, n_ak = acct
             em.line(f"return h, {n_through}, {n_br}, {n_ld}, {n_st}, {n_ak}")
     if open_exit:

@@ -331,10 +331,9 @@ class CampaignCounters:
         with the block-cache hit rate and the translated share derived."""
         translated, interpreted = self.translated.value, self.interpreted.value
         executions, compiled = self.block_executions.value, self.blocks_compiled.value
-        dead_skipped = self.skipped_by_dead_twin.value
         return {
             "trials": self.trials_synthesized.value + self.trials_replayed.value,
-            "instructions_skipped": dead_skipped,
+            "instructions_skipped": self.skipped_by_dead_twin.value,
             "proved_hangs": self.proved_hangs.value,
             "proved_hang_instructions": self.skipped_by_proof.value,
             "translated_instructions": translated,
@@ -347,7 +346,6 @@ class CampaignCounters:
             "twins": self.twins.value,
             "dead_twins": self.dead_twins.value,
             "peeled_twins": self.peeled_twins.value,
-            "synthesized_instructions": dead_skipped,
             "block_hit_rate": (
                 (executions - compiled) / executions if executions > compiled else 0.0
             ),

@@ -22,7 +22,7 @@ from repro.faults.injector import trace_plan
 from repro.faults.propagation import materialize_followups
 from repro.hypervisor import XenHypervisor
 from repro.machine import translator
-from repro.machine.cpu import instr_register_accesses
+from repro.machine.isa import instr_register_accesses
 from repro.machine.isa import Op
 from repro.machine.lockstep import TwinPlan
 from repro.machine.registers import ALL_REGISTERS

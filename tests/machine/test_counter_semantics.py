@@ -38,6 +38,7 @@ from repro.machine.memory import Memory, PAGE_SIZE, Region
 TEXT = 0x1000
 DATA = 0x10000
 STACK = 0x20000
+TSC_START = 1_000_000
 
 
 def _run(build, translate, *, rsp=None):
@@ -49,7 +50,7 @@ def _run(build, translate, *, rsp=None):
     mem.map_region(Region("text", TEXT, PAGE_SIZE, writable=False, executable=True))
     mem.map_region(Region("data", DATA, PAGE_SIZE))
     mem.map_region(Region("stack", STACK, PAGE_SIZE))
-    core = CPUCore(0, mem, translate=translate)
+    core = CPUCore(0, mem, tsc_start=TSC_START, translate=translate)
     core.regs.write("rbp", DATA)
     core.regs.write("rsp", STACK + PAGE_SIZE if rsp is None else rsp)
     exc = None
@@ -235,3 +236,36 @@ class TestFaultingOps:
         assert exc.vector is Vector.DIVIDE_ERROR
         assert core.pmu.totals().instructions == 2
         assert core.tracer.count == 2
+
+
+class TestPartialRepMovs:
+    """A ``rep movs`` that faults part-way retires the words it copied.
+
+    The program copies towards the end of the data page: three words fit,
+    the fourth store faults.  By the contract above, the three copied words
+    retire three iteration instructions, three loads and three stores, and
+    advance the TSC with them.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the interpreter's generic tail leaves on the handler's "
+        "exception before reloading its buffered counts, so the dispatch "
+        "loop writes back the counts from before rep_movs ran",
+    )
+    def test_copied_words_stay_counted(self, translate):
+        def build(a):
+            a.mov("rsi", DATA)
+            a.mov("rdi", DATA + PAGE_SIZE - 24)
+            a.mov("rcx", 10)
+            a.rep_movs()
+
+        core, exc = _run(build, translate)
+        assert isinstance(exc, HardwareException)
+        assert exc.vector is Vector.PAGE_FAULT
+        assert core.regs["rcx"] == 7  # three words copied before the fault
+        totals = core.pmu.totals()
+        # 3 movs + rep_movs, plus one iteration per copied word.
+        assert core.tracer.count == totals.instructions == 7
+        assert totals.loads == totals.stores == 3
+        assert core.tsc == TSC_START + 7

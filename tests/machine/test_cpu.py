@@ -11,7 +11,7 @@ from repro.machine import (
     Vector,
     parse_asm,
 )
-from repro.machine.cpu import instr_register_accesses
+from repro.machine.isa import instr_register_accesses
 from repro.machine.registers import RegisterFile
 
 from tests.conftest import HEAP_BASE, STACK_TOP, TEXT_BASE
