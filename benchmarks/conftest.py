@@ -12,8 +12,11 @@ full paper scale (~23,400 training injections, ~17,700 test injections,
 
 from __future__ import annotations
 
+import json
 import os
+import platform
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,22 @@ SEED = int(os.environ.get("REPRO_BENCH_SEED", "5"))
 
 def scaled(n: int) -> int:
     return max(50, int(n * SCALE))
+
+
+def write_bench(name: str, summary: dict) -> Path:
+    """Write a harness summary, with the host it was measured on, to
+    ``BENCH_<name>.json`` next to this file (or to ``REPRO_BENCH_OUTPUT``);
+    return the path."""
+    path = Path(
+        os.environ.get("REPRO_BENCH_OUTPUT", Path(__file__).parent / f"BENCH_{name}.json")
+    )
+    host = {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+    path.write_text(json.dumps({**summary, "host": host}, indent=1))
+    return path
 
 
 @dataclass(frozen=True)

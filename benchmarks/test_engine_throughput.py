@@ -19,9 +19,7 @@ scale this is a small campaign so the whole file stays in CI budget.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import platform
 import statistics
 import tempfile
 import time
@@ -30,7 +28,7 @@ from pathlib import Path
 from repro.engine import CampaignEngine, EngineTelemetry, plan_campaign
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 
-from benchmarks.conftest import SEED, scaled
+from benchmarks.conftest import SEED, scaled, write_bench
 
 N_INJECTIONS = scaled(600)
 NPROC = len(os.sched_getaffinity(0))
@@ -42,9 +40,6 @@ JOBS = sorted({min(jobs, NPROC) for jobs in (2, 4)})
 TARGET_WARM_SPEEDUP = 1.5
 #: Alternating repetitions behind each widest-engine phase's median.
 REPS = 3
-OUTPUT = Path(
-    os.environ.get("REPRO_BENCH_OUTPUT", Path(__file__).parent / "BENCH_engine.json")
-)
 
 
 def _timed(label: str, fn):
@@ -136,11 +131,6 @@ def test_engine_throughput_and_speedup():
 
     summary = {
         "format": "xentry-bench-engine-v2",
-        "host": {
-            "nproc": NPROC,
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
         "n_injections": len(serial),
         "n_shards_planned": plan_campaign(config, 2 * jobs).n_shards,
         "seed": SEED,
@@ -149,7 +139,7 @@ def test_engine_throughput_and_speedup():
         "warm_cache_speedup_vs_no_cache": runs[-1]["speedup_vs_no_cache"],
         "target_warm_speedup": TARGET_WARM_SPEEDUP,
     }
-    OUTPUT.write_text(json.dumps(summary, indent=1))
+    output = write_bench("engine", summary)
 
     print(f"\nengine throughput — {len(serial)} injections, seed {SEED}, "
           f"nproc {NPROC}")
@@ -167,7 +157,7 @@ def test_engine_throughput_and_speedup():
         f"(capture {warm['golden_cache'].get('golden_capture_seconds', 0.0):.2f}s, "
         f"load {warm['golden_cache'].get('golden_load_seconds', 0.0):.2f}s)"
     )
-    print(f"summary written to {OUTPUT}")
+    print(f"summary written to {output}")
 
     # The summary is written first, so a run that misses a floor still
     # records its numbers.

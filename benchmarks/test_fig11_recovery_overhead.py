@@ -17,10 +17,7 @@ machine-readable summary lands in ``BENCH_recovery.json`` next to this file
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +27,7 @@ from repro.system import PlatformConfig, VirtualPlatform
 from repro.workloads import BENCHMARKS
 from repro.xentry import RecoveryCostModel, estimate_recovery_overhead
 
-from benchmarks.conftest import SEED, scaled
+from benchmarks.conftest import SEED, scaled, write_bench
 
 #: Modeled clock of the paper's testbed (Xeon E5506).
 CLOCK_GHZ = 2.13
@@ -38,11 +35,6 @@ CLOCK_GHZ = 2.13
 #: Injections per measured recovery campaign (one campaign per policy).
 RECOVERY_INJECTIONS = scaled(600)
 
-OUTPUT = Path(
-    os.environ.get(
-        "REPRO_BENCH_OUTPUT", Path(__file__).parent / "BENCH_recovery.json"
-    )
-)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +144,7 @@ def test_recovery_campaigns_measured():
         "trials_per_sec": total_trials / total_elapsed,
         "policies": policies,
     }
-    OUTPUT.write_text(json.dumps(summary_doc, indent=1))
+    write_bench("recovery", summary_doc)
 
     print(f"\nmeasured recovery campaigns — "
           f"{RECOVERY_INJECTIONS} injections/policy, seed {SEED}")

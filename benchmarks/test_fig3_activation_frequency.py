@@ -9,7 +9,6 @@ consistently higher than HVM.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.analysis import BoxStats, ComparisonTable, ascii_boxplot

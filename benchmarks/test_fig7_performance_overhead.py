@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import ComparisonTable, PerfOverheadModel
-from repro.workloads import BENCHMARKS, get_profile
+from repro.workloads import BENCHMARKS
 
 
 @pytest.fixture(scope="module")

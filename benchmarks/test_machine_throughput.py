@@ -28,10 +28,8 @@ throughput varies across machines.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +37,7 @@ from repro.faults import FaultModel, capture_golden, run_trial, run_twin_batch
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
 from repro.metrics import CampaignCounters, counted
 
-from benchmarks.conftest import SEED, scaled
+from benchmarks.conftest import SEED, scaled, write_bench
 
 N_GOLDENS = 6
 #: Campaign-scale trial counts (production campaigns run thousands of
@@ -80,9 +78,6 @@ LOCKSTEP_BASELINE_TRIALS_PER_SEC = float(
 )
 LOCKSTEP_TARGET_SPEEDUP = 2.0
 
-OUTPUT = Path(
-    os.environ.get("REPRO_BENCH_OUTPUT", Path(__file__).parent / "BENCH_machine.json")
-)
 
 
 def _run_workload(hv: XenHypervisor):
@@ -219,7 +214,7 @@ def test_machine_trial_throughput():
             else None
         ),
     }
-    OUTPUT.write_text(json.dumps(summary, indent=1))
+    write_bench("machine", summary)
 
     print(f"\nmachine trial throughput — {len(records)} trials, seed {SEED}")
     print(f"  trials/sec:        {trials_per_sec:10.1f}")

@@ -14,10 +14,7 @@ throughput varies across machines.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -28,16 +25,13 @@ from repro.ml import (
     compile_tree,
 )
 
-from benchmarks.conftest import SEED, scaled
+from benchmarks.conftest import SEED, scaled, write_bench
 
 N_ROWS = scaled(200_000)
 N_TRAIN = 2_000
 N_TREES = 15
 TARGET_TREE_SPEEDUP = 10.0
 
-OUTPUT = Path(
-    os.environ.get("REPRO_BENCH_OUTPUT", Path(__file__).parent / "BENCH_ml.json")
-)
 
 
 def _training_data(rng: np.random.Generator) -> Dataset:
@@ -105,7 +99,7 @@ def test_ml_inference_throughput():
         "models": models,
         "target_tree_speedup": TARGET_TREE_SPEEDUP,
     }
-    OUTPUT.write_text(json.dumps(summary, indent=1))
+    output = write_bench("ml", summary)
 
     print(f"\nml inference throughput — {N_ROWS:,} rows, seed {SEED}")
     print(f"{'model':<8} {'per-row r/s':>13} {'batch r/s':>13} {'speedup':>9}")
@@ -115,7 +109,7 @@ def test_ml_inference_throughput():
             f"{stats['batch']['rows_per_sec']:13,.0f} "
             f"{stats['speedup']:8.1f}x"
         )
-    print(f"summary written to {OUTPUT}")
+    print(f"summary written to {output}")
 
     assert models["tree"]["speedup"] >= TARGET_TREE_SPEEDUP, (
         f"batch traversal regressed: {models['tree']['speedup']:.1f}x "

@@ -8,8 +8,6 @@ deployed classifier's false positive rate is 0.7% (used in Section VI).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import ComparisonTable
 from repro.ml import compile_tree
 

@@ -15,17 +15,14 @@ machines); the committed JSON is the honest reference point.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.ml import Dataset, DecisionTreeClassifier, compile_tree
 from repro.service import DetectionService, FleetConfig, ServiceConfig
 
-from benchmarks.conftest import SEED, scaled
+from benchmarks.conftest import SEED, scaled, write_bench
 
 N_HOSTS = 200
 VMS_PER_HOST = 8
@@ -33,11 +30,6 @@ N_ROWS = scaled(400_000)
 BATCH_ROWS = 1024
 MIN_ROWS_PER_SEC = 20_000.0
 
-OUTPUT = Path(
-    os.environ.get(
-        "REPRO_BENCH_OUTPUT", Path(__file__).parent / "BENCH_service.json"
-    )
-)
 
 
 def _detector():
@@ -96,7 +88,7 @@ def test_service_throughput():
         "latency_seconds": pct,
         "min_rows_per_sec": MIN_ROWS_PER_SEC,
     }
-    OUTPUT.write_text(json.dumps(summary, indent=1))
+    output = write_bench("service", summary)
 
     print(f"\nservice throughput — {N_HOSTS} hosts x {VMS_PER_HOST} VMs, "
           f"{N_ROWS:,} rows, batch {BATCH_ROWS}")
@@ -107,7 +99,7 @@ def test_service_throughput():
           f"FP {report.totals.false_positive:,})")
     print(f"  latency:   p50 {pct['p50'] * 1e3:.2f} ms  "
           f"p95 {pct['p95'] * 1e3:.2f} ms  p99 {pct['p99'] * 1e3:.2f} ms")
-    print(f"summary written to {OUTPUT}")
+    print(f"summary written to {output}")
 
     assert rows_per_sec >= MIN_ROWS_PER_SEC, (
         f"service pipeline sustained {rows_per_sec:,.0f} rows/s, "

@@ -21,24 +21,18 @@ is written to ``BENCH_supervisor.json`` (override with
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 from repro.engine import CampaignEngine, RetryPolicy
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 
-from benchmarks.conftest import SEED, scaled
+from benchmarks.conftest import SEED, scaled, write_bench
 
 N_INJECTIONS = scaled(600)
 REPS = 3
 #: Acceptance envelope: supervised fault-free throughput within 2% of serial.
 MAX_OVERHEAD = 0.02
-OUTPUT = Path(
-    os.environ.get(
-        "REPRO_BENCH_OUTPUT", Path(__file__).parent / "BENCH_supervisor.json"
-    )
-)
 
 
 def _best_of(fn):
@@ -86,7 +80,7 @@ def test_supervisor_overhead_is_negligible():
         "max_overhead_fraction": MAX_OVERHEAD,
         "machine_baseline_trials_per_sec": baseline_tps,
     }
-    OUTPUT.write_text(json.dumps(summary, indent=1))
+    output = write_bench("supervisor", summary)
 
     print(f"\nsupervisor overhead — {len(serial)} injections, best of {REPS}")
     print(f"serial      {serial_s:8.2f}s  {len(serial) / serial_s:10.1f} trials/s")
@@ -98,7 +92,7 @@ def test_supervisor_overhead_is_negligible():
     if baseline_tps:
         ratio = (len(supervised) / supervised_s) / baseline_tps
         print(f"vs machine baseline {baseline_tps:.1f} trials/s: {ratio:.2f}x")
-    print(f"summary written to {OUTPUT}")
+    print(f"summary written to {output}")
 
     assert overhead < MAX_OVERHEAD, (
         f"supervised fault-free run is {overhead:.2%} slower than serial "

@@ -78,8 +78,8 @@ class TestStackedBars:
 
     def test_segment_widths_reflect_shares(self):
         text = ascii_stacked_bars(self.make(), width=50)
-        bzip2_row = next(l for l in text.splitlines() if l.startswith("bzip2"))
-        postmark_row = next(l for l in text.splitlines() if l.startswith("postmark"))
+        bzip2_row = next(r for r in text.splitlines() if r.startswith("bzip2"))
+        postmark_row = next(r for r in text.splitlines() if r.startswith("postmark"))
         assert bzip2_row.count("#") > postmark_row.count("#")
 
     def test_empty_rejected(self):

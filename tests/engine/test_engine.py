@@ -2,9 +2,10 @@
 
 The two acceptance properties of the engine subsystem live here:
 
-* a sharded run (any shard count, serial or pooled) merges to a record
-  sequence **bit-identical** to ``FaultInjectionCampaign.run`` with the same
-  root seed;
+* a sharded run (any shard count) merges to a record sequence
+  **bit-identical** to ``FaultInjectionCampaign.run`` with the same root
+  seed (pooled runs, with and without a detector, are cells of
+  ``tests/test_equivalence.py``);
 * a campaign killed mid-flight and resumed from its journal completes with
   no duplicated and no missing trial records.
 """
@@ -47,23 +48,6 @@ class TestDeterminism:
     def test_sharded_run_is_bit_identical_to_serial(self, n_shards, serial_records):
         result = CampaignEngine(CONFIG, jobs=1, n_shards=n_shards).run()
         assert result.records == serial_records
-
-    def test_process_pool_run_is_bit_identical_to_serial(self, serial_records):
-        result = CampaignEngine(CONFIG, jobs=2, n_shards=4).run()
-        assert result.records == serial_records
-
-    def test_detector_survives_pickling_into_workers(self, serial_records):
-        from tests.ml.test_trees import separable_dataset
-        from repro.ml import DecisionTreeClassifier
-        from repro.xentry import VMTransitionDetector
-
-        detector = VMTransitionDetector.from_classifier(
-            DecisionTreeClassifier().fit(separable_dataset(200, seed=2))
-        )
-        pooled = CampaignEngine(CONFIG, jobs=2, n_shards=4, detector=detector).run()
-        detector2 = VMTransitionDetector(rules=detector.rules)
-        serial = FaultInjectionCampaign(CONFIG, detector=detector2).run()
-        assert pooled.records == serial.records
 
 
 class TestResume:

@@ -5,11 +5,10 @@ plus entry indices); the coordinator adopts them and, right before it forks
 its next pool, compiles them from its own image
 (``repro.engine.pool.warm_worker``), so only the first pool of a process
 compiles cold.  These tests pin the hand-off, the ``--no-translate`` no-op,
-the second-run and crash-rebuild forks, and record identity across them.
+and the second-run and crash-rebuild forks.
 """
 
 import dataclasses
-from pathlib import Path
 
 import pytest
 
@@ -24,10 +23,7 @@ from repro.faults import CampaignConfig, FaultInjectionCampaign
 from repro.hypervisor.xen import XenHypervisor, boot_image
 from repro.machine.translator import CACHE
 from repro.metrics import COUNTERS
-from repro.persist import save_records
-from repro.scenarios import load_scenario
 
-ROOT = Path(__file__).resolve().parents[2]
 CONFIG = CampaignConfig(benchmarks=("mcf", "postmark"), n_injections=64, seed=9)
 
 
@@ -62,11 +58,6 @@ def run(config: CampaignConfig, *, jobs: int = 2, n_shards: int = 2, **kwargs):
         config, jobs=jobs, n_shards=n_shards, telemetry=telemetry, **kwargs
     ).run()
     return result, telemetry.counters.machine()
-
-
-def record_bytes(result, path: Path) -> bytes:
-    save_records(result.records, path)
-    return path.read_bytes()
 
 
 class TestHandOff:
@@ -132,28 +123,3 @@ class TestHotFork:
         assert telemetry.counters.machine()["blocks_compiled_prefork"] == rebuilt_pool
         assert result.records == FaultInjectionCampaign(CONFIG).run().records
 
-
-class TestRecordIdentity:
-    @pytest.mark.parametrize("store", ["cold", "warm"])
-    def test_records_identical_across_forks(self, tmp_path, fresh_cache, store):
-        scenario = load_scenario(ROOT / "examples" / "mixed.yaml")
-        config = scenario.apply(dataclasses.replace(CONFIG, recover="ladder"))
-
-        def stored(name: str) -> CampaignConfig:
-            return dataclasses.replace(config, artifacts=str(tmp_path / name))
-
-        if store == "warm":
-            run(stored("store"))
-            empty_cache()  # the first measured run below forks cold again
-            first_config = second_config = stored("store")
-        else:
-            first_config, second_config = stored("first"), stored("second")
-        first, cold = run(first_config)
-        second, hot = run(second_config)
-        assert cold.get("blocks_compiled_prefork", 0) == 0
-        assert hot["blocks_compiled_prefork"] > 0
-        # --jobs 1 last, so its in-process compiles cannot warm the forks.
-        serial = FaultInjectionCampaign(config).run()
-        reference = record_bytes(serial, tmp_path / "serial.jsonl")
-        assert record_bytes(first, tmp_path / "first.jsonl") == reference
-        assert record_bytes(second, tmp_path / "second.jsonl") == reference

@@ -3,17 +3,13 @@
 Every faulty trial replays its activation from the pre-activation
 checkpoint.  These tests hold the translation cache to the determinism
 contract: for *every* injection index a translated trial must produce a
-record bit-identical to an interpreted one, and campaign records must be
-invariant to translation.
+record bit-identical to an interpreted one.  Campaign records under
+translation are pinned by ``tests/test_equivalence.py``.
 """
-
-import dataclasses
 
 import pytest
 
 from repro.faults import (
-    CampaignConfig,
-    FaultInjectionCampaign,
     FaultSpec,
     capture_golden,
     run_trial,
@@ -71,18 +67,6 @@ class TestSideExitPrecision:
 
 
 class TestRecordsInvariance:
-    """Campaign science must not depend on performance knobs."""
-
-    CONFIG = CampaignConfig(n_injections=60, seed=9)
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        return FaultInjectionCampaign(self.CONFIG).run().records
-
-    def test_disabling_translation_does_not_change_records(self, reference):
-        config = dataclasses.replace(self.CONFIG, translate=False)
-        assert FaultInjectionCampaign(config).run().records == reference
-
     def test_interval_zero_never_fast_forwards(self):
         hv = XenHypervisor(seed=31)
         golden = capture_golden(hv, act("do_irq", 2))

@@ -5,9 +5,10 @@ the next read, or never touched again) analytically and peels diverging
 twins into the per-trial path with their read point.  These tests
 hold the scan to the determinism contract: for every injection index and
 register — including RIP/RFLAGS and indices past the traced run — the
-batched records must be bit-identical to per-trial execution, campaign
-records must be invariant to the ``twin_batch`` knob, and the knob must
-stay outside the config digest so journals interoperate.
+batched records must be bit-identical to per-trial execution, and the
+``twin_batch`` knob must stay outside the config digest so journals
+interoperate.  Campaign records under the knob are pinned by
+``tests/test_equivalence.py``.
 """
 
 import dataclasses
@@ -19,7 +20,6 @@ import pytest
 from repro.engine.planner import plan_campaign
 from repro.faults import (
     CampaignConfig,
-    FaultInjectionCampaign,
     FaultSpec,
     capture_golden,
     run_trial,
@@ -181,16 +181,9 @@ class TestTwinBatchEquivalence:
 
 
 class TestCampaignBitIdentity:
-    """Blocking gate: the fixed-seed campaign is invariant to the knob."""
+    """The knob shapes execution, never the campaign's identity."""
 
     CONFIG = CampaignConfig(n_injections=2000, seed=5)
-
-    def test_2000_injection_campaign_identical_without_twin_batch(self):
-        assert self.CONFIG.twin_batch  # on by default
-        on = FaultInjectionCampaign(self.CONFIG).run().records
-        off_config = dataclasses.replace(self.CONFIG, twin_batch=False)
-        off = FaultInjectionCampaign(off_config).run().records
-        assert on == off
 
     def test_twin_batch_outside_config_digest(self):
         on = plan_campaign(self.CONFIG, 4).digest

@@ -1,7 +1,5 @@
 """Outcome taxonomy semantics."""
 
-import pytest
-
 from repro.faults.outcomes import (
     DetectionTechnique,
     FailureClass,

@@ -5,7 +5,7 @@ import pytest
 from repro.faults import FaultSpec, capture_golden, run_trial
 from repro.faults.outcomes import DetectionTechnique, UndetectedKind
 from repro.hypervisor import Activation, Hardening, REGISTRY, XenHypervisor
-from repro.machine import AssertionViolation, Op
+from repro.machine import Op
 
 
 @pytest.fixture(scope="module")

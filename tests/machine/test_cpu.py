@@ -9,7 +9,6 @@ from repro.machine import (
     HardwareException,
     Op,
     Vector,
-    parse_asm,
 )
 from repro.machine.isa import instr_register_accesses
 from repro.machine.registers import RegisterFile

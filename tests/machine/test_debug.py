@@ -1,12 +1,10 @@
 """Execution tracing and fault forensics tooling."""
 
-import pytest
-
 from repro.machine import CPUCore, translator
 from repro.machine.debug import diff_traces, trace_execution
 from repro.metrics import CampaignCounters, counted
 
-from tests.conftest import STACK_TOP, TEXT_BASE
+from tests.conftest import STACK_TOP
 
 
 SOURCE = """

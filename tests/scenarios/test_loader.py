@@ -1,5 +1,7 @@
 """Scenario schema validation and error provenance."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import CampaignConfigError, ScenarioError
@@ -11,6 +13,8 @@ from repro.faults.model import (
 )
 from repro.scenarios import scenario_from_dict
 from repro.workloads.base import VirtMode
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples").glob("*.yaml"))
 
 
 def mixed_dict():
@@ -212,14 +216,11 @@ class TestYamlFiles:
         assert str(path) in str(err.value)
 
     def test_every_example_scenario_validates(self):
-        pytest.importorskip("yaml")
-        from pathlib import Path
+        assert EXAMPLES, "examples/ should ship scenario files"
 
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.name)
+    def test_example_scenario_loads(self, path):
+        pytest.importorskip("yaml")
         from repro.scenarios import load_scenario
 
-        examples = Path(__file__).resolve().parents[2] / "examples"
-        paths = sorted(examples.glob("*.yaml"))
-        assert paths, "examples/ should ship scenario files"
-        for path in paths:
-            scenario = load_scenario(path)
-            assert scenario.describe()
+        assert load_scenario(path).describe()

@@ -80,15 +80,6 @@ class TestExecution:
         # Re-analysis reproduces the same coverage rows.
         assert first.split("Fig. 8")[1] == second.split("Fig. 8")[1]
 
-    def test_campaign_engine_jobs_matches_serial(self, capsys, tmp_path):
-        """--jobs 2 through the CLI reports identical figures to serial."""
-        argv = ["campaign", "--injections", "80", "--scale", "0.03", "--seed", "2"]
-        assert main(argv) == 0
-        serial = capsys.readouterr().out
-        assert main(argv + ["--jobs", "2"]) == 0
-        pooled = capsys.readouterr().out
-        assert serial.split("Fig. 8")[1] == pooled.split("Fig. 8")[1]
-
     def test_campaign_journal_and_resume(self, capsys, tmp_path):
         """A journalled campaign resumes (fully satisfied from the journal)
         and the journal re-analyzes like a records file."""

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import DatasetError
@@ -14,7 +13,7 @@ from repro.faults.outcomes import (
     TrialRecord,
     UndetectedKind,
 )
-from repro.ml import Dataset, DecisionTreeClassifier, compile_tree
+from repro.ml import DecisionTreeClassifier, compile_tree
 from repro.persist import (
     ModelArtifact,
     append_records_jsonl,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CampaignConfigError
-from repro.hypervisor import Activation, REGISTRY, XenHypervisor
+from repro.hypervisor import REGISTRY, XenHypervisor
 from repro.workloads import (
     BENCHMARK_NAMES,
     BENCHMARKS,

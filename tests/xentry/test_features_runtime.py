@@ -1,7 +1,5 @@
 """Feature vectors and runtime detection."""
 
-import pytest
-
 from repro.faults.outcomes import DetectionTechnique
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
 from repro.machine import AssertionViolation, HardwareException, Vector

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CampaignConfigError
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
-from repro.workloads import VirtMode, get_profile
+from repro.workloads import get_profile
 from repro.xentry import (
     DetectionCostModel,
     PAPER_COPY_NS,

@@ -10,8 +10,8 @@ from repro.errors import CampaignConfigError, NotFittedError
 from repro.faults import FaultModel
 from repro.faults.outcomes import DetectionTechnique, FaultSpec
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
-from repro.ml import CORRECT, Dataset, DecisionTreeClassifier, INCORRECT
-from repro.workloads import VirtMode, WorkloadGenerator, get_profile
+from repro.ml import CORRECT, Dataset, DecisionTreeClassifier
+from repro.workloads import WorkloadGenerator, get_profile
 from repro.xentry import (
     ProtectionVerdict,
     TrainingConfig,
