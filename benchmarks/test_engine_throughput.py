@@ -13,7 +13,7 @@ is written to ``BENCH_engine.json`` next to this file (override with
 ``REPRO_BENCH_OUTPUT``).
 
 Scale with ``REPRO_BENCH_SCALE`` like the other harnesses; at the default
-scale this is a small campaign so the whole file stays in CI budget.
+scale the file runs in about a minute on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -30,7 +30,12 @@ from repro.faults import CampaignConfig, FaultInjectionCampaign
 
 from benchmarks.conftest import SEED, scaled, write_bench
 
-N_INJECTIONS = scaled(600)
+#: Sized so each widest-engine phase lasts 1-3 s on a 2-CPU Xeon: at 600
+#: injections and 3 repetitions the phases lasted 0.2-0.4 s and five runs'
+#: warm/no-cache ratios spread 0.31x.  At this size five runs spread
+#: 0.12-0.21x; doubling the injections did not narrow that, so host drift
+#: across the run, not phase length, sets what spread remains.
+N_INJECTIONS = scaled(6000)
 NPROC = len(os.sched_getaffinity(0))
 #: Pooled job counts, capped at the host's CPUs.
 JOBS = sorted({min(jobs, NPROC) for jobs in (2, 4)})
@@ -39,7 +44,7 @@ JOBS = sorted({min(jobs, NPROC) for jobs in (2, 4)})
 #: captures vs full capture cost; every pool of the process forks hot).
 TARGET_WARM_SPEEDUP = 1.5
 #: Alternating repetitions behind each widest-engine phase's median.
-REPS = 3
+REPS = 9
 
 
 def _timed(label: str, fn):

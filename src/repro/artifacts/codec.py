@@ -3,7 +3,8 @@
 One artifact holds everything a worker needs to run a golden group's trials
 without executing the fault-free twin: the :class:`GoldenRun` (result,
 outputs, pre- and post-run checkpoints, the follow-up results when a trial
-materialized them) and the lock-step :class:`TwinPlan`
+materialized them, and the read set and write log of every golden
+execution) and the lock-step :class:`TwinPlan`
 lowered from its recorded address stream (absent when the group was
 captured with twin batching off; the stream itself is not stored).  The
 heap image is not stored either: the header records the heap's base and
@@ -27,7 +28,10 @@ Two properties matter more than compactness:
   identity).
 * **Mappable columns.**  TwinPlan position columns are raw little-endian
   int64 runs at 8-aligned offsets, so the decoder builds its arrays with
-  ``np.frombuffer`` over the bytes read from the pack — zero-copy.
+  ``np.frombuffer`` over the bytes read from the pack — zero-copy.  The
+  execution logs sit beside them as three uint64 columns (read words,
+  written words, their values), each execution's run sorted, the
+  activation's first and then each follow-up's.
 
 No pickle anywhere: a corrupt or adversarial artifact can fail to decode
 (:class:`ArtifactCorrupt`), never execute.  The trailing checksum makes
@@ -46,7 +50,7 @@ import numpy as np
 from repro.faults.propagation import GoldenRun
 from repro.hypervisor.image import MemoryMap
 from repro.machine.lockstep import TwinPlan
-from repro.machine.memory import PAGE_SIZE, MemoryCheckpoint
+from repro.machine.memory import PAGE_SIZE, ExecutionLog, MemoryCheckpoint
 from repro.persist import activation_result_from_dict, activation_result_to_dict
 
 __all__ = [
@@ -60,11 +64,12 @@ __all__ = [
 
 #: Last byte is the binary-format version: bump it and every older reader
 #: treats the file as corrupt (fallback to live capture, never a misparse).
-MAGIC = b"XENTART\x04"
-CODEC_FORMAT = "xentry-artifact-v4"
+MAGIC = b"XENTART\x05"
+CODEC_FORMAT = "xentry-artifact-v5"
 _CHECKSUM_BYTES = 16
 
 _COLUMN_DTYPE = np.dtype("<i8")
+_WORD_DTYPE = np.dtype("<u8")
 
 
 class ArtifactCorrupt(Exception):
@@ -138,6 +143,7 @@ def encode_group(digest: str, golden: GoldenRun, plan: TwinPlan | None) -> bytes
             "heap": [MemoryMap.heap_base, len(golden.heap_image)],
             "checkpoint": _pages_ref(golden.checkpoint.pages, writer),
             "after": _pages_ref(golden.after.pages, writer),
+            "logs": _logs_ref(golden, writer),
         },
     }
     header["plan"] = None if plan is None else {
@@ -175,6 +181,53 @@ def _region_image(pages: dict[int, bytes], base: int, size: int) -> bytes:
 
 def _column_ref(column: np.ndarray, writer: _BlobWriter) -> int:
     return writer.add(np.ascontiguousarray(column, dtype=_COLUMN_DTYPE).tobytes())
+
+
+def _logs_ref(golden: GoldenRun, writer: _BlobWriter) -> dict | None:
+    """Lower the golden's execution logs to three word columns plus each
+    execution's ``[reads, writes]`` lengths (activation first)."""
+    if golden.log is None:
+        return None
+    logs = (golden.log, *(golden.followup_logs or ()))
+
+    def words(field: str) -> int:
+        column = [w for log in logs for w in getattr(log, field)]
+        return writer.add(np.array(column, dtype=_WORD_DTYPE).tobytes())
+
+    return {
+        "reads": words("reads"),
+        "writes": words("writes"),
+        "values": words("values"),
+        "lengths": [[len(log.reads), len(log.writes)] for log in logs],
+    }
+
+
+def _logs_from(refs: dict | None, blob) -> list[ExecutionLog]:
+    if refs is None:
+        return []
+
+    def words(blob_id: int) -> list[int]:
+        raw = blob(blob_id)
+        if len(raw) % _WORD_DTYPE.itemsize:
+            raise ArtifactCorrupt(f"word blob {blob_id} misaligned")
+        return np.frombuffer(raw, dtype=_WORD_DTYPE).tolist()
+
+    reads, writes, values = (words(refs[key]) for key in ("reads", "writes", "values"))
+    if len(writes) != len(values):
+        raise ArtifactCorrupt("write log holds more words than values")
+    logs = []
+    r = w = 0
+    for n_reads, n_writes in refs["lengths"]:
+        logs.append(ExecutionLog(
+            reads=tuple(reads[r:r + n_reads]),
+            writes=tuple(writes[w:w + n_writes]),
+            values=tuple(values[w:w + n_writes]),
+        ))
+        r += n_reads
+        w += n_writes
+    if r != len(reads) or w != len(writes):
+        raise ArtifactCorrupt("execution log lengths do not cover their columns")
+    return logs
 
 
 def decode_group(buf: bytes | memoryview, *, registry) -> ArtifactPayload:
@@ -233,16 +286,21 @@ def decode_group(buf: bytes | memoryview, *, registry) -> ArtifactPayload:
         g = header["golden"]
         after = MemoryCheckpoint(pages=pages_from(g["after"]))
         heap_base, heap_size = g["heap"]
+        followups = None if g["followups"] is None else tuple(
+            activation_result_from_dict(f, registry=registry) for f in g["followups"]
+        )
+        logs = _logs_from(g["logs"], blob)
+        if logs and len(logs) != 1 + len(followups or ()):
+            raise ArtifactCorrupt("execution logs do not match the golden executions")
         golden = GoldenRun(
             result=activation_result_from_dict(g["result"], registry=registry),
             outputs={addr: value for addr, value in g["outputs"]},
             heap_image=_region_image(after.pages, heap_base, heap_size),
             checkpoint=MemoryCheckpoint(pages=pages_from(g["checkpoint"])),
             after=after,
-            followups=None if g["followups"] is None else tuple(
-                activation_result_from_dict(f, registry=registry)
-                for f in g["followups"]
-            ),
+            followups=followups,
+            log=logs[0] if logs else None,
+            followup_logs=tuple(logs[1:]) if logs and followups is not None else None,
         )
 
         def column(blob_id: int) -> np.ndarray:

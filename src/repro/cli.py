@@ -278,7 +278,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _print_machine(stats: dict, *, pooled: bool) -> None:
-    """The campaign summary's translation-cache and twin-batching lines."""
+    """The campaign summary's translation-cache, twin-batching and
+    golden-reuse lines."""
     if stats.get("block_executions"):
         compiled = f"{stats['blocks_compiled']} blocks compiled"
         if pooled:
@@ -296,6 +297,12 @@ def _print_machine(stats: dict, *, pooled: bool) -> None:
               f"{stats['twin_batches']} batches, "
               f"{stats['dead_twins']} settled without execution "
               f"({dead_share:.1%}), {stats['peeled_twins']} peeled")
+    window = stats.get("followups_executed", 0) + stats.get("followups_from_golden", 0)
+    if window or stats.get("activations_from_golden"):
+        print(f"golden reuse: {stats['followups_from_golden']} of {window} "
+              f"follow-up executions and {stats['activations_from_golden']} "
+              f"memory-fault activations taken from the golden run, "
+              f"{stats['golden_instructions_skipped']} instructions not executed")
 
 
 def _report_records(records) -> int:

@@ -11,6 +11,10 @@ pair to a :class:`~repro.faults.outcomes.TrialRecord`:
   compiled tree rules);
 * divergence against the golden run yields the ground-truth consequence
   (Fig. 9) and, for missed faults, the Table II attribution.
+
+Only what reads corrupted state executes: a follow-up or a memory fault's
+activation whose golden twin reads no word the fault changed takes the
+golden run's result (:func:`_run_followups`, :func:`run_memory_trial`).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.faults.propagation import (
     classify_divergence,
     compute_divergence,
     materialize_followups,
+    prepared_words,
     undetected_kind_for,
 )
 from repro.hypervisor.xen import Activation, XenHypervisor
@@ -268,21 +273,40 @@ def run_memory_trial(
 
     A memory fault is present from instruction 0 and has no register to
     watch; it counts as activated when the execution observably diverges.
+
+    When the golden activation never reads the flipped word
+    (``golden.log``), the faulty activation retires the golden's path,
+    features and writes, so it is not executed: the trial starts from
+    ``golden.after``, with the flip re-applied unless ``prepare()`` or the
+    handler overwrote that word, and classifies ``golden.result``.
     """
     if golden is None:
         golden = capture_golden(hv, activation)
-    hv.restore(golden.checkpoint)
-    COUNTERS.trials_replayed.inc()
+    if golden.log is None:
+        raise ValueError("memory trials need a golden captured with logging")
     hv.cpu.clear_injection()
-    original = hv.memory.read_u64(fault.address)
-    hv.memory.write_u64(fault.address, original ^ (1 << fault.bit))
-
-    return _execute_and_classify(
-        hv, activation, fault, golden,
+    flipped = (fault.address + (fault.bit >> 3)) & ~7
+    classify = dict(
         detector=detector, benchmark=benchmark, followups=followups,
         activation_index=lambda: 0,
         activated=None,  # inferred from divergence
     )
+    if flipped in golden.log.reads:
+        hv.restore(golden.checkpoint)
+        COUNTERS.trials_replayed.inc()
+        _flip_memory(hv, fault)
+        return _execute_and_classify(hv, activation, fault, golden, **classify)
+    hv.restore(golden.after)
+    COUNTERS.trials_from_golden.inc()
+    COUNTERS.skipped_by_golden.inc(golden.result.instructions)
+    if flipped not in golden.log.writes and flipped not in prepared_words(hv, activation)[0]:
+        _flip_memory(hv, fault)
+    return _classify_at_entry(hv, activation, fault, golden, golden.result, **classify)
+
+
+def _flip_memory(hv: XenHypervisor, fault: MemoryFaultSpec) -> None:
+    original = hv.memory.read_u64(fault.address)
+    hv.memory.write_u64(fault.address, original ^ (1 << fault.bit))
 
 
 def run_burst_trial(
@@ -413,8 +437,28 @@ def _execute_and_classify(
             detection_latency=max(0, hv.cpu.tracer.count - _activation_index()),
             detail="watchdog NMI (instruction budget exhausted)",
         )
+    return _classify_at_entry(
+        hv, activation, fault, golden, faulty,
+        detector=detector, benchmark=benchmark, followups=followups,
+        activation_index=_activation_index, activated=activated,
+    )
 
-    # The faulty run reached VM entry.
+
+def _classify_at_entry(
+    hv: XenHypervisor,
+    activation: Activation,
+    fault,
+    golden: GoldenRun,
+    faulty,
+    *,
+    detector: TransitionDetector | None,
+    benchmark: str,
+    followups: tuple[Activation, ...],
+    activation_index,
+    activated,
+) -> TrialRecord:
+    """Classify a faulty run that reached VM entry with result ``faulty``,
+    continuing into the follow-up window when it diverged unflagged."""
     divergence = compute_divergence(hv, activation, golden, faulty)
     was_activated = activated() if activated is not None else divergence.any
     if not was_activated and not divergence.any:
@@ -432,7 +476,7 @@ def _execute_and_classify(
     # VM transition detection runs at every VM entry (Fig. 4).
     flagged = detector is not None and detector.flags_incorrect(faulty.features)
     if flagged:
-        latency = max(0, faulty.instructions - _activation_index())
+        latency = max(0, faulty.instructions - activation_index())
         return TrialRecord(
             benchmark=benchmark,
             vmer=activation.vmer,
@@ -449,7 +493,7 @@ def _execute_and_classify(
     if divergence.any and followups:
         record, followups_diverged = _run_followups(
             hv, activation, fault, followups, golden, failure, was_activated,
-            base_latency=max(0, faulty.instructions - _activation_index()),
+            base_latency=max(0, faulty.instructions - activation_index()),
             detector=detector, benchmark=benchmark,
         )
         if record is not None:
@@ -496,18 +540,42 @@ def _run_followups(
     detector: TransitionDetector | None,
     benchmark: str,
 ) -> tuple[TrialRecord | None, bool]:
-    """Execute the continuation stream on the corrupted state.
+    """Continue the trial through its follow-up window on the corrupted state.
 
     Returns ``(record, diverged)``: a detection record (or ``None`` when the
     corruption survives the whole window undetected) and whether any
     follow-up execution visibly diverged from its golden twin.  The first
     trial of a group to get here materializes the golden follow-ups.
+
+    Only what reads corrupted state executes.  While no flip is pending and
+    a follow-up's golden read set misses every word in which the trial's
+    memory differs from the golden's (:func:`_golden_prefix`), it retires
+    the golden's path, features, instruction count and writes: its golden
+    result is taken, its instructions still count toward the detection
+    latency, and it can neither diverge nor be flagged.  At the first
+    follow-up that does not qualify, the skipped ones' ``prepare()`` blocks
+    and write logs are replayed onto live memory in order
+    (:func:`_replay_golden`); it and every later follow-up then execute, so
+    detection, recovery and hangs see the true state.  When every follow-up
+    qualifies, live memory is left unflushed: nothing reads it before the
+    next trial restores its own starting state.
     """
     if golden.followups is None:
         materialize_followups(hv, golden, followups)
+    window = tuple(zip(followups, golden.followups, golden.followup_logs))
+    taken = _golden_prefix(hv, golden, window)
     elapsed = base_latency
+    for _follow, golden_follow, _log in window[:taken]:
+        elapsed += golden_follow.instructions
+    if taken:
+        COUNTERS.followups_from_golden.inc(taken)
+        COUNTERS.skipped_by_golden.inc(elapsed - base_latency)
+        if taken == len(window):
+            return None, False
+        _replay_golden(hv, window[:taken])
     diverged = False
-    for follow, golden_follow in zip(followups, golden.followups):
+    for follow, golden_follow, _log in window[taken:]:
+        COUNTERS.followups_executed.inc()
         try:
             result = hv.execute(follow)
         except (HardwareException, AssertionViolation) as exc:
@@ -557,3 +625,42 @@ def _run_followups(
                     detail="transition classifier flagged a follow-up execution",
                 ), True
     return None, diverged
+
+
+def _golden_prefix(hv: XenHypervisor, golden: GoldenRun, window) -> int:
+    """How many leading follow-ups of ``window`` — ``(activation, golden
+    result, golden log)`` triples — retire their golden result on the
+    trial's live state.
+
+    None while a flip is pending: it strikes in the next execution.  The
+    differing set is computed once, live memory against ``golden.after``;
+    a follow-up qualifies while its exposed reads miss it, and then rewrites
+    its ``prepare()`` words and its logged words in both runs alike, so they
+    leave the set.  The ``prepare()`` words leave it only when a read meets
+    the set: deriving them costs each skipped follow-up's guest-request
+    payload, which the replay before the next real execution needs anyway.
+    """
+    if hv.cpu.flip_pending:
+        return 0
+    differing = hv.memory.diff_checkpoint(golden.after)
+    settled = 0  # follow-ups whose prepare() words have left the set
+    for taken, (_follow, _result, log) in enumerate(window):
+        if not differing.isdisjoint(log.reads):
+            for earlier, _, _ in window[settled:taken]:
+                differing.difference_update(prepared_words(hv, earlier)[0])
+            settled = taken
+            if not differing.isdisjoint(log.reads):
+                return taken
+        differing.difference_update(log.writes)
+    return len(window)
+
+
+def _replay_golden(hv: XenHypervisor, skipped) -> None:
+    """Apply, in order, what the ``skipped`` follow-ups would have written:
+    each one's ``prepare()`` blocks, then its golden write log."""
+    memory = hv.memory
+    for follow, _result, log in skipped:
+        for address, data in hv.prepare_writes(follow):
+            memory.write_block(address, data)
+        for word, value in zip(log.writes, log.values):
+            memory.write_u64(word, value)

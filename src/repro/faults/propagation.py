@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.faults.outcomes import FailureClass, UndetectedKind, most_severe
 from repro.hypervisor.layout import GLOBAL_OWNER, HypervisorLayout, Slot, ValueKind
 from repro.hypervisor.xen import ActivationResult, XenHypervisor
-from repro.machine.memory import MemoryCheckpoint
+from repro.machine.memory import AccessLog, ExecutionLog, MemoryCheckpoint
 from repro.metrics import COUNTERS
 
 __all__ = [
@@ -31,7 +31,9 @@ __all__ = [
     "Divergence",
     "capture_golden",
     "classify_divergence",
+    "execute_logged",
     "materialize_followups",
+    "prepared_words",
 ]
 
 #: Corruption of bits at or above this position in an app-data word is treated
@@ -51,6 +53,14 @@ class GoldenRun:
     compared against.  Only a trial that reaches VM entry diverged and
     unflagged reads it, so capture leaves it ``None`` and the first such
     trial fills it in from ``after`` (:func:`materialize_followups`).
+
+    Every golden execution — the activation and each materialized
+    follow-up — also keeps its :class:`~repro.machine.memory.ExecutionLog`:
+    the words it read before writing them and the final value of each word
+    its handler wrote.  They are what lets a trial take a golden result
+    instead of executing it (``log`` for a memory fault's activation,
+    ``followup_logs`` for the follow-up window; see
+    :mod:`repro.faults.injector`).
 
     Apart from that one fill-in, a ``GoldenRun`` is pure reference data —
     trials read it — which is what makes it cacheable:
@@ -73,6 +83,11 @@ class GoldenRun:
     after: MemoryCheckpoint
     #: ``None`` until materialized; then one result per follow-up activation.
     followups: tuple[ActivationResult, ...] | None = None
+    #: The activation's reads and writes; ``None`` when captured without
+    #: logging (detector training, which runs no trial window).
+    log: ExecutionLog | None = None
+    #: One log per follow-up, materialized with ``followups``.
+    followup_logs: tuple[ExecutionLog, ...] | None = None
     #: Per-retirement address stream of the injected activation (not its
     #: follow-ups), recorded while it executed; what the lock-step batch
     #: lowers into its TwinPlan.  Empty when captured without recording or
@@ -80,11 +95,45 @@ class GoldenRun:
     trace: tuple[int, ...] = field(default=(), repr=False)
 
 
+def prepared_words(hv: XenHypervisor, activation) -> tuple[list[int], list[int]]:
+    """The aligned words :meth:`~repro.hypervisor.xen.XenHypervisor.prepare`
+    writes for ``activation``: those it writes whole, and those it writes in
+    part (the ragged ends of a block), derived from
+    :meth:`~repro.hypervisor.xen.XenHypervisor.prepare_writes`."""
+    whole: list[int] = []
+    part: list[int] = []
+    for address, data in hv.prepare_writes(activation):
+        end = address + len(data)
+        whole.extend(range((address + 7) & ~7, end & ~7, 8))
+        if address & 7:
+            part.append(address & ~7)
+        if end & 7:
+            part.append(end & ~7)
+    return whole, part
+
+
+def execute_logged(hv: XenHypervisor, activation) -> tuple[ActivationResult, ExecutionLog]:
+    """Execute ``activation`` (through ``hv.execute``) and log the words it
+    reads before writing them and the final value of each word its handler
+    writes.
+
+    The words ``prepare()`` writes count as written from the start, and
+    stay out of the write log: every execution of the activation rewrites
+    them (:func:`prepared_words`).  Logging costs only this execution; every
+    other run goes through the memory's own accessors.
+    """
+    whole, part = prepared_words(hv, activation)
+    with hv.cpu.logging_accesses(AccessLog(hv.memory, whole, part)) as log:
+        result = hv.execute(activation)
+    return result, log.result()
+
+
 def capture_golden(
     hv: XenHypervisor,
     activation,
     *,
     record: bool = True,
+    log: bool = True,
 ) -> GoldenRun:
     """Run ``activation`` fault-free and keep what trials compare against.
 
@@ -96,15 +145,21 @@ def capture_golden(
     With ``record`` the activation runs under the full tracer and the run
     keeps its own address stream (``GoldenRun.trace``), so one execution
     yields both the features and the input of
-    :func:`~repro.faults.injector.trace_plan`.  Recording is an
-    observation: results, outputs and heap image are identical either way.
+    :func:`~repro.faults.injector.trace_plan`.  With ``log`` it keeps its
+    read set and write log (``GoldenRun.log``, :func:`execute_logged`),
+    which every trial needs; detector training, which runs none, passes
+    ``log=False``.  Recording and logging are observations: results,
+    outputs and heap image are identical either way.
     """
     checkpoint = hv.checkpoint()
     tracer = hv.cpu.tracer
     light = tracer.light
     tracer.light = not record
     try:
-        result = hv.execute(activation)
+        if log:
+            result, execution_log = execute_logged(hv, activation)
+        else:
+            result, execution_log = hv.execute(activation), None
         trace = tuple(tracer.addresses) if record else ()
     finally:
         tracer.light = light
@@ -116,12 +171,14 @@ def capture_golden(
         checkpoint=checkpoint,
         after=hv.checkpoint(),
         trace=trace,
+        log=execution_log,
     )
 
 
 def materialize_followups(hv: XenHypervisor, golden: GoldenRun, followups) -> None:
     """Execute ``golden``'s follow-up stream fault-free from ``golden.after``
-    and store the results in ``golden.followups``.
+    and store the results in ``golden.followups``, each execution's log in
+    ``golden.followup_logs`` (:func:`execute_logged`).
 
     Called in the middle of a trial, so the trial's state is set aside and
     put back: its memory is checkpointed and restored, and the core's
@@ -129,19 +186,23 @@ def materialize_followups(hv: XenHypervisor, golden: GoldenRun, followups) -> No
     parked, because the golden continuation must run fault-free.  Memory
     and injection state are all that carries between activations
     (:meth:`~repro.hypervisor.xen.XenHypervisor.prepare` resets registers,
-    TSC and counters).  Its seconds count as golden capture.
+    TSC and counters) — which is also why an execution that reads no word
+    the trial changed, with no flip pending, retires its golden result
+    (the follow-up window in :mod:`repro.faults.injector`).  Its seconds
+    count as golden capture.
     """
     started = time.perf_counter()
     trial = hv.checkpoint()
     parked = hv.cpu.park_injection()
     try:
         hv.restore(golden.after)
-        results = tuple(hv.execute(f) for f in followups)
+        logged = tuple(execute_logged(hv, f) for f in followups)
     finally:
         hv.restore(trial)
         hv.cpu.unpark_injection(parked)
     # The one write to a GoldenRun after capture (see its docstring).
-    object.__setattr__(golden, "followups", results)
+    object.__setattr__(golden, "followups", tuple(result for result, _ in logged))
+    object.__setattr__(golden, "followup_logs", tuple(log for _, log in logged))
     COUNTERS.followups_materialized.inc()
     COUNTERS.capture_seconds.inc(time.perf_counter() - started)
 

@@ -29,6 +29,7 @@ from repro.machine.cpu import CPUCore, ExecutionResult
 from repro.machine.isa import Op, Program
 from repro.machine.memory import MemoryCheckpoint
 from repro.machine.perfcounters import CounterSample
+from repro.machine.registers import MASK64
 from repro.metrics import COUNTERS
 
 __all__ = [
@@ -286,19 +287,33 @@ class XenHypervisor:
         regs["rsp"] = self.memory_map.stack_top_for(core_id)
         # Deterministic TSC: advances with the activation sequence number.
         core.tsc = self._tsc_base + activation.seq * 10_000
+        write_block = self.memory.write_block
+        for address, data in self.prepare_writes(activation):
+            write_block(address, data)
+        _ = reason  # validated above
+
+    def prepare_writes(self, activation: Activation) -> tuple[tuple[int, bytes], ...]:
+        """The memory :meth:`prepare` writes for ``activation``, as
+        ``(address, data)`` blocks in write order.
+
+        The one owner of that write set: :meth:`prepare` applies it, and the
+        follow-up window (:mod:`repro.faults.injector`) replays it for the
+        executions it takes from the golden run.  Every execution of an
+        activation rewrites these words whatever memory held before.
+        """
         # Guest-supplied request payload (DMA-style block write).
         req = self.layout.guest_request
-        self.memory.write_block(
-            req.address,
-            _guest_request_payload(
-                self.seed, activation.vmer, activation.args, activation.seq, req.words
-            ),
-        )
         # Guest VCPU frame: the registers the guest trapped with.
-        vcpu = self.vcpu(activation.domain_id, activation.vcpu_id)
-        vcpu.set_reg(0, activation.args[0] if activation.args else 0)   # guest rax
-        vcpu.set_reg(15, 0x0000_7F00_0000_1000 + activation.seq * 16)   # guest rip
-        _ = reason  # validated above
+        frame = self.layout.domains[activation.domain_id].vcpus[activation.vcpu_id].regs
+        guest_rax = activation.args[0] & MASK64 if activation.args else 0
+        guest_rip = (0x0000_7F00_0000_1000 + activation.seq * 16) & MASK64
+        return (
+            (req.address, _guest_request_payload(
+                self.seed, activation.vmer, activation.args, activation.seq, req.words
+            )),
+            (frame.word_address(0), guest_rax.to_bytes(8, "little")),
+            (frame.word_address(15), guest_rip.to_bytes(8, "little")),
+        )
 
     def execute(
         self,

@@ -15,6 +15,7 @@ activated").
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import MachineConfigError, SimulationLimitExceeded
@@ -35,7 +36,7 @@ from repro.machine.isa import (
     instr_register_accesses,
 )
 from repro.machine.loopproof import PROBE_AT, LoopProbe
-from repro.machine.memory import Memory, is_canonical
+from repro.machine.memory import AccessLog, Memory, is_canonical
 from repro.machine.perfcounters import PerformanceCounterUnit
 from repro.machine.registers import MASK64, RegisterFile
 from repro.machine.tracer import _FNV_PRIME, Tracer
@@ -133,6 +134,12 @@ class CPUCore:
             raise MachineConfigError("core_id must be non-negative")
         self.core_id = core_id
         self.memory = memory
+        #: The pair every memory access of an execution goes through,
+        #: interpreted or translated: the memory's own, or an
+        #: :class:`~repro.machine.memory.AccessLog`'s while one records
+        #: (:meth:`logging_accesses`).
+        self.mem_read = memory.read_u64
+        self.mem_write = memory.write_u64
         self.regs = RegisterFile()
         self.pmu = PerformanceCounterUnit()
         self.tracer = Tracer()
@@ -297,6 +304,24 @@ class CPUCore:
         ) = parked
 
     @property
+    def flip_pending(self) -> bool:
+        """A scheduled flip has not struck yet (it strikes in a later run)."""
+        return self._inj_index is not None and not self._inj_applied
+
+    @contextmanager
+    def logging_accesses(self, log: AccessLog):
+        """Route this core's memory accesses through ``log`` for the block.
+
+        Only the core's own loads and stores are logged; setup writes that
+        go to memory directly (``XenHypervisor.prepare``) are not.
+        """
+        self.mem_read, self.mem_write = log.read_u64, log.write_u64
+        try:
+            yield log
+        finally:
+            self.mem_read, self.mem_write = self.memory.read_u64, self.memory.write_u64
+
+    @property
     def injection_report(self) -> InjectionReport | None:
         """Report of the most recently scheduled fault, if any."""
         if self._inj_reg is None:
@@ -396,8 +421,8 @@ class CPUCore:
         light = tracer.light
         addresses = tracer.addresses
         tsc_step = self.tsc_per_instruction
-        mem_read = self.memory.read_u64
-        mem_write = self.memory.write_u64
+        mem_read = self.mem_read
+        mem_write = self.mem_write
         ib = INSTRUCTION_BYTES
         # Fast-fetch bounds: addresses inside the program text are decoded by
         # direct indexing; everything else goes through the faulting path.
@@ -674,17 +699,17 @@ class CPUCore:
     def _op_load(self, instr: Instr) -> None:
         rvals = self.regs._values
         addr = (rvals[instr.mem_base_index] + instr.mem_disp) & MASK64
-        value = self.memory.read_u64(addr, rip=rvals[_RIP])
+        value = self.mem_read(addr, rvals[_RIP])
         self.pmu._loads += 1
         rvals[instr.dst_index] = value
 
     def _op_store(self, instr: Instr) -> None:
         rvals = self.regs._values
         addr = (rvals[instr.mem_base_index] + instr.mem_disp) & MASK64
-        self.memory.write_u64(
+        self.mem_write(
             addr,
             rvals[instr.src_index] if instr.src_is_reg else instr.src_imm,
-            rip=rvals[_RIP],
+            rvals[_RIP],
         )
         self.pmu._stores += 1
 
@@ -815,7 +840,7 @@ class CPUCore:
         rsp = (rvals[_RSP] - 8) & MASK64
         rip = rvals[_RIP]
         try:
-            self.memory.write_u64(rsp, rip + INSTRUCTION_BYTES, rip=rip)
+            self.mem_write(rsp, rip + INSTRUCTION_BYTES, rip)
         except HardwareException as exc:
             _raise_stack_fault(exc)
         self.pmu._stores += 1
@@ -826,7 +851,7 @@ class CPUCore:
         rvals = self.regs._values
         rsp = rvals[_RSP]
         try:
-            target = self.memory.read_u64(rsp, rip=rvals[_RIP])
+            target = self.mem_read(rsp, rvals[_RIP])
         except HardwareException as exc:
             _raise_stack_fault(exc)
         self.pmu._loads += 1
@@ -837,7 +862,7 @@ class CPUCore:
         rvals = self.regs._values
         rsp = (rvals[_RSP] - 8) & MASK64
         try:
-            self.memory.write_u64(rsp, rvals[instr.src_index], rip=rvals[_RIP])
+            self.mem_write(rsp, rvals[instr.src_index], rvals[_RIP])
         except HardwareException as exc:
             _raise_stack_fault(exc)
         self.pmu._stores += 1
@@ -847,7 +872,7 @@ class CPUCore:
         rvals = self.regs._values
         rsp = rvals[_RSP]
         try:
-            value = self.memory.read_u64(rsp, rip=rvals[_RIP])
+            value = self.mem_read(rsp, rvals[_RIP])
         except HardwareException as exc:
             _raise_stack_fault(exc)
         self.pmu._loads += 1
@@ -875,13 +900,13 @@ class CPUCore:
                 # The next word access faults; route through the memory system
                 # so the exception carries an accurate faulting address.
                 if src_ok == 0:
-                    self.memory.read_u64(rsi, rip=rip)
+                    self.mem_read(rsi, rip)
                 else:
-                    self.memory.write_u64(rdi, 0, rip=rip)
+                    self.mem_write(rdi, 0, rip)
                 raise AssertionError("unreachable: fault expected")  # pragma: no cover
+            mem_read, mem_write = self.mem_read, self.mem_write
             for i in range(chunk):
-                value = self.memory.read_u64(rsi + 8 * i, rip=rip)
-                self.memory.write_u64(rdi + 8 * i, value, rip=rip)
+                mem_write(rdi + 8 * i, mem_read(rsi + 8 * i, rip), rip)
             copied += chunk
             regs.write_index(_RSI, (rsi + 8 * chunk) & MASK64)
             regs.write_index(_RDI, (rdi + 8 * chunk) & MASK64)

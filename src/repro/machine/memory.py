@@ -31,6 +31,8 @@ except ImportError:  # pragma: no cover - numpy ships with the toolchain
 
 __all__ = [
     "PAGE_SIZE",
+    "AccessLog",
+    "ExecutionLog",
     "Region",
     "Memory",
     "MemoryCheckpoint",
@@ -41,6 +43,7 @@ PAGE_SIZE = 4096
 _PAGE_MASK = PAGE_SIZE - 1
 _WORD_LIMIT = PAGE_SIZE - 8
 _MASK64 = (1 << 64) - 1
+_WORD_MASK = _MASK64 & ~7
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
@@ -115,6 +118,80 @@ class MemoryCheckpoint:
 
     def __hash__(self) -> int:  # pragma: no cover - checkpoints aren't keys
         return id(self)
+
+
+@dataclass(frozen=True)
+class ExecutionLog:
+    """Which aligned words one execution read, and what it left in the
+    words it wrote.
+
+    ``reads`` holds the execution's *exposed* reads: words it read before
+    writing them.  A word written only in part (an unaligned store, or the
+    ragged end of a setup block) counts as read, because the bytes it kept
+    flow into its final value.  ``writes`` are the words the execution's own
+    stores touched, and ``values`` their contents when it ended.  All three
+    are sorted by address.  An execution whose exposed reads all hold their
+    logged values retires the logged path and leaves exactly ``values`` in
+    ``writes``.
+    """
+
+    reads: tuple[int, ...]
+    writes: tuple[int, ...]
+    values: tuple[int, ...]
+
+
+class AccessLog:
+    """Records an :class:`ExecutionLog` while a core executes.
+
+    :meth:`read_u64` and :meth:`write_u64` stand in for the memory's own
+    (a core routes every access through the pair it holds; see
+    ``CPUCore.logging_accesses``).  ``written`` lists the words already
+    written before the execution starts (a setup block), so reading them
+    is not exposed; ``partial`` the words such a block wrote only in part,
+    which count as read.
+    """
+
+    __slots__ = ("reads", "stored", "_written", "_read", "_write")
+
+    def __init__(self, memory: "Memory", written=(), partial=()) -> None:
+        self.reads: set[int] = set(partial)
+        #: Words the execution's own stores touched (the write log).
+        self.stored: set[int] = set()
+        self._written: set[int] = set(written)
+        self._read = memory.read_u64
+        self._write = memory.write_u64
+
+    def read_u64(self, address: int, rip: int = 0) -> int:
+        value = self._read(address, rip)
+        word = address & _WORD_MASK
+        if word not in self._written:
+            self.reads.add(word)
+        if address & 7 and word + 8 not in self._written:
+            self.reads.add(word + 8)
+        return value
+
+    def write_u64(self, address: int, value: int, rip: int = 0) -> None:
+        self._write(address, value, rip)
+        word = address & _WORD_MASK
+        if address & 7:
+            # Both words keep some of their old bytes: read, then written.
+            for part in (word, word + 8):
+                if part not in self._written:
+                    self.reads.add(part)
+                    self._written.add(part)
+                self.stored.add(part)
+        else:
+            self._written.add(word)
+            self.stored.add(word)
+
+    def result(self) -> ExecutionLog:
+        """The log, with each stored word's value read from memory now."""
+        writes = tuple(sorted(self.stored))
+        return ExecutionLog(
+            reads=tuple(sorted(self.reads)),
+            writes=writes,
+            values=tuple(self._read(word) for word in writes),
+        )
 
 
 class Memory:
@@ -207,6 +284,16 @@ class Memory:
             )
         return region
 
+    def _check_writable(self, address: int, rip: int) -> None:
+        """:meth:`_check` for a write, through the page -> region cache the
+        word accessors use."""
+        page_base = address & _MASK64 & ~_PAGE_MASK
+        region = self._region_cache.get(page_base)
+        if region is None:
+            self._region_cache[page_base] = self._check(address, rip, write=True)
+        elif not region.writable:
+            self._check(address, rip, write=True)  # raises with detail
+
     def _page(self, page_base: int) -> bytearray:
         page = self._pages.get(page_base)
         if page is None:
@@ -291,8 +378,8 @@ class Memory:
         """
         if not data:
             return
-        self._check(address, rip, write=True)
-        self._check(address + len(data) - 1, rip, write=True)
+        self._check_writable(address, rip)
+        self._check_writable(address + len(data) - 1, rip)
         offset = 0
         while offset < len(data):
             addr = address + offset
@@ -421,21 +508,36 @@ class Memory:
         pages = self._pages
         diffs: list[int] = []
         for off in range(0, region.size, PAGE_SIZE):
-            page = pages.get(region.base + off)
+            page = pages.get(region.base + off, _ZERO_PAGE)
             chunk = view[off:off + PAGE_SIZE]
-            if page is None:
-                if chunk == _ZERO_PAGE:
-                    continue
-                page = _ZERO_PAGE
-            elif page == chunk:
-                continue
-            if _np is not None:
-                a = _np.frombuffer(page, dtype=_np.uint64)
-                b = _np.frombuffer(chunk, dtype=_np.uint64)
-                base = region.base + off
-                diffs.extend(base + int(w) * 8 for w in _np.nonzero(a != b)[0])
-            else:
-                for word in range(0, PAGE_SIZE, 8):
-                    if page[word:word + 8] != chunk[word:word + 8]:
-                        diffs.append(region.base + off + word)
+            if page != chunk:
+                diffs.extend(_differing_words(page, chunk, region.base + off))
         return diffs
+
+    def diff_checkpoint(self, snapshot: MemoryCheckpoint) -> set[int]:
+        """Addresses of the 8-byte words in which live memory differs from
+        ``snapshot``, over every page either side holds (a page one side
+        lacks reads as zero).  Identical pages cost one memcmp each, as in
+        :meth:`diff_region`."""
+        target = snapshot.pages
+        pages = self._pages
+        diffs: set[int] = set()
+        for page_base in pages.keys() | target.keys():
+            page = pages.get(page_base, _ZERO_PAGE)
+            chunk = target.get(page_base, _ZERO_PAGE)
+            if page != chunk:
+                diffs.update(_differing_words(page, chunk, page_base))
+        return diffs
+
+
+def _differing_words(page, chunk, base: int) -> list[int]:
+    """Addresses of the words in which two page-sized buffers at ``base``
+    differ."""
+    if _np is not None:
+        a = _np.frombuffer(page, dtype=_np.uint64)
+        b = _np.frombuffer(chunk, dtype=_np.uint64)
+        return [base + 8 * word for word in _np.nonzero(a != b)[0].tolist()]
+    return [
+        base + word for word in range(0, PAGE_SIZE, 8)
+        if page[word:word + 8] != chunk[word:word + 8]
+    ]

@@ -9,7 +9,8 @@ layer).
 
 Everything a campaign counts about its own work — instructions by execution
 path, translation blocks, lock-step twins, trials, skipped instructions,
-proved hangs, golden artifact lookups — is a child of :data:`COUNTERS`, this
+proved hangs, follow-ups taken from the golden run, golden artifact
+lookups — is a child of :data:`COUNTERS`, this
 process's :class:`CampaignCounters`, which binds every labeled child once,
 as an attribute, so an increment is one ``Child.inc`` and never a
 ``.labels()`` lookup.  Work is attributed by difference: :func:`counted`
@@ -279,13 +280,21 @@ class CampaignCounters:
         self.blocks_prefork = stage.labels(stage="prefork")
         start = r.counter("repro_trials_total",
                           "Faulty trials, by how their run started: synthesized (dead "
-                          "twins) or from the checkpoint.", ("start",))
+                          "twins), from the checkpoint, or from the golden run's end "
+                          "(memory faults its activation never reads).", ("start",))
         self.trials_synthesized = start.labels(start="synthesized")
         self.trials_replayed = start.labels(start="checkpoint")
+        self.trials_from_golden = start.labels(start="golden")
         by = r.counter("repro_instructions_skipped_total",
                        "Instructions settled without executing them.", ("by",))
         self.skipped_by_dead_twin = by.labels(by="dead_twin")
         self.skipped_by_proof = by.labels(by="loop_proof")
+        self.skipped_by_golden = by.labels(by="golden")
+        source = r.counter("repro_followup_executions_total",
+                           "Trial follow-up executions, executed or taken from the "
+                           "golden run (they read no corrupted word).", ("source",))
+        self.followups_executed = source.labels(source="executed")
+        self.followups_from_golden = source.labels(source="golden")
         self.proved_hangs = r.counter(
             "repro_proved_hangs_total", "Watchdog kills proved, not executed.").labels()
         self.twin_batches = r.counter(
@@ -332,7 +341,8 @@ class CampaignCounters:
         translated, interpreted = self.translated.value, self.interpreted.value
         executions, compiled = self.block_executions.value, self.blocks_compiled.value
         return {
-            "trials": self.trials_synthesized.value + self.trials_replayed.value,
+            "trials": (self.trials_synthesized.value + self.trials_replayed.value
+                       + self.trials_from_golden.value),
             "instructions_skipped": self.skipped_by_dead_twin.value,
             "proved_hangs": self.proved_hangs.value,
             "proved_hang_instructions": self.skipped_by_proof.value,
@@ -346,6 +356,10 @@ class CampaignCounters:
             "twins": self.twins.value,
             "dead_twins": self.dead_twins.value,
             "peeled_twins": self.peeled_twins.value,
+            "followups_executed": self.followups_executed.value,
+            "followups_from_golden": self.followups_from_golden.value,
+            "activations_from_golden": self.trials_from_golden.value,
+            "golden_instructions_skipped": self.skipped_by_golden.value,
             "block_hit_rate": (
                 (executions - compiled) / executions if executions > compiled else 0.0
             ),

@@ -143,8 +143,9 @@ def _collect_inj_part(
     fault_rng = rng_mod.stream(config.seed, stream, "faults", shard.benchmark)
     items: list[Sample] = []
     for activation in generator.activations(shard.n_runs, stream=f"{stream}.inj"):
-        # Nothing lowers a training golden's address stream: no recording.
-        golden = capture_golden(hv, activation, record=False)
+        # Nothing lowers a training golden's address stream and no trial
+        # window reads its logs: no recording, no logging.
+        golden = capture_golden(hv, activation, record=False, log=False)
         hv.restore(golden.checkpoint)
         fault = config.fault_model.sample(fault_rng, golden.result.instructions)
         hv.cpu.schedule_register_flip(

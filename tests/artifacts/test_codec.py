@@ -13,6 +13,7 @@ to the live-capture fallback.
 import numpy as np
 import pytest
 
+from repro.artifacts import codec
 from repro.artifacts.codec import (
     MAGIC,
     ArtifactCorrupt,
@@ -91,6 +92,15 @@ class TestRoundTrip:
         assert out.followups is None
         assert bytes(out.heap_image) == bytes(lazy.heap_image)
         assert out.after == lazy.after
+
+    def test_execution_logs_round_trip(self, captured, blob, lazy):
+        golden, _ = captured
+        out = decode_group(blob, registry=REGISTRY).golden
+        assert out.log is not None and out.log == golden.log
+        assert len(out.followup_logs) == 2 and out.followup_logs == golden.followup_logs
+        # Before any follow-up materialized: the activation's log alone.
+        out = decode_group(encode_group(DIGEST, lazy, None), registry=REGISTRY).golden
+        assert out.log == lazy.log and out.followup_logs is None
 
     def test_after_pages_are_deduplicated_with_the_group(self, rerun):
         # ``after`` is stored deduplicated against the checkpoint: a page
@@ -171,6 +181,40 @@ class TestCorruptionRejection:
         bumped = MAGIC[:-1] + bytes([MAGIC[-1] + 1]) + blob[len(MAGIC):]
         with pytest.raises(ArtifactCorrupt):
             decode_group(bumped, registry=REGISTRY)
+
+    def test_v4_artifact_rejected(self, captured, monkeypatch):
+        # The format before execution logs were stored: a v4 artifact
+        # decodes as corrupt (its group is captured live), never as a
+        # golden without logs.
+        golden, plan = captured
+        with monkeypatch.context() as m:
+            m.setattr(codec, "MAGIC", b"XENTART\x04")
+            m.setattr(codec, "CODEC_FORMAT", "xentry-artifact-v4")
+            m.setattr(codec, "_logs_ref", lambda golden, writer: None)
+            old = encode_group(DIGEST, golden, plan)
+        assert MAGIC == b"XENTART\x05"
+        with pytest.raises(ArtifactCorrupt, match="bad magic"):
+            decode_group(old, registry=REGISTRY)
+
+    def test_log_lengths_past_their_columns_rejected(self, captured):
+        import hashlib
+        import json
+
+        golden, _ = captured
+        blob = encode_group(DIGEST, golden, None)
+        n = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+        header = json.loads(blob[len(MAGIC) + 8:len(MAGIC) + 8 + n])
+        # Grow one length by one without adding a digit, so the header keeps
+        # its size and the blob offsets stay valid: only the log lies.
+        lengths = header["golden"]["logs"]["lengths"]
+        pair = next(pair for pair in lengths if pair[0] % 10 != 9)
+        pair[0] += 1
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        assert len(raw) == n
+        body = blob[:len(MAGIC) + 8] + raw + blob[len(MAGIC) + 8 + n:-16]
+        forged = body + hashlib.blake2b(body, digest_size=16).digest()
+        with pytest.raises(ArtifactCorrupt):
+            decode_group(forged, registry=REGISTRY)
 
     def test_garbage_rejected(self):
         for garbage in (b"", b"\x00" * 64, b"not an artifact" * 100):

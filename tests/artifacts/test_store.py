@@ -15,6 +15,7 @@ import dataclasses
 
 import pytest
 
+from repro.artifacts import codec
 from repro.artifacts.codec import ArtifactCorrupt, encode_group
 from repro.artifacts.store import (
     GoldenStore,
@@ -240,6 +241,30 @@ class TestImageIdentity:
         assert rerun.records == reference.records
         groups = 2 * benchmark_geometry(config).n_goldens
         assert stats["golden_misses"] == groups and stats["golden_hits"] == 0
+
+
+def test_a_v4_store_goes_cold(tmp_path, monkeypatch):
+    """Packs written before goldens carried execution logs (codec v4): every
+    lookup decodes as corrupt and captures live, and the groups recaptured
+    then serve the next run."""
+    config = CampaignConfig(
+        n_injections=24, seed=7, benchmarks=("mcf",), artifacts=str(tmp_path / "cache"),
+    )
+    reference = FaultInjectionCampaign(dataclasses.replace(config, artifacts=None)).run()
+    with monkeypatch.context() as m:
+        m.setattr(codec, "MAGIC", b"XENTART\x04")
+        m.setattr(codec, "CODEC_FORMAT", "xentry-artifact-v4")
+        m.setattr(codec, "_logs_ref", lambda golden, writer: None)
+        FaultInjectionCampaign(config).run()
+    groups = benchmark_geometry(config).n_goldens
+    cold, counts = counted(FaultInjectionCampaign(config).run)
+    stats = CampaignCounters.folded(counts).golden_cache()
+    assert cold.records == reference.records
+    assert stats["golden_hits"] == 0 and stats["golden_misses"] == groups
+    assert stats["artifact_corrupt"] == groups
+    warm, counts = counted(FaultInjectionCampaign(config).run)
+    assert warm.records == reference.records
+    assert CampaignCounters.folded(counts).golden_cache()["golden_hits"] == groups
 
 
 @contextlib.contextmanager

@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.faults.propagation import GoldenRun, capture_golden
+from repro.faults.propagation import GoldenRun, capture_golden, execute_logged
 
 
 def capture_golden_eager(hv, activation, followups) -> GoldenRun:
-    """Capture ``activation`` and execute ``followups`` right after it."""
+    """Capture ``activation`` and execute ``followups`` right after it,
+    logging each the way materialization does."""
     golden = capture_golden(hv, activation)
-    results = tuple(hv.execute(f) for f in followups)
-    return dataclasses.replace(golden, followups=results)
+    logged = tuple(execute_logged(hv, f) for f in followups)
+    return dataclasses.replace(
+        golden,
+        followups=tuple(result for result, _ in logged),
+        followup_logs=tuple(log for _, log in logged),
+    )

@@ -12,7 +12,9 @@ so a knob that breaks identity fails against the science, not against a
 sibling run.  Every cell also proves that its knob took effect and checks
 the run's conservation laws: trials counted = records written, golden
 lookups = golden groups, no temp pack left behind, every journalled trial
-durable.
+durable.  Follow-ups and memory-fault activations taken from the golden run
+depend on the config alone, so every cell of a config must count the same
+ones (``GOLDEN_REUSE``).
 
 The ``cli`` config runs ``repro campaign`` in this process, its detector
 trained at ``--scale 0.05``, so its cells pin the wiring of ``--scenario``,
@@ -176,6 +178,7 @@ def _main(config: CampaignConfig, workdir: Path, *extra: str) -> tuple[Path, flo
     assert "scenario: mixed" in out
     assert ("translation cache:" in out) == config.translate
     assert ("twin batching:" in out) == config.twin_batch
+    assert "golden reuse:" in out
     assert (", cache " in out) == bool(config.artifacts)
     # Detector training counts no trials, so these are the campaign's.
     return workdir / "records.jsonl", CampaignCounters.folded(counts).machine()["trials"]
@@ -370,6 +373,18 @@ CELLS = {
 }
 
 
+#: What the golden run stood in for: counted alike by every cell of a config.
+GOLDEN_REUSE = ("followups_executed", "followups_from_golden",
+                "activations_from_golden", "golden_instructions_skipped")
+
+
+@pytest.fixture(scope="module")
+def reuse_seen() -> dict[str, dict]:
+    """Config name -> the first cell's GOLDEN_REUSE counts, for the cells
+    after it."""
+    return {}
+
+
 def records_digest(records: Path, config: CampaignConfig) -> str:
     h = hashlib.blake2b(records.read_bytes(), digest_size=16)
     h.update(config_digest(config).encode())
@@ -377,7 +392,7 @@ def records_digest(records: Path, config: CampaignConfig) -> str:
 
 
 @pytest.mark.parametrize("cell", list(CELLS))
-def test_records_match_reference(cell, stores, tmp_path):
+def test_records_match_reference(cell, stores, reuse_seen, tmp_path):
     name, knob = CELLS[cell]
     config, result = KNOBS[knob](Cell(name, CONFIGS[name](), tmp_path, stores))
     computed = records_digest(result.records, config)
@@ -394,3 +409,10 @@ def test_records_match_reference(cell, stores, tmp_path):
         assert any(r.recovery is not None for r in records)
     if config.scenario is not None:
         assert {r.fault_class for r in records} == {"register", "multibit", "burst", "memory"}
+    reuse = {key: result.machine[key] for key in GOLDEN_REUSE}
+    assert reuse_seen.setdefault(name, reuse) == reuse, cell
+    if name in ("default", "mixed_ladder"):
+        assert reuse["followups_from_golden"] > 0
+        assert reuse["golden_instructions_skipped"] > 0
+    if config.scenario is not None:
+        assert reuse["activations_from_golden"] > 0
