@@ -4,10 +4,11 @@ Measures the same campaign executed several ways — the serial
 ``FaultInjectionCampaign`` loop, the sharded engine with 2 and 4 worker
 processes, and the widest engine against a cold then warm golden artifact
 cache — verifying bit-identical results while reporting throughput and
-speedup.  The widest engine's no-cache, cold-cache and warm-cache runs are
-each timed as the median of ``REPS`` alternating repetitions (a fresh store
-per cold run), so the warm-over-no-cache ratio does not swing with one
-noisy run.  Job counts are capped at the host's CPU count, so no run is
+speedup.  The widest engine's no-cache, cold-cache and warm-cache runs
+alternate ``REPS`` times (a fresh store per cold run); each repetition runs
+the three back to back, so each cache speed-up is the median of the
+per-repetition ratios, which cancels host drift between repetitions, and
+the summary records those ratios with their quartile spread.  Job counts are capped at the host's CPU count, so no run is
 oversubscribed; the summary records the host.  A machine-readable summary
 is written to ``BENCH_engine.json`` next to this file (override with
 ``REPRO_BENCH_OUTPUT``).
@@ -32,9 +33,10 @@ from benchmarks.conftest import SEED, scaled, write_bench
 
 #: Sized so each widest-engine phase lasts 1-3 s on a 2-CPU Xeon: at 600
 #: injections and 3 repetitions the phases lasted 0.2-0.4 s and five runs'
-#: warm/no-cache ratios spread 0.31x.  At this size five runs spread
-#: 0.12-0.21x; doubling the injections did not narrow that, so host drift
-#: across the run, not phase length, sets what spread remains.
+#: warm/no-cache ratios spread 0.31x.  At this size five runs of the ratio
+#: of phase medians spread 0.12-0.21x; doubling the injections did not
+#: narrow that, so host drift across the run, not phase length, sets what
+#: spread remains, and the gate reads per-repetition ratios instead.
 N_INJECTIONS = scaled(6000)
 NPROC = len(os.sched_getaffinity(0))
 #: Pooled job counts, capped at the host's CPUs.
@@ -45,6 +47,12 @@ JOBS = sorted({min(jobs, NPROC) for jobs in (2, 4)})
 TARGET_WARM_SPEEDUP = 1.5
 #: Alternating repetitions behind each widest-engine phase's median.
 REPS = 9
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    """First and third quartile of ``values``."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
 
 
 def _timed(label: str, fn):
@@ -125,9 +133,14 @@ def test_engine_throughput_and_speedup():
     runs.append(no_cache)
     for phase in ("cold-cache", "warm-cache"):
         stats = _median_run(f"jobs={jobs} {phase}", phases[phase])
-        stats["speedup_vs_no_cache"] = (
-            no_cache["elapsed_seconds"] / stats["elapsed_seconds"]
-        )
+        # Each repetition ran no-cache and this phase back to back.
+        ratios = [
+            plain / cached
+            for (plain, _, _), (cached, _, _) in zip(phases["no-cache"], phases[phase])
+        ]
+        stats["speedup_vs_no_cache"] = statistics.median(ratios)
+        stats["speedup_repetitions"] = ratios
+        stats["speedup_quartiles"] = _quartiles(ratios)
         runs.append(stats)
     for stats in runs[1:]:
         stats["speedup_vs_serial"] = (
@@ -142,6 +155,7 @@ def test_engine_throughput_and_speedup():
         "repetitions": REPS,
         "runs": runs,
         "warm_cache_speedup_vs_no_cache": runs[-1]["speedup_vs_no_cache"],
+        "warm_cache_speedup_quartiles": runs[-1]["speedup_quartiles"],
         "target_warm_speedup": TARGET_WARM_SPEEDUP,
     }
     output = write_bench("engine", summary)
@@ -156,9 +170,11 @@ def test_engine_throughput_and_speedup():
             f"{stats['trials_per_sec']:10.1f} {speedup:8.2f}x"
         )
     warm = runs[-1]
+    q1, q3 = warm["speedup_quartiles"]
     print(
         f"warm cache vs no cache (jobs={jobs}): "
-        f"{warm['speedup_vs_no_cache']:.2f}x "
+        f"{warm['speedup_vs_no_cache']:.2f}x median of {REPS} repetitions, "
+        f"quartiles {q1:.2f}-{q3:.2f}x "
         f"(capture {warm['golden_cache'].get('golden_capture_seconds', 0.0):.2f}s, "
         f"load {warm['golden_cache'].get('golden_load_seconds', 0.0):.2f}s)"
     )

@@ -6,14 +6,14 @@ into live hypervisor executions across the six-benchmark suite and prints the
 Fig. 8 / Fig. 9 / Fig. 10 / Table II summaries.
 
 Pass ``--injections 30000 --scale 3`` to run at the paper's campaign size,
-and ``--jobs 4`` to fan the campaign out over the sharded engine (results
-are bit-identical to the serial run).
+and ``--jobs 4`` to fan the campaign out over four worker processes (the
+sharded engine runs it inline at ``--jobs 1``; results are bit-identical
+either way).
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 
 from repro.analysis import (
@@ -23,7 +23,7 @@ from repro.analysis import (
     undetected_breakdown,
 )
 from repro.engine import CampaignEngine, EngineTelemetry, stderr_progress
-from repro.faults import CampaignConfig, FaultInjectionCampaign
+from repro.faults import CampaignConfig
 from repro.faults.outcomes import DetectionTechnique
 from repro.xentry import (
     TrainingConfig,
@@ -41,7 +41,7 @@ def main() -> None:
                         help="training sample-count multiplier")
     parser.add_argument("--seed", type=int, default=77)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (engine fan-out; 1 = serial)")
+                        help="worker processes (1 = shards run inline)")
     args = parser.parse_args()
 
     print("=== training the transition detector ===")
@@ -64,21 +64,12 @@ def main() -> None:
     print(f"\n=== running {args.injections} injections ===")
     detector = VMTransitionDetector.from_classifier(model.classifier)
     config = CampaignConfig(n_injections=args.injections, seed=args.seed)
-    if args.jobs > 1:
-        telemetry = EngineTelemetry()
-        telemetry.subscribe(stderr_progress(telemetry))
-        result = CampaignEngine(
-            config, jobs=args.jobs, n_shards=2 * args.jobs, detector=detector,
-            telemetry=telemetry,
-        ).run()
-    else:
-        campaign = FaultInjectionCampaign(config, detector=detector)
-
-        def progress(done: int, total: int) -> None:
-            sys.stdout.write(f"\r  {done}/{total} trials")
-            sys.stdout.flush()
-
-        result = campaign.run(progress=progress)
+    telemetry = EngineTelemetry()
+    telemetry.subscribe(stderr_progress(telemetry))
+    result = CampaignEngine(
+        config, jobs=args.jobs, n_shards=2 * args.jobs, detector=detector,
+        telemetry=telemetry,
+    ).run()
     print(f"\n{len(result)} trials, {len(result.manifested)} manifested "
           f"failures/corruptions ({time.time() - t0:.0f}s total)")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 
-from repro.engine.journal import SampleJournal, read_state
+from repro.engine.journal import JournalState, SampleJournal, read_state
 from repro.errors import JournalError
 from repro.faults.outcomes import TrialRecord
 from repro.ml.dataset import Dataset
@@ -24,6 +24,23 @@ __all__ = [
     "records_from_journal",
     "sample_journal_progress",
 ]
+
+
+def _by_index(shards) -> list:
+    """Fold shard item lists into one list ordered by global index; a later
+    recording of an index replaces an earlier one (resume semantics)."""
+    by_index: dict[int, object] = {}
+    for items in shards:
+        for index, item in items:
+            by_index[index] = item
+    return [item for _, item in sorted(by_index.items())]
+
+
+def _shards(state: JournalState, include_partial: bool) -> list:
+    shards = list(state.completed.values())
+    if include_partial:
+        shards.extend(state.partial.values())
+    return shards
 
 
 def records_from_journal(
@@ -40,14 +57,7 @@ def records_from_journal(
     state = read_state(path)
     if state is None:
         raise JournalError(f"{path}: no journal found")
-    by_trial: dict[int, TrialRecord] = {}
-    sources = list(state.completed.values())
-    if include_partial:
-        sources.extend(state.partial.values())
-    for trials in sources:
-        for t, record in trials:
-            by_trial[t] = record
-    return tuple(record for _, record in sorted(by_trial.items()))
+    return tuple(_by_index(_shards(state, include_partial)))
 
 
 def merge_journals(paths: list[str | Path]) -> tuple[TrialRecord, ...]:
@@ -63,7 +73,7 @@ def merge_journals(paths: list[str | Path]) -> tuple[TrialRecord, ...]:
     if not paths:
         raise JournalError("no journals to merge")
     digest: str | None = None
-    by_trial: dict[int, TrialRecord] = {}
+    shards: list = []
     for path in paths:
         state = read_state(path)
         if state is None:
@@ -75,10 +85,8 @@ def merge_journals(paths: list[str | Path]) -> tuple[TrialRecord, ...]:
                 f"{path}: digest {state.digest} does not match {digest}; "
                 "these journals belong to different campaigns"
             )
-        for trials in list(state.completed.values()) + list(state.partial.values()):
-            for t, record in trials:
-                by_trial[t] = record
-    return tuple(record for _, record in sorted(by_trial.items()))
+        shards.extend(_shards(state, include_partial=True))
+    return tuple(_by_index(shards))
 
 
 def dataset_from_journal(
@@ -97,19 +105,10 @@ def dataset_from_journal(
     state = SampleJournal.read(path)
     if state is None:
         raise JournalError(f"{path}: no sample journal found")
-    by_run: dict[int, tuple] = {}
-    sources = list(state.completed.values())
-    if include_partial:
-        sources.extend(state.partial.values())
-    for items in sources:
-        for run, sample in items:
-            by_run[run] = sample
-    samples = []
-    labels = []
-    for _, (features, label) in sorted(by_run.items()):
-        samples.append(features)
-        labels.append(label)
-    return Dataset.from_samples(samples, labels)
+    samples = _by_index(_shards(state, include_partial))
+    return Dataset.from_samples(
+        [features for features, _ in samples], [label for _, label in samples]
+    )
 
 
 def sample_journal_progress(path: str | Path) -> dict:

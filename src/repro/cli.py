@@ -53,9 +53,8 @@ from repro.engine import (
 )
 from repro.engine.journal import JOURNAL_FORMAT
 from repro.errors import CampaignConfigError
-from repro.faults import CampaignConfig, FaultInjectionCampaign
+from repro.faults import CampaignConfig
 from repro.hypervisor import ExitCategory, REGISTRY, XenHypervisor
-from repro.metrics import CampaignCounters, counted
 from repro.ml import compile_tree
 from repro.persist import load_model, load_records, save_model, save_records, save_rules
 from repro.scenarios import load_scenario
@@ -212,45 +211,27 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if scenario is not None:
         config = scenario.apply(config)
         print(f"scenario: {scenario.describe()}")
-    # Supervision knobs force the engine path: the serial for-loop has no
-    # retry, watchdog or chaos machinery.
-    use_engine = (
-        args.jobs > 1 or args.journal or args.chaos
-        or args.shard_timeout is not None
-    )
-    if use_engine:
-        telemetry = EngineTelemetry()
-        telemetry.subscribe(stderr_progress(telemetry))
-        engine = CampaignEngine(
-            config,
-            jobs=args.jobs,
-            n_shards=max(4, 2 * args.jobs),
-            detector=detector,
-            journal_path=args.journal,
-            telemetry=telemetry,
-            retry=RetryPolicy(max_retries=args.retries, seed=args.seed),
-            shard_timeout=args.shard_timeout,
-            chaos=parse_chaos_spec(args.chaos) if args.chaos else None,
-        )
-        result = engine.run(resume=args.resume)
-        counters = telemetry.counters
-        if args.journal:
-            print(f"journal at {args.journal} "
-                  f"(manifest: {args.journal}.manifest.json)")
-    else:
-        campaign = FaultInjectionCampaign(config, detector=detector)
-
-        def progress(done: int, total: int) -> None:
-            sys.stdout.write(f"\r{done}/{total} trials")
-            sys.stdout.flush()
-
-        # Counted around the campaign alone: detector training above also
-        # runs guest code (under --no-translate the summary must read 0%
-        # translated).  Engine runs fold their shard attempts' counts.
-        result, counts = counted(campaign.run, progress=progress)
-        counters = CampaignCounters.folded(counts)
+    telemetry = EngineTelemetry()
+    telemetry.subscribe(stderr_progress(telemetry))
+    result = CampaignEngine(
+        config,
+        jobs=args.jobs,
+        n_shards=max(4, 2 * args.jobs),
+        detector=detector,
+        journal_path=args.journal,
+        telemetry=telemetry,
+        retry=RetryPolicy(max_retries=args.retries, seed=args.seed),
+        shard_timeout=args.shard_timeout,
+        chaos=parse_chaos_spec(args.chaos) if args.chaos else None,
+    ).run(resume=args.resume)
+    if args.journal:
+        print(f"journal at {args.journal} "
+              f"(manifest: {args.journal}.manifest.json)")
     print(f"\n{len(result)} injections, {len(result.manifested)} manifested "
           f"({time.time() - t0:.0f}s)")
+    # The campaign's shard attempts alone: detector training above runs
+    # guest code too (under --no-translate the summary must read 0%).
+    counters = telemetry.counters
     cache = counters.golden_cache()
     capture, load = cache["golden_capture_seconds"], cache["golden_load_seconds"]
     hits = cache["golden_hits"]
@@ -499,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "default: 0)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the campaign engine "
-                        "(default: 1, serial; results are bit-identical)")
+                        "(default: 1, shards run inline; results are "
+                        "bit-identical)")
     p.add_argument("--journal", metavar="PATH",
                    help="journal finished shards to PATH (crash-safe JSONL)")
     p.add_argument("--resume", action="store_true",

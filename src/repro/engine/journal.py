@@ -20,8 +20,10 @@ string and their payload codec; the line structure is identical::
     {"kind": "shard_done", "shard": 3, "n_trials": 96}             # durability marker
     {"kind": "shard_failed", "shard": 3, "attempts": 3, ...}       # quarantined
 
-A truncated final line (the crash case) is tolerated and ignored; a digest
-mismatch (journal from a different campaign) raises :class:`JournalError`.
+A truncated final line (the crash case) is tolerated and ignored, and
+cut off when the journal is resumed, so the next append starts on a line
+of its own; a digest mismatch (journal from a different campaign) raises
+:class:`JournalError`.
 The ``shard_begin`` marker makes partial tails self-healing: a re-run of a
 shard whose previous append was torn (crash or injected journal fault mid
 write) starts with a fresh marker, so the stale trial lines are superseded
@@ -92,10 +94,11 @@ class JournalState:
 class TrialJournal:
     """Append-per-shard journal bound to one campaign identity.
 
-    Open with :meth:`create` for a fresh campaign or :meth:`resume` to
-    continue one; both return a journal whose :meth:`append_shard` durably
-    records a finished shard.  Use :func:`read_state` (or the :meth:`read`
-    classmethod on a subclass) to inspect a journal without holding it open.
+    Open with :meth:`open` (or :meth:`create` for a fresh campaign and
+    :meth:`resume` to continue one); each returns a journal whose
+    :meth:`append_shard` durably records a finished shard.  Use
+    :func:`read_state` (or the :meth:`read` classmethod on a subclass) to
+    inspect a journal without holding it open.
 
     Subclasses swap the header format string and the payload codec to
     journal other item kinds over the same crash-safety machinery.
@@ -113,6 +116,29 @@ class TrialJournal:
         self._fh = _fh
 
     # -- opening -------------------------------------------------------------
+
+    @classmethod
+    def open(
+        cls, path: str | Path, *, digest: str, n_shards: int, total_trials: int,
+        resume: bool,
+    ) -> "TrialJournal":
+        """Create the journal at ``path``, or continue it when ``resume``.
+
+        A missing or empty file starts a fresh journal either way; an
+        existing one is never clobbered: without ``resume`` it is a
+        :class:`JournalError`, with it :meth:`resume` validates ``digest``.
+        """
+        path = Path(path)
+        if not path.exists() or path.stat().st_size == 0:
+            return cls.create(
+                path, digest=digest, n_shards=n_shards, total_trials=total_trials
+            )
+        if not resume:
+            raise JournalError(
+                f"{path}: journal exists; pass resume=True (--resume) to "
+                "continue it or remove the file"
+            )
+        return cls.resume(path, digest=digest)
 
     @classmethod
     def create(
@@ -139,7 +165,12 @@ class TrialJournal:
 
     @classmethod
     def resume(cls, path: str | Path, *, digest: str) -> "TrialJournal":
-        """Reopen an existing journal, validating it belongs to ``digest``."""
+        """Reopen an existing journal, validating it belongs to ``digest``.
+
+        An unterminated final line (a crash mid-append) is cut off first:
+        appended after it, the next shard's first line would be glued to the
+        fragment, and :meth:`read` stops at the first line it cannot parse.
+        """
         state = cls.read(path)
         if state is None:
             raise JournalError(f"{path}: no journal to resume")
@@ -148,6 +179,7 @@ class TrialJournal:
                 f"{path}: journal belongs to a different campaign "
                 f"(digest {state.digest}, expected {digest})"
             )
+        _cut_torn_tail(path)
         return cls(path, state, _fh=open(path, "a"))
 
     @classmethod
@@ -257,6 +289,21 @@ class SampleJournal(TrialJournal):
     FORMAT = SAMPLE_JOURNAL_FORMAT
     _encode = staticmethod(_sample_to_dict)
     _decode = staticmethod(_sample_from_dict)
+
+
+def _cut_torn_tail(path: str | Path) -> None:
+    """Cut ``path`` back to its last complete line."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data.endswith(b"\n"):
+            return
+        end = data.rfind(b"\n") + 1
+        if end:
+            fh.truncate(end)
+        else:  # the header alone, which parsed: terminate it
+            fh.write(b"\n")
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def read_state(path: str | Path) -> JournalState | None:

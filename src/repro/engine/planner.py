@@ -130,7 +130,9 @@ class ShardPlan:
 
 @dataclass(frozen=True)
 class CampaignPlan:
-    """A campaign cut into shards, plus the identity needed to resume it."""
+    """A campaign (or a training collection, whose ``config`` is a
+    ``TrainingConfig`` and whose shards are :class:`TrainingShard`) cut into
+    shards, plus the identity needed to resume it."""
 
     config: CampaignConfig
     shards: tuple[ShardPlan, ...]

@@ -1,8 +1,10 @@
 """The campaign engine: parallel, resumable, observable, *self-resilient*.
 
 :class:`CampaignEngine` turns a :class:`CampaignConfig` into a plan of
-deterministic shards (:mod:`repro.engine.planner`), hands them to a
-:class:`~repro.engine.supervisor.ShardSupervisor` that fans them out over a
+deterministic shards (:mod:`repro.engine.planner`) and runs it through the
+engine's run loop (:func:`~repro.engine.supervisor.run_supervised`, which
+detector training shares): a
+:class:`~repro.engine.supervisor.ShardSupervisor` fans the shards out over a
 ``concurrent.futures`` process pool (or runs them inline when ``jobs=1``)
 with retry, watchdog and quarantine semantics, journals every finished shard
 durably (:mod:`repro.engine.journal`), and narrates progress through
@@ -18,27 +20,22 @@ aborting mid-run.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from pathlib import Path
 
 from repro.artifacts.runtime import golden_source_for
 from repro.artifacts.store import GoldenStore
-from repro.engine.chaos import ChaosPolicy, ChaosTripwire
-from repro.engine.journal import TrialJournal, read_state
 from repro.engine.planner import CampaignPlan, ShardPlan, plan_campaign
 from repro.engine.supervisor import (
+    ChaosPolicy,
     DegradedCampaignResult,
     RetryPolicy,
     ShardFailure,
-    ShardSupervisor,
     merge_records,
+    run_supervised,
 )
-from repro.engine.telemetry import (
-    CampaignFinished,
-    CampaignStarted,
-    EngineTelemetry,
-    ShardFinished,
-)
-from repro.errors import EngineError, JournalError
+from repro.engine.telemetry import EngineTelemetry
+from repro.errors import EngineError
 from repro.faults.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -76,17 +73,15 @@ def execute_shard(
     shard: ShardPlan,
     detector: TransitionDetector | None,
     *,
-    chaos: ChaosPolicy | None = None,
-    attempt: int = 0,
-    allow_hard: bool = True,
+    on_unit: Callable[[TrialRecord], None] | None = None,
 ) -> tuple[list[tuple[int, TrialRecord]], dict]:
     """Run every slice of ``shard``; return its records and an empty dict.
 
     Module-level so a process pool can pickle it; workers rebuild their own
     hypervisor from the config (bit-identical to the serial campaign's, which
-    resets to post-boot state before each benchmark anyway).  ``chaos`` and
-    ``attempt`` arm the deterministic chaos tripwire for this execution —
-    the tripwire only observes record counts, never the records themselves.
+    resets to post-boot state before each benchmark anyway).  ``on_unit``
+    sees every record as it is produced (the chaos tripwire of
+    :func:`~repro.engine.supervisor.run_shard`).
 
     Cached goldens are read from the store's committed packs, exactly as a
     serial run reads them.  Goldens the attempt captures live stream into
@@ -97,14 +92,7 @@ def execute_shard(
     traces on it to ``EngineTelemetry.record_artifact_stats``
     (perfbench/spans.py).
     """
-    tripwire = None
-    if chaos is not None:
-        plan = chaos.plan(shard.index, attempt, allow_hard=allow_hard)
-        if not plan.quiet:
-            tripwire = ChaosTripwire(plan)
     golden_source = golden_source_for(config)
-    if tripwire is not None:
-        tripwire.step()  # faults positioned "before the first trial"
     hv = XenHypervisor(
         n_domains=config.n_domains, seed=config.seed, translate=config.translate
     )
@@ -113,8 +101,7 @@ def execute_shard(
         for s in shard.slices:
             records = run_benchmark_groups(
                 config, s.benchmark, s.group_start, s.group_stop,
-                hv=hv, detector=detector,
-                on_record=tripwire.step if tripwire is not None else None,
+                hv=hv, detector=detector, on_record=on_unit,
                 golden_source=golden_source,
             )
             out.extend(enumerate(records, start=s.trial_start))
@@ -200,104 +187,31 @@ class CampaignEngine:
         Returns a plain :class:`CampaignResult` when every shard completed,
         or a :class:`DegradedCampaignResult` when shards were quarantined.
         """
-        if resume and self.journal_path is None:
-            raise EngineError("resume requires a journal_path")
-        plan = plan_campaign(self.config, self.n_shards)
-        journal: TrialJournal | None = None
-        if self.journal_path is not None:
-            journal = self._open_journal(plan, resume=resume)
-            if journal.state.n_shards != plan.n_shards:
-                # The journal's shard structure wins: resuming with a
-                # different --jobs must not reshuffle shard boundaries.
-                plan = plan_campaign(self.config, journal.state.n_shards)
-
-        done: dict[int, list[tuple[int, TrialRecord]]] = (
-            dict(journal.state.completed) if journal is not None else {}
-        )
-        failures: dict[int, ShardFailure] = {}
-        if self.config.artifacts:
+        store = GoldenStore(self.config.artifacts) if self.config.artifacts else None
+        if store is not None:
             # Shard attempts skip torn packs without counting them; the
             # run counts them here, once.
-            self.telemetry.counters.artifact_corrupt.inc(
-                GoldenStore(self.config.artifacts).scan()
-            )
+            self.telemetry.counters.artifact_corrupt.inc(store.scan())
         try:
-            pending = [s for s in plan.shards if s.index not in done]
-            self.telemetry.emit(
-                CampaignStarted(
-                    total_trials=plan.total_trials,
-                    n_shards=plan.n_shards,
-                    jobs=self.jobs,
-                    resumed_shards=len(done),
-                )
-            )
-            for index, trials in sorted(done.items()):
-                self.telemetry.record_outcomes(r for _, r in trials)
-                self.telemetry.emit(
-                    ShardFinished(
-                        shard=index, n_trials=len(trials), elapsed=0.0, resumed=True
-                    )
-                )
-            supervisor = ShardSupervisor(
-                self.config,
+            plan, done, failures = run_supervised(
+                plan_campaign(self.config, self.n_shards),
                 execute=execute_shard,
+                telemetry=self.telemetry,
+                journal_path=self.journal_path,
+                resume=resume,
+                replan=lambda n_shards: plan_campaign(self.config, n_shards),
                 jobs=self.jobs,
                 detector=self.detector,
                 retry=self.retry,
                 shard_timeout=self.shard_timeout,
                 chaos=self.chaos,
-                telemetry=self.telemetry,
-                journal=journal,
             )
-            failures = supervisor.run(pending, done)
         finally:
             # Every worker of this run is gone: drop the temp packs of any
             # that died mid-attempt.
-            if self.config.artifacts:
-                GoldenStore(self.config.artifacts).sweep()
-            # The manifest snapshot must survive any failure mode — it is
-            # written first so a failing journal close cannot cost it, and
-            # best-effort so an unwritable manifest cannot mask the real
-            # exception unwinding through here.
-            if self.journal_path is not None:
-                try:
-                    self.telemetry.write_manifest(
-                        self.journal_path.with_name(
-                            self.journal_path.name + ".manifest.json"
-                        )
-                    )
-                except OSError:
-                    pass
-            if journal is not None:
-                journal.close()
-        result = self._merge(plan, done, failures)
-        snap = self.telemetry.snapshot()
-        self.telemetry.emit(
-            CampaignFinished(
-                total_trials=plan.total_trials,
-                executed_trials=self.telemetry.executed_trials,
-                elapsed=snap.elapsed,
-                trials_per_sec=snap.trials_per_sec,
-                quarantined=len(failures),
-            )
-        )
-        return result
-
-    def _open_journal(self, plan: CampaignPlan, *, resume: bool) -> TrialJournal:
-        existing = read_state(self.journal_path)
-        if existing is not None and not resume:
-            raise JournalError(
-                f"{self.journal_path}: journal exists; pass resume=True "
-                "(--resume) to continue it or remove the file"
-            )
-        if resume and existing is not None:
-            return TrialJournal.resume(self.journal_path, digest=plan.digest)
-        return TrialJournal.create(
-            self.journal_path,
-            digest=plan.digest,
-            n_shards=plan.n_shards,
-            total_trials=plan.total_trials,
-        )
+            if store is not None:
+                store.sweep()
+        return self._merge(plan, done, failures)
 
     def _merge(
         self,

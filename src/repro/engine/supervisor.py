@@ -26,9 +26,19 @@ and quarantines:
   engine returns a :class:`DegradedCampaignResult` carrying every surviving
   record plus per-shard error reports.
 
-**Hot forks.**  Every shard attempt runs through :func:`run_shard`, which
-ships what the attempt counted (:func:`repro.metrics.counted`) and the
-translation entries it compiled back with its result.  The supervisor folds
+**One run loop.**  Campaigns (:class:`~repro.engine.pool.CampaignEngine`)
+and detector-training collections (``repro.xentry.training.
+collect_dataset``) both run through :func:`run_supervised`: it opens or
+resumes the journal, replays the shards it already holds, supervises the
+rest, and writes the run manifest before it closes the journal.  Every
+shard attempt runs through :func:`run_shard`, which arms the attempt's
+chaos tripwire and calls the executor, ``execute(config, shard, detector,
+on_unit=...)``; the executor calls ``on_unit`` once per unit of work (a
+trial, an activation) and returns ``(items, stats)``.
+
+**Hot forks.**  :func:`run_shard` ships what the attempt counted
+(:func:`repro.metrics.counted`) and the translation entries it compiled
+back with its result.  The supervisor folds
 the counts into the run's telemetry and adopts the entries into this
 process's translation cache; right before it forks a pool — the first one
 and every rebuild — ``repro.engine.pool.warm_worker`` compiles the adopted
@@ -54,12 +64,15 @@ from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro import rng as rng_mod
-from repro.engine.chaos import ChaosPolicy, inject_journal_fault
+from repro.engine.chaos import ChaosPolicy, ChaosTripwire, inject_journal_fault
 from repro.engine.journal import TrialJournal
-from repro.engine.planner import ShardPlan
+from repro.engine.planner import CampaignPlan, ShardPlan
 from repro.engine.telemetry import (
+    CampaignFinished,
+    CampaignStarted,
     EngineTelemetry,
     ShardFailed,
     ShardFinished,
@@ -82,21 +95,133 @@ __all__ = [
     "ShardFailure",
     "ShardSupervisor",
     "run_shard",
+    "run_supervised",
 ]
 
 
-def run_shard(execute: Callable, *args, **kwargs):
+def run_shard(
+    execute: Callable,
+    config,
+    shard,
+    detector,
+    *,
+    chaos: ChaosPolicy | None = None,
+    attempt: int = 0,
+    allow_hard: bool = True,
+):
     """Run one shard attempt; return ``(result, counts, compiled)``.
 
-    ``counts`` is what the attempt counted in this process
-    (:func:`repro.metrics.counted`) and ``compiled`` the translation entries
-    it compiled, as text digest -> entry indices.  Module-level so a process
-    pool can pickle it; inline shards run through it too, so a run's totals
-    are sums of kept attempts' counts in every mode.
+    ``chaos`` and ``attempt`` arm the deterministic chaos tripwire for this
+    attempt (``allow_hard=False`` when this process is the engine itself):
+    it steps once before the executor starts and then on every ``on_unit``
+    call, and only ever counts units, never reads them.  ``result`` is the
+    executor's ``(items, stats)``; ``counts`` is what the attempt counted in
+    this process (:func:`repro.metrics.counted`) and ``compiled`` the
+    translation entries it compiled, as text digest -> entry indices.
+    Module-level so a process pool can pickle it; inline shards run through
+    it too, so a run's totals are sums of kept attempts' counts in every
+    mode.
     """
+    on_unit = None
+    if chaos is not None:
+        plan = chaos.plan(shard.index, attempt, allow_hard=allow_hard)
+        if not plan.quiet:
+            on_unit = ChaosTripwire(plan).step
+            on_unit()  # faults positioned "before the first unit"
     marks = CACHE.compile_marks()
-    result, counts = counted(execute, *args, **kwargs)
+    result, counts = counted(execute, config, shard, detector, on_unit=on_unit)
     return result, counts, CACHE.compiled_since(marks)
+
+
+def run_supervised(
+    plan: CampaignPlan,
+    *,
+    execute: Callable,
+    telemetry: EngineTelemetry,
+    journal_kind: type[TrialJournal] = TrialJournal,
+    journal_path: str | Path | None = None,
+    resume: bool = False,
+    replan: Callable[[int], CampaignPlan] | None = None,
+    jobs: int = 1,
+    **supervision,
+) -> tuple[CampaignPlan, dict[int, list], dict[int, ShardFailure]]:
+    """The engine's run loop: run ``plan``'s shards to completion or
+    quarantine; return the plan run, every completed shard's items and the
+    quarantined shards.
+
+    With ``journal_path`` the run journals to a ``journal_kind`` journal,
+    created or (with ``resume``) continued: shards it already holds count
+    as done (replayed into ``telemetry``, not re-run), and when it holds a
+    different shard count, ``replan(n_shards)`` supplies the plan — resuming
+    with a different ``--jobs`` must not move shard boundaries.  The run
+    manifest is written next to the journal before the journal is closed,
+    also when the run fails.  ``supervision`` goes to
+    :class:`ShardSupervisor` (``detector``, ``retry``, ``shard_timeout``,
+    ``chaos``).
+    """
+    if jobs < 1:
+        raise EngineError("jobs must be positive")
+    if resume and journal_path is None:
+        raise EngineError("resume requires a journal_path")
+    journal: TrialJournal | None = None
+    if journal_path is not None:
+        journal_path = Path(journal_path)
+        journal = journal_kind.open(
+            journal_path, digest=plan.digest, n_shards=plan.n_shards,
+            total_trials=plan.total_trials, resume=resume,
+        )
+        if replan is not None and journal.state.n_shards != plan.n_shards:
+            plan = replan(journal.state.n_shards)
+    done = dict(journal.state.completed) if journal is not None else {}
+    failures: dict[int, ShardFailure] = {}
+    try:
+        telemetry.emit(
+            CampaignStarted(
+                total_trials=plan.total_trials,
+                n_shards=plan.n_shards,
+                jobs=jobs,
+                resumed_shards=len(done),
+            )
+        )
+        for index, items in sorted(done.items()):
+            telemetry.record_outcomes(item for _, item in items)
+            telemetry.emit(
+                ShardFinished(
+                    shard=index, n_trials=len(items), elapsed=0.0, resumed=True
+                )
+            )
+        supervisor = ShardSupervisor(
+            plan.config, execute=execute, jobs=jobs, telemetry=telemetry,
+            journal=journal, **supervision,
+        )
+        failures = supervisor.run(
+            [s for s in plan.shards if s.index not in done], done
+        )
+    finally:
+        # The manifest must survive any failure mode: it is written before
+        # the journal closes, so a failing close cannot cost it, and
+        # best-effort, so an unwritable manifest cannot mask the exception
+        # unwinding through here.
+        if journal_path is not None:
+            try:
+                telemetry.write_manifest(
+                    journal_path.with_name(journal_path.name + ".manifest.json")
+                )
+            except OSError:
+                pass
+        if journal is not None:
+            journal.close()
+    snap = telemetry.snapshot()
+    telemetry.emit(
+        CampaignFinished(
+            total_trials=plan.total_trials,
+            executed_trials=telemetry.executed_trials,
+            elapsed=snap.elapsed,
+            trials_per_sec=snap.trials_per_sec,
+            quarantined=len(failures),
+        )
+    )
+    return plan, done, failures
 
 
 @dataclass(frozen=True)
@@ -235,8 +360,9 @@ class ShardSupervisor:
     """Runs pending shards to completion or quarantine.
 
     Parameters mirror :class:`~repro.engine.pool.CampaignEngine`; ``execute``
-    is the module-level shard runner (pickled into pool workers), injected to
-    keep this module free of a circular import on :mod:`repro.engine.pool`.
+    is the module-level shard executor (pickled into pool workers, see
+    :func:`run_shard`), injected to keep this module free of a circular
+    import on :mod:`repro.engine.pool`.
     ``shard_timeout`` is enforced by the pool-mode watchdog only: in serial
     mode the "worker" is this process, which cannot preempt itself.
     """
@@ -245,13 +371,13 @@ class ShardSupervisor:
         self,
         config: CampaignConfig,
         *,
-        execute: Callable[..., list[tuple[int, TrialRecord]]],
+        execute: Callable[..., tuple[list, dict]],
+        telemetry: EngineTelemetry,
         jobs: int = 1,
         detector: TransitionDetector | None = None,
         retry: RetryPolicy | None = None,
         shard_timeout: float | None = None,
         chaos: ChaosPolicy | None = None,
-        telemetry: EngineTelemetry | None = None,
         journal: TrialJournal | None = None,
     ) -> None:
         if shard_timeout is not None and shard_timeout <= 0:
@@ -263,7 +389,7 @@ class ShardSupervisor:
         self.retry = retry or RetryPolicy(seed=config.seed)
         self.shard_timeout = shard_timeout
         self.chaos = chaos
-        self.telemetry = telemetry or EngineTelemetry()
+        self.telemetry = telemetry
         self.journal = journal
         self._state = _SupervisedState()
 
@@ -501,26 +627,17 @@ class ShardSupervisor:
     # -- shared failure/finish plumbing ---------------------------------------
 
     def _absorb(self, outcome):
-        """Fold one :func:`run_shard` outcome into telemetry; return its trials.
+        """Fold one :func:`run_shard` outcome into telemetry; return its items.
 
-        The counts join the run's totals and the compiled entries are
-        adopted for the next fork.  ``execute_shard`` returns ``(trials,
-        stats)``, whose dict goes to ``record_artifact_stats``; other
-        executors (the training-sample path) return a bare item list.
-        Either way the caller gets the items.
+        The counts join the run's totals, the compiled entries are adopted
+        for the next fork, and the executor's stats dict goes to
+        ``record_artifact_stats``.
         """
-        result, counts, compiled = outcome
+        (items, stats), counts, compiled = outcome
         self.telemetry.record_counts(counts)
         self.telemetry.counters.blocks_adopted.inc(CACHE.adopt(compiled))
-        if (
-            isinstance(result, tuple)
-            and len(result) == 2
-            and isinstance(result[1], dict)
-        ):
-            trials, stats = result
-            self.telemetry.record_artifact_stats(stats)
-            return trials
-        return result
+        self.telemetry.record_artifact_stats(stats)
+        return items
 
     def _requeue_failed(self, run: _Run, kind: str, error: str, queue) -> None:
         delay = self._attempt_failed(run.shard, run.attempt, kind, error)

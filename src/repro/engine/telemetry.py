@@ -273,7 +273,7 @@ class EngineTelemetry:
         self.counters.registry.fold(counts)
 
     def record_artifact_stats(self, stats: dict) -> None:
-        """Receive the dict ``execute_shard`` returns beside its trials."""
+        """Receive the stats dict a shard executor returns beside its items."""
         # Nothing to fold: record_counts already has the attempt's counts.
         # Kept for perfbench, whose TracingTelemetry overrides it to unpack
         # worker traces riding on that dict (perfbench/spans.py).

@@ -832,6 +832,13 @@ class LoopProbe:
         need per-instruction visibility, so recording waits for a retry.  A
         bulk retire (``rep movs``) can carry ``count`` past the pause, and
         that bails the window or snapshot it overshot.
+
+        A proved runaway returns the budget as the next pause, and the
+        dispatch loop retires the skipped iterations at once: it advances
+        ``tracer.count``, the instruction counter and the TSC only.
+        ``tracer.path_hash`` and the PMU branch/load/store totals keep their
+        values from the moment of the proof, which is why hang records and
+        recovery attempts read the count alone.
         """
         on_time = count == self.due
         rvals = self.rvals

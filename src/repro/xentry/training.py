@@ -22,24 +22,28 @@ This module reproduces that pipeline on the simulated platform:
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import rng as rng_mod
-from repro.engine.chaos import ChaosPolicy, ChaosTripwire
 from repro.engine.journal import SampleJournal
-from repro.engine.planner import TrainingShard, payload_digest, plan_training_shards
-from repro.engine.supervisor import RetryPolicy, ShardSupervisor
-from repro.engine.telemetry import (
-    CampaignFinished,
-    CampaignStarted,
-    EngineTelemetry,
-    ShardFinished,
+from repro.engine.planner import (
+    CampaignPlan,
+    TrainingShard,
+    payload_digest,
+    plan_training_shards,
 )
+from repro.engine.supervisor import (
+    ChaosPolicy,
+    RetryPolicy,
+    merge_records,
+    run_supervised,
+)
+from repro.engine.telemetry import EngineTelemetry
 from repro.errors import (
     CampaignConfigError,
     EngineError,
-    JournalError,
     SimulationLimitExceeded,
 )
 from repro.faults.model import FaultModel
@@ -119,15 +123,14 @@ def _collect_free_part(
     generator: WorkloadGenerator,
     shard: TrainingShard,
     stream: str,
-    tripwire: ChaosTripwire | None,
+    on_unit: Callable[[], None],
 ) -> list[Sample]:
     """Fault-free stream: evolving state, every transition labeled CORRECT."""
     items: list[Sample] = []
     for activation in generator.activations(shard.n_runs, stream=f"{stream}.free"):
         result = hv.execute(activation)
         items.append((result.features, CORRECT))
-        if tripwire is not None:
-            tripwire.step()
+        on_unit()
     return items
 
 
@@ -137,7 +140,7 @@ def _collect_inj_part(
     generator: WorkloadGenerator,
     shard: TrainingShard,
     stream: str,
-    tripwire: ChaosTripwire | None,
+    on_unit: Callable[[], None],
 ) -> list[Sample]:
     """Injection stream: golden/faulty pairs, at most one sample per run."""
     fault_rng = rng_mod.stream(config.seed, stream, "faults", shard.benchmark)
@@ -175,8 +178,7 @@ def _collect_inj_part(
         # memory the golden run left behind, so the next golden capture sees
         # an evolved (never corrupted, never stalled) state stream.
         hv.restore(golden.after)
-        if tripwire is not None:
-            tripwire.step()
+        on_unit()
     return items
 
 
@@ -185,13 +187,12 @@ def execute_training_shard(
     shard: TrainingShard,
     detector=None,
     *,
-    chaos: ChaosPolicy | None = None,
-    attempt: int = 0,
-    allow_hard: bool = True,
+    on_unit: Callable[[], None] | None = None,
     stream: str = "train",
     hypervisor: XenHypervisor | None = None,
-) -> list[tuple[int, Sample]]:
-    """Run one collection shard and return ``(global run index, sample)``.
+) -> tuple[list[tuple[int, Sample]], dict]:
+    """Run one collection shard; return its ``(global run index, sample)``
+    pairs and an empty stats dict.
 
     Module-level so a process pool can pickle it; workers rebuild their own
     hypervisor from the config.  Every shard starts from post-boot state
@@ -200,13 +201,9 @@ def execute_training_shard(
     still produce exactly the samples the serial collection would have
     produced at those positions.  ``detector`` is the supervisor protocol
     slot — collection deploys no detector, the argument is ignored.
+    ``on_unit`` is called after every activation (the chaos tripwire of
+    :func:`~repro.engine.supervisor.run_shard`).
     """
-    tripwire = None
-    if chaos is not None:
-        plan = chaos.plan(shard.index, attempt, allow_hard=allow_hard)
-        if not plan.quiet:
-            tripwire = ChaosTripwire(plan)
-            tripwire.step()  # faults positioned "before the first run"
     hv = hypervisor or XenHypervisor(n_domains=config.n_domains, seed=config.seed)
     generator = WorkloadGenerator(
         get_profile(shard.benchmark), config.mode,
@@ -214,11 +211,12 @@ def execute_training_shard(
         n_domains=config.n_domains,
     )
     hv.reset()
+    on_unit = on_unit or (lambda: None)
     if shard.part == "free":
-        items = _collect_free_part(hv, generator, shard, stream, tripwire)
+        items = _collect_free_part(hv, generator, shard, stream, on_unit)
     else:
-        items = _collect_inj_part(hv, config, generator, shard, stream, tripwire)
-    return [(shard.run_start + k, sample) for k, sample in enumerate(items)]
+        items = _collect_inj_part(hv, config, generator, shard, stream, on_unit)
+    return [(shard.run_start + k, sample) for k, sample in enumerate(items)], {}
 
 
 def collect_dataset(
@@ -236,10 +234,11 @@ def collect_dataset(
 ) -> Dataset:
     """Collect one labeled dataset (pass a different ``stream`` for test).
 
-    Collection runs on the campaign engine: the run is cut into one shard
-    per ``(benchmark, part)`` pair (:func:`plan_training_shards`), executed
-    by a :class:`ShardSupervisor` — inline when ``jobs=1``, over a process
-    pool otherwise — with the engine's retry/backoff, watchdog and telemetry
+    Collection runs on the campaign engine's run loop
+    (:func:`~repro.engine.supervisor.run_supervised`): the run is cut into
+    one shard per ``(benchmark, part)`` pair (:func:`plan_training_shards`)
+    and supervised — inline when ``jobs=1``, over a process pool otherwise —
+    with the engine's retry/backoff, watchdog, chaos and telemetry
     semantics.  With ``journal_path`` every finished shard is durably
     journalled (:class:`SampleJournal`) and ``resume=True`` finishes a
     killed collection, re-running only the missing shards.  The merged
@@ -252,114 +251,43 @@ def collect_dataset(
     :class:`EngineError` instead of returning degraded data — a silently
     truncated training set skews the class balance it exists to provide.
     """
-    if jobs < 1:
-        raise EngineError("jobs must be positive")
-    if resume and journal_path is None:
-        raise EngineError("resume requires a journal_path")
-    shards = plan_training_shards(
-        config.benchmarks, config.fault_free_runs, config.injection_runs
+    plan = CampaignPlan(
+        config=config,
+        shards=plan_training_shards(
+            config.benchmarks, config.fault_free_runs, config.injection_runs
+        ),
+        digest=training_digest(config, stream),
     )
-    digest = training_digest(config, stream)
-    total_runs = sum(s.n_runs for s in shards)
-    telemetry = telemetry or EngineTelemetry()
-    journal: SampleJournal | None = None
-    if journal_path is not None:
-        journal = _open_sample_journal(
-            journal_path, digest=digest, n_shards=len(shards),
-            total_runs=total_runs, resume=resume,
-        )
-    done: dict[int, list[tuple[int, Sample]]] = (
-        dict(journal.state.completed) if journal is not None else {}
+    execute = functools.partial(execute_training_shard, stream=stream)
+    if jobs == 1 and hypervisor is not None:
+        execute = functools.partial(execute, hypervisor=hypervisor)
+    _, done, failures = run_supervised(
+        plan,
+        execute=execute,
+        telemetry=telemetry or EngineTelemetry(),
+        journal_kind=SampleJournal,
+        journal_path=journal_path,
+        resume=resume,
+        jobs=jobs,
+        retry=retry,
+        shard_timeout=shard_timeout,
+        chaos=chaos,
     )
-    failures = {}
-    try:
-        pending = [s for s in shards if s.index not in done]
-        telemetry.emit(
-            CampaignStarted(
-                total_trials=total_runs,
-                n_shards=len(shards),
-                jobs=jobs,
-                resumed_shards=len(done),
-            )
-        )
-        for index, items in sorted(done.items()):
-            telemetry.record_outcomes(sample for _, sample in items)
-            telemetry.emit(
-                ShardFinished(
-                    shard=index, n_trials=len(items), elapsed=0.0, resumed=True
-                )
-            )
-        execute = functools.partial(execute_training_shard, stream=stream)
-        if jobs == 1 and hypervisor is not None:
-            execute = functools.partial(execute, hypervisor=hypervisor)
-        supervisor = ShardSupervisor(
-            config,
-            execute=execute,
-            jobs=jobs,
-            detector=None,
-            retry=retry or RetryPolicy(seed=config.seed),
-            shard_timeout=shard_timeout,
-            chaos=chaos,
-            telemetry=telemetry,
-            journal=journal,
-        )
-        failures = supervisor.run(pending, done)
-    finally:
-        # Manifest first (observability must survive failures), best-effort
-        # so an unwritable manifest cannot mask the exception unwinding here.
-        if journal_path is not None:
-            try:
-                telemetry.write_manifest(
-                    Path(journal_path).with_name(
-                        Path(journal_path).name + ".manifest.json"
-                    )
-                )
-            except OSError:
-                pass
-        if journal is not None:
-            journal.close()
     if failures:
         detail = "; ".join(
-            f"shard {i} ({shards[i].benchmark}/{shards[i].part}): "
+            f"shard {i} ({plan.shards[i].benchmark}/{plan.shards[i].part}): "
             f"{f.last.kind} after {len(f.attempts)} attempts"
             for i, f in sorted(failures.items())
         )
         raise EngineError(
-            f"training collection lost {len(failures)}/{len(shards)} shards "
+            f"training collection lost {len(failures)}/{plan.n_shards} shards "
             f"to quarantine — a truncated dataset would skew the class "
             f"balance, refusing to return it ({detail})"
         )
-    samples: list[tuple[int, ...]] = []
-    labels: list[int] = []
-    for index in sorted(done):
-        for _, (features, label) in sorted(done[index]):
-            samples.append(features)
-            labels.append(label)
-    snap = telemetry.snapshot()
-    telemetry.emit(
-        CampaignFinished(
-            total_trials=total_runs,
-            executed_trials=telemetry.executed_trials,
-            elapsed=snap.elapsed,
-            trials_per_sec=snap.trials_per_sec,
-        )
-    )
-    return Dataset.from_samples(samples, labels)
-
-
-def _open_sample_journal(
-    path: str | Path, *, digest: str, n_shards: int, total_runs: int, resume: bool
-) -> SampleJournal:
-    existing = SampleJournal.read(path)
-    if existing is not None and not resume:
-        raise JournalError(
-            f"{path}: journal exists; pass resume=True (--resume) to "
-            "continue it or remove the file"
-        )
-    if resume and existing is not None:
-        return SampleJournal.resume(path, digest=digest)
-    return SampleJournal.create(
-        path, digest=digest, n_shards=n_shards, total_trials=total_runs
+    samples = sorted(merge_records(done).items())
+    return Dataset.from_samples(
+        [features for _, (features, _) in samples],
+        [label for _, (_, label) in samples],
     )
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine.journal import TrialJournal, read_state
+from repro.engine.journal import SampleJournal, TrialJournal, read_state
 from repro.errors import JournalError
 from repro.faults import CampaignConfig, FaultInjectionCampaign
 
@@ -81,6 +81,42 @@ class TestCrashSafety:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(JournalError, match="marker says"):
             read_state(path)
+
+
+class TestResumeAfterTornLine:
+    """A crash mid-line leaves an unterminated fragment; resuming cuts it
+    off, so the shards journalled after the resume stay readable."""
+
+    @pytest.mark.parametrize("kind", [TrialJournal, SampleJournal])
+    def test_shards_after_a_torn_line_survive_resume(self, tmp_path, records, kind):
+        if kind is SampleJournal:
+            items = [((i, i + 1), i % 2) for i in range(12)]
+        else:
+            items = list(records[:12])
+        path = tmp_path / "j.jsonl"
+        with kind.create(path, digest="d1", n_shards=3, total_trials=12) as j:
+            j.append_shard(0, indexed(items[:4]))
+        with open(path, "a") as fh:
+            fh.write('{"kind": "trial", "shard": 1, "tri')  # no newline
+        with kind.resume(path, digest="d1") as j:
+            assert j.state.completed_shards == {0}
+            j.append_shard(1, indexed(items[4:8], start=4))
+            j.append_shard(2, indexed(items[8:], start=8))
+        state = kind.read(path)
+        assert state.completed_shards == {0, 1, 2}
+        assert [item for s in (0, 1, 2) for _, item in state.completed[s]] == items
+        # A second resume finds nothing left to run.
+        with kind.resume(path, digest="d1") as j:
+            assert j.state.completed_shards == {0, 1, 2}
+            assert not j.state.partial
+
+    def test_unterminated_header_is_terminated(self, tmp_path, records):
+        path = tmp_path / "j.jsonl"
+        TrialJournal.create(path, digest="d1", n_shards=1, total_trials=12).close()
+        path.write_text(path.read_text().rstrip("\n"))
+        with TrialJournal.resume(path, digest="d1") as j:
+            j.append_shard(0, indexed(records[:12]))
+        assert read_state(path).completed_trials == 12
 
 
 class TestSupersedingWrites:

@@ -19,9 +19,11 @@ ones (``GOLDEN_REUSE``).
 The ``cli`` config runs ``repro campaign`` in this process, its detector
 trained at ``--scale 0.05``, so its cells pin the wiring of ``--scenario``,
 ``--recover``, ``--no-translate``, ``--no-twin-batch``, ``--artifacts``,
-``--jobs``, ``--journal`` and ``--output``.  Store cells are named by the
-runner that wrote (cold) or read (warm, torn) the store, and every store
-is read by the runner that did not write it.  A cell's id is its config
+``--jobs``, ``--journal`` and ``--output``.  The command always drives the
+engine, so its one runner passes ``--jobs 1`` where the API runs serially
+and reads the run's counters from the journal's manifest.  Store cells are
+named by the runner that wrote (cold) or read (warm, torn) the store, and
+every store is read by the runner that did not write it.  A cell's id is its config
 and knob, leaving out ``default`` and ``plain``; select one with
 ``pytest -k "[mixed_ladder-jobs2]"``.
 
@@ -32,6 +34,7 @@ file in the same change, in plain view.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -41,7 +44,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
-from unittest import mock
 
 import pytest
 
@@ -160,10 +162,12 @@ def api_engine(config: CampaignConfig, workdir: Path, *, jobs: int = 2,
                CampaignCounters.folded(counts).machine()["trials"], telemetry.retries)
 
 
-def _main(config: CampaignConfig, workdir: Path, *extra: str) -> tuple[Path, float]:
-    """Run ``repro campaign`` on ``config``'s knobs; check that its summary
-    shows them."""
-    flags = [*extra, "--output", str(workdir / "records.jsonl")]
+def cli_run(config: CampaignConfig, workdir: Path, *, jobs: int) -> Run:
+    """Run ``repro campaign --jobs N --journal`` on ``config``'s knobs; check
+    that its summary shows them."""
+    journal = workdir / "trials.jsonl"
+    flags = ["--jobs", str(jobs), "--journal", str(journal),
+             "--output", str(workdir / "records.jsonl")]
     if not config.translate:
         flags.append("--no-translate")
     if not config.twin_batch:
@@ -180,39 +184,20 @@ def _main(config: CampaignConfig, workdir: Path, *extra: str) -> tuple[Path, flo
     assert ("twin batching:" in out) == config.twin_batch
     assert "golden reuse:" in out
     assert (", cache " in out) == bool(config.artifacts)
-    # Detector training counts no trials, so these are the campaign's.
-    return workdir / "records.jsonl", CampaignCounters.folded(counts).machine()["trials"]
-
-
-def cli_serial(config: CampaignConfig, workdir: Path) -> Run:
-    # Keep what the CLI counted around its campaign alone (training runs
-    # guest code too): the counters its summary renders.
-    seen = []
-
-    def spy(fn, *args, **kwargs):
-        result, counts = counted(fn, *args, **kwargs)
-        seen.append(CampaignCounters.folded(counts))
-        return result, counts
-
-    with mock.patch.object(cli, "counted", spy):
-        path, here = _main(config, workdir)
-    (counters,) = seen
-    return Run(path, counters.machine(), counters.golden_cache(), here)
-
-
-def cli_engine(config: CampaignConfig, workdir: Path, *, jobs: int = 2) -> Run:
-    journal = workdir / "trials.jsonl"
-    path, here = _main(config, workdir, "--jobs", str(jobs), "--journal", str(journal))
     manifest = json.loads(Path(f"{journal}.manifest.json").read_text())
     assert manifest["jobs"] == jobs
     assert manifest["failures"]["quarantined"] == []
+    path = workdir / "records.jsonl"
     check_journal(journal, len(load_records(path)))
-    return Run(path, manifest["machine"], manifest["golden_cache"], here)
+    # Detector training counts no trials, so these are the campaign's.
+    return Run(path, manifest["machine"], manifest["golden_cache"],
+               CampaignCounters.folded(counts).machine()["trials"])
 
 
 RUNNERS = {
     "api": {"serial": api_serial, "engine": api_engine},
-    "cli": {"serial": cli_serial, "engine": cli_engine},
+    "cli": {"serial": functools.partial(cli_run, jobs=1),
+            "engine": functools.partial(cli_run, jobs=2)},
 }
 OTHER = {"serial": "engine", "engine": "serial"}
 
@@ -310,8 +295,12 @@ def cold(writer: str):
         tables = [read_pack_table(p) for p in GoldenStore(config.artifacts).packs()]
         assert sum(map(len, tables)) == groups(config)
         # A serial run streams every capture into one pack; the engine
-        # commits one per shard attempt that captured anything.
-        assert len(tables) == 1 if writer == "serial" else 0 < len(tables) <= SHARDS
+        # (which the CLI drives at every --jobs) commits one per shard
+        # attempt that captured anything.
+        if writer == "serial" and cell.name != "cli":
+            assert len(tables) == 1
+        else:
+            assert 0 < len(tables) <= SHARDS
         return config, result
 
     return knob

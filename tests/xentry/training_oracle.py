@@ -16,7 +16,7 @@ from repro.machine.exceptions import AssertionViolation, HardwareException
 from repro.ml.dataset import CORRECT, INCORRECT
 
 
-def collect_inj_part_three_executions(hv, config, generator, shard, stream, tripwire):
+def collect_inj_part_three_executions(hv, config, generator, shard, stream, on_unit):
     """Drop-in for ``repro.xentry.training._collect_inj_part``."""
     fault_rng = rng_mod.stream(config.seed, stream, "faults", shard.benchmark)
     items = []
@@ -37,6 +37,5 @@ def collect_inj_part_three_executions(hv, config, generator, shard, stream, trip
                 items.append((faulty.features, CORRECT))
         hv.restore(golden.checkpoint)
         hv.execute(activation)
-        if tripwire is not None:
-            tripwire.step()
+        on_unit()
     return items
