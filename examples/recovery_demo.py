@@ -54,7 +54,7 @@ def main() -> None:
                                 domain_id=1, seq=seq)
         if fault is not None:
             register, bit, index = fault
-            hv.cpu.schedule_register_flip(index, register, bit)
+            hv.cpu.schedule_flips(index, ((register, bit),))
         outcome = manager.protect(activation)
         run = app.step(hv.domain(1))
         status = "RECOVERED" if outcome.recovered else (

@@ -9,7 +9,6 @@ register bursts, and subsystem-targeted memory flips.
 from repro.faults.campaign import CampaignConfig, CampaignResult, FaultInjectionCampaign
 from repro.faults.injector import (
     TransitionDetector,
-    run_burst_trial,
     run_memory_trial,
     run_spec_trial,
     run_trial,
@@ -71,7 +70,6 @@ __all__ = [
     "capture_golden",
     "classify_divergence",
     "compute_divergence",
-    "run_burst_trial",
     "run_memory_trial",
     "run_spec_trial",
     "run_trial",

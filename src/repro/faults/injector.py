@@ -1,8 +1,8 @@
 """Single-trial fault injection.
 
 One *trial* executes the same activation twice from identical machine state —
-fault-free, then with a scheduled single-bit register flip — and reduces the
-pair to a :class:`~repro.faults.outcomes.TrialRecord`:
+fault-free, then with the fault armed — and reduces the pair to a
+:class:`~repro.faults.outcomes.TrialRecord`:
 
 * a hardware exception or failed software assertion during the faulty run is
   a **runtime detection** (short detection latency, Fig. 10);
@@ -11,6 +11,11 @@ pair to a :class:`~repro.faults.outcomes.TrialRecord`:
   compiled tree rules);
 * divergence against the golden run yields the ground-truth consequence
   (Fig. 9) and, for missed faults, the Table II attribution.
+
+Every register fault (the paper's single-bit flip, a multi-bit upset, a
+burst) is a set of ``(register, bit)`` flips that :func:`run_trial` arms
+with one :meth:`~repro.machine.cpu.CPUCore.schedule_flips` call; memory
+faults run through :func:`run_memory_trial`.
 
 Only what reads corrupted state executes: a follow-up or a memory fault's
 activation whose golden twin reads no word the fault changed takes the
@@ -50,7 +55,6 @@ from repro.metrics import COUNTERS
 __all__ = [
     "TransitionDetector",
     "run_trial",
-    "run_burst_trial",
     "run_memory_trial",
     "run_spec_trial",
     "run_twin_batch",
@@ -66,7 +70,7 @@ class TransitionDetector(Protocol):
 def run_trial(
     hv: XenHypervisor,
     activation: Activation,
-    fault: FaultSpec | MultiBitFaultSpec,
+    fault: FaultSpec | MultiBitFaultSpec | BurstFaultSpec,
     *,
     detector: TransitionDetector | None = None,
     golden: GoldenRun | None = None,
@@ -75,6 +79,12 @@ def run_trial(
     read_point: int | None = None,
 ) -> TrialRecord:
     """Execute one golden/faulty pair and classify the outcome.
+
+    ``fault`` is any register fault: its ``flips`` strike together at
+    ``fault.dynamic_index``.  Register and multi-bit faults take their
+    activation from the core's report (:func:`_activation`); a burst spans
+    registers, so it is activated when the run diverges and its latency
+    counts from ``fault.dynamic_index``.
 
     ``golden`` may be supplied to amortize the fault-free run across several
     injections into the same activation; it must have been captured from the
@@ -98,32 +108,10 @@ def run_trial(
         golden = capture_golden(hv, activation)
     hv.restore(golden.checkpoint)
     COUNTERS.trials_replayed.inc()
-    if isinstance(fault, MultiBitFaultSpec):
-        hv.cpu.schedule_flip_set(
-            fault.dynamic_index,
-            tuple((fault.register, b) for b in fault.bits),
-            known_activation=read_point,
-        )
-    else:
-        hv.cpu.schedule_register_flip(
-            fault.dynamic_index, fault.register, fault.bit,
-            known_activation=read_point,
-        )
-
-    def _activation_index() -> int:
-        report = hv.cpu.injection_report
-        if report is not None and report.activation_index is not None:
-            return report.activation_index
-        return fault.dynamic_index
-
-    def _activated() -> bool:
-        report = hv.cpu.injection_report
-        return bool(report is not None and report.applied and report.activated)
-
+    hv.cpu.schedule_flips(fault.dynamic_index, fault.flips, known_activation=read_point)
     return _execute_and_classify(
         hv, activation, fault, golden,
         detector=detector, benchmark=benchmark, followups=followups,
-        activation_index=_activation_index, activated=_activated,
     )
 
 
@@ -146,27 +134,29 @@ def trace_plan(program: Program, golden: GoldenRun) -> lockstep.TwinPlan:
 
 
 def _classify_spec_twin(plan, fault):
-    """Classify one twin for the lock-step batch, by fault class.
+    """Classify one twin for the lock-step batch, by the registers it flips.
 
-    Register and multi-bit faults use the position-column scan directly
-    (one register, one injection index — multi-bit only widens the flipped
-    mask, not the access pattern that decides liveness).  A burst is DEAD
-    only if *every* flipped register is individually dead: until a faulty
-    value is read, the faulty twin follows the golden control flow, so the
-    per-register proofs compose.  A live burst peels with no read point —
-    the single-register no-access proof does not cover its other flips.
+    A fault flipping one register uses the position-column scan directly
+    (one register, one injection index — several bits only widen the
+    flipped mask, not the access pattern that decides liveness).  A fault
+    flipping several registers (a burst) is DEAD only if *every* flipped
+    register is individually dead: until a faulty value is read, the
+    faulty twin follows the golden control flow, so the per-register
+    proofs compose.  A live one peels with no read point — the
+    single-register no-access proof does not cover its other flips.
     Memory faults always peel conservatively: the scan only tracks register
     liveness.
     """
     if isinstance(fault, MemoryFaultSpec):
         return (lockstep.PEEL, None)
-    if isinstance(fault, BurstFaultSpec):
-        for register, _bit in fault.flips:
-            kind, _ = lockstep.classify_twin(plan, register, fault.dynamic_index)
-            if kind != lockstep.DEAD:
-                return (lockstep.PEEL, None)
-        return (lockstep.DEAD, None)
-    return lockstep.classify_twin(plan, fault.register, fault.dynamic_index)
+    registers = tuple(dict.fromkeys(register for register, _bit in fault.flips))
+    if len(registers) == 1:
+        return lockstep.classify_twin(plan, registers[0], fault.dynamic_index)
+    for register in registers:
+        kind, _ = lockstep.classify_twin(plan, register, fault.dynamic_index)
+        if kind != lockstep.DEAD:
+            return (lockstep.PEEL, None)
+    return (lockstep.DEAD, None)
 
 
 def run_twin_batch(
@@ -286,11 +276,7 @@ def run_memory_trial(
         raise ValueError("memory trials need a golden captured with logging")
     hv.cpu.clear_injection()
     flipped = (fault.address + (fault.bit >> 3)) & ~7
-    classify = dict(
-        detector=detector, benchmark=benchmark, followups=followups,
-        activation_index=lambda: 0,
-        activated=None,  # inferred from divergence
-    )
+    classify = dict(detector=detector, benchmark=benchmark, followups=followups)
     if flipped in golden.log.reads:
         hv.restore(golden.checkpoint)
         COUNTERS.trials_replayed.inc()
@@ -309,36 +295,6 @@ def _flip_memory(hv: XenHypervisor, fault: MemoryFaultSpec) -> None:
     hv.memory.write_u64(fault.address, original ^ (1 << fault.bit))
 
 
-def run_burst_trial(
-    hv: XenHypervisor,
-    activation: Activation,
-    fault: BurstFaultSpec,
-    *,
-    detector: TransitionDetector | None = None,
-    golden: GoldenRun | None = None,
-    benchmark: str = "",
-    followups: tuple[Activation, ...] = (),
-) -> TrialRecord:
-    """Inject a time-correlated fault storm: every flip of the burst strikes
-    atomically at one dynamic instruction.
-
-    A burst spans registers, so there is no single register to watch —
-    activation is inferred from divergence, exactly like memory faults.
-    """
-    if golden is None:
-        golden = capture_golden(hv, activation)
-    hv.restore(golden.checkpoint)
-    COUNTERS.trials_replayed.inc()
-    hv.cpu.schedule_flip_set(fault.dynamic_index, fault.flips)
-
-    return _execute_and_classify(
-        hv, activation, fault, golden,
-        detector=detector, benchmark=benchmark, followups=followups,
-        activation_index=lambda: fault.dynamic_index,
-        activated=None,  # inferred from divergence
-    )
-
-
 def run_spec_trial(
     hv: XenHypervisor,
     activation: Activation,
@@ -352,20 +308,13 @@ def run_spec_trial(
 ) -> TrialRecord:
     """Dispatch one trial on the fault spec's class.
 
-    The generic entry point the campaign and twin-batch paths use: register
-    and multi-bit faults run through :func:`run_trial` (honoring the
-    lock-step ``read_point``), bursts through :func:`run_burst_trial`, and
-    memory faults through :func:`run_memory_trial` (both ignore
-    ``read_point`` — neither has a per-register no-access proof).
+    The generic entry point the campaign and twin-batch paths use: memory
+    faults run through :func:`run_memory_trial` (which ignores
+    ``read_point`` — it has no per-register no-access proof), every
+    register fault through :func:`run_trial`.
     """
     if isinstance(fault, MemoryFaultSpec):
         return run_memory_trial(
-            hv, activation, fault,
-            detector=detector, golden=golden,
-            benchmark=benchmark, followups=followups,
-        )
-    if isinstance(fault, BurstFaultSpec):
-        return run_burst_trial(
             hv, activation, fault,
             detector=detector, golden=golden,
             benchmark=benchmark, followups=followups,
@@ -387,16 +336,13 @@ def _execute_and_classify(
     detector: TransitionDetector | None,
     benchmark: str,
     followups: tuple[Activation, ...],
-    activation_index,
-    activated,
 ) -> TrialRecord:
     """Run the prepared faulty activation and classify (shared trial core)."""
-    _activation_index = activation_index
     try:
         faulty = hv.execute(activation)
     except HardwareException as exc:
         verdict = classify_exception(exc)
-        latency = max(0, hv.cpu.tracer.count - _activation_index())
+        latency = max(0, hv.cpu.tracer.count - _activation(hv, fault)[0])
         return TrialRecord(
             benchmark=benchmark,
             vmer=activation.vmer,
@@ -413,7 +359,7 @@ def _execute_and_classify(
             detail=f"{exc.vector.name}: {verdict.reason}",
         )
     except AssertionViolation as exc:
-        latency = max(0, hv.cpu.tracer.count - _activation_index())
+        latency = max(0, hv.cpu.tracer.count - _activation(hv, fault)[0])
         return TrialRecord(
             benchmark=benchmark,
             vmer=activation.vmer,
@@ -434,13 +380,38 @@ def _execute_and_classify(
             activated=True,
             failure_class=FailureClass.HYPERVISOR_HANG,
             detected_by=DetectionTechnique.HW_EXCEPTION,
-            detection_latency=max(0, hv.cpu.tracer.count - _activation_index()),
+            detection_latency=max(0, hv.cpu.tracer.count - _activation(hv, fault)[0]),
             detail="watchdog NMI (instruction budget exhausted)",
         )
     return _classify_at_entry(
         hv, activation, fault, golden, faulty,
         detector=detector, benchmark=benchmark, followups=followups,
-        activation_index=_activation_index, activated=activated,
+    )
+
+
+def _activation(hv: XenHypervisor, fault) -> tuple[int, bool | None]:
+    """Where and whether the fault activated, once its activation ran:
+    ``(activation index, activated)``, keyed on the fault class.
+
+    ``activated`` is ``None`` when it is inferred from divergence.  A memory
+    fault is present from instruction 0.  A burst spans registers, so no
+    register is watched and its latency counts from the strike,
+    ``fault.dynamic_index``, never from the core's report: a bulk
+    ``rep movs`` retire can carry the count past that index before the
+    flips apply.  Register and multi-bit faults read the core's report,
+    falling back to the injection index when nothing settled it.
+    """
+    if fault.fault_class == "memory":
+        return 0, None
+    if fault.fault_class == "burst":
+        return fault.dynamic_index, None
+    report = hv.cpu.injection_report
+    if report is None:
+        return fault.dynamic_index, False
+    index = report.activation_index
+    return (
+        fault.dynamic_index if index is None else index,
+        bool(report.applied and report.activated),
     )
 
 
@@ -454,13 +425,12 @@ def _classify_at_entry(
     detector: TransitionDetector | None,
     benchmark: str,
     followups: tuple[Activation, ...],
-    activation_index,
-    activated,
 ) -> TrialRecord:
     """Classify a faulty run that reached VM entry with result ``faulty``,
     continuing into the follow-up window when it diverged unflagged."""
     divergence = compute_divergence(hv, activation, golden, faulty)
-    was_activated = activated() if activated is not None else divergence.any
+    activation_index, activated = _activation(hv, fault)
+    was_activated = divergence.any if activated is None else activated
     if not was_activated and not divergence.any:
         return TrialRecord(
             benchmark=benchmark,
@@ -476,7 +446,7 @@ def _classify_at_entry(
     # VM transition detection runs at every VM entry (Fig. 4).
     flagged = detector is not None and detector.flags_incorrect(faulty.features)
     if flagged:
-        latency = max(0, faulty.instructions - activation_index())
+        latency = max(0, faulty.instructions - activation_index)
         return TrialRecord(
             benchmark=benchmark,
             vmer=activation.vmer,
@@ -493,7 +463,7 @@ def _classify_at_entry(
     if divergence.any and followups:
         record, followups_diverged = _run_followups(
             hv, activation, fault, followups, golden, failure, was_activated,
-            base_latency=max(0, faulty.instructions - activation_index()),
+            base_latency=max(0, faulty.instructions - activation_index),
             detector=detector, benchmark=benchmark,
         )
         if record is not None:

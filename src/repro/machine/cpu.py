@@ -4,17 +4,18 @@ One :class:`CPUCore` models a logical core executing host-mode (hypervisor)
 code.  The core owns the architectural register file, a performance-counter
 bank, a tracer, and a time-stamp counter; memory is shared machine state.
 
-Fault injection is a first-class citizen: :meth:`CPUCore.schedule_register_flip`
-arms a single-bit flip to be applied immediately before a chosen *dynamic*
-instruction, after which the core tracks whether the flipped register is read
-before it is overwritten — the paper's activated/non-activated distinction
-(Section V.B: "Only soft errors occurring before reading registers can be
-activated").
+Fault injection is a first-class citizen: :meth:`CPUCore.schedule_flips` arms
+a set of register bit flips (one for the paper's model, several for
+multi-bit upsets and bursts) to be applied together immediately before a
+chosen *dynamic* instruction, after which the core tracks whether a flipped
+register is read before it is overwritten — the paper's
+activated/non-activated distinction (Section V.B: "Only soft errors occurring
+before reading registers can be activated").
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -95,6 +96,7 @@ class InjectionReport:
     """What happened to a scheduled fault after the run."""
 
     applied: bool
+    #: The first armed flip (the only one for the paper's model).
     register: str
     bit: int
     dynamic_index: int
@@ -152,13 +154,9 @@ class CPUCore:
         #: Attempt exact runaway-loop proofs when a full-budget run spins
         #: (see repro.machine.loopproof; ``False`` forces concrete execution).
         self.loop_proof = True
-        # Injection state
+        # Injection state: the armed (register, bit) pairs, applied together
+        # before dynamic instruction ``_inj_index``.
         self._inj_index: int | None = None
-        self._inj_reg: str | None = None
-        self._inj_bit = 0
-        #: Multi-flip set: ``None`` for the classic single-bit path,
-        #: otherwise every (register, bit) pair applied at the injection
-        #: index (multi-bit upsets and time-correlated bursts).
         self._inj_flips: tuple[tuple[str, int], ...] | None = None
         self._inj_applied = False
         self._inj_known: int | None = None
@@ -206,54 +204,31 @@ class CPUCore:
 
     # -- fault injection ------------------------------------------------------
 
-    def schedule_register_flip(
+    def schedule_flips(
         self,
         dynamic_index: int,
-        register: str,
-        bit: int,
+        flips: Iterable[tuple[str, int]],
         *,
         known_activation: int | None = None,
     ) -> None:
-        """Arm a single-bit flip in ``register`` before dynamic instruction
-        ``dynamic_index`` (0-based) of the next :meth:`run`.
+        """Arm ``(register, bit)`` flips that strike together before dynamic
+        instruction ``dynamic_index`` (0-based) of the next :meth:`run`.
+
+        One flip is the paper's model; several in one register are a
+        multi-bit upset, several registers a burst.  A set holding ``rip``
+        activates the moment it strikes.  A single-register set arms the
+        activation watch: activated at the register's next read, not
+        activated at its next write.  A set spanning registers has no single
+        register to watch, so the report's ``activated`` stays ``None`` and
+        callers infer activation from divergence (exactly like memory
+        faults).
 
         ``known_activation`` is the lock-step scan's analytic activation
-        index: the golden trace proved the register's first access after
-        the flip is a *read* at that dynamic index, so the activation
-        watch (which forces per-instruction visibility on blocks touching
-        the register) is skipped entirely and the report is settled the
-        moment the flip applies.
-        """
-        RegisterFile.index_of(register)  # validate eagerly
-        if not 0 <= bit < 64:
-            raise MachineConfigError(f"bit index {bit} outside [0, 64)")
-        if dynamic_index < 0:
-            raise MachineConfigError("dynamic_index must be non-negative")
-        self._inj_index = dynamic_index
-        self._inj_reg = register
-        self._inj_bit = bit
-        self._inj_flips = None
-        self._inj_applied = False
-        self._inj_known = known_activation
-        self._watch_reg = None
-        self._activated = None
-        self._activation_index = None
-
-    def schedule_flip_set(
-        self,
-        dynamic_index: int,
-        flips: tuple[tuple[str, int], ...],
-        *,
-        known_activation: int | None = None,
-    ) -> None:
-        """Arm several bit flips striking atomically before dynamic
-        instruction ``dynamic_index`` of the next :meth:`run`.
-
-        Single-register sets (multi-bit upsets) keep the normal activation
-        watch; sets spanning registers (bursts) have no single register to
-        watch, so the report's ``activated`` stays ``None`` and callers
-        infer activation from divergence (exactly like memory faults).
-        ``known_activation`` is honored only for single-register sets.
+        index, honored for single-register sets: the golden trace proved
+        the register's first access after the flip is a *read* at that
+        dynamic index, so the watch (which forces per-instruction
+        visibility on blocks touching the register) is skipped entirely and
+        the report is settled the moment the flips apply.
         """
         flips = tuple(flips)
         if not flips:
@@ -265,8 +240,6 @@ class CPUCore:
         if dynamic_index < 0:
             raise MachineConfigError("dynamic_index must be non-negative")
         self._inj_index = dynamic_index
-        self._inj_reg = flips[0][0]
-        self._inj_bit = flips[0][1]
         self._inj_flips = flips
         self._inj_applied = False
         self._inj_known = known_activation
@@ -277,7 +250,6 @@ class CPUCore:
     def clear_injection(self) -> None:
         """Disarm any scheduled fault."""
         self._inj_index = None
-        self._inj_reg = None
         self._inj_flips = None
         self._inj_applied = False
         self._inj_known = None
@@ -288,9 +260,8 @@ class CPUCore:
         activation watch and report) for :meth:`unpark_injection`, so a
         fault-free run can execute in the middle of a faulty one."""
         parked = (
-            self._inj_index, self._inj_reg, self._inj_bit, self._inj_flips,
-            self._inj_applied, self._inj_known, self._watch_reg,
-            self._activated, self._activation_index,
+            self._inj_index, self._inj_flips, self._inj_applied, self._inj_known,
+            self._watch_reg, self._activated, self._activation_index,
         )
         self.clear_injection()
         return parked
@@ -298,9 +269,8 @@ class CPUCore:
     def unpark_injection(self, parked: tuple) -> None:
         """Reinstate what :meth:`park_injection` returned."""
         (
-            self._inj_index, self._inj_reg, self._inj_bit, self._inj_flips,
-            self._inj_applied, self._inj_known, self._watch_reg,
-            self._activated, self._activation_index,
+            self._inj_index, self._inj_flips, self._inj_applied, self._inj_known,
+            self._watch_reg, self._activated, self._activation_index,
         ) = parked
 
     @property
@@ -324,13 +294,14 @@ class CPUCore:
     @property
     def injection_report(self) -> InjectionReport | None:
         """Report of the most recently scheduled fault, if any."""
-        if self._inj_reg is None:
+        if self._inj_flips is None:
             return None
+        register, bit = self._inj_flips[0]
         return InjectionReport(
             applied=self._inj_applied,
-            register=self._inj_reg,
-            bit=self._inj_bit,
-            dynamic_index=self._inj_index if self._inj_index is not None else -1,
+            register=register,
+            bit=bit,
+            dynamic_index=self._inj_index,
             activated=self._activated,
             activation_index=self._activation_index,
         )
@@ -338,44 +309,27 @@ class CPUCore:
     def _apply_injection(self, count: int) -> None:
         # ``count`` is the dispatch loop's buffered dynamic-instruction count
         # (the tracer's own counter lags it while the loop runs).
-        assert self._inj_reg is not None
         flips = self._inj_flips
-        if flips is not None and len(flips) > 1:
-            self._apply_flip_set(flips, count)
-            return
-        self.regs.flip_bit(self._inj_reg, self._inj_bit)
-        self._inj_applied = True
-        reg_index = RegisterFile.index_of(self._inj_reg)
-        if reg_index == _RIP:
-            # Control is transferred through RIP on the very next fetch:
-            # always activated, immediately.
-            self._activated = True
-            self._activation_index = count
-        elif self._inj_known is not None:
-            # The lock-step scan proved the first access is a read at this
-            # index; settle the report without arming the watch so the run
-            # stays on the translated path.
-            self._activated = True
-            self._activation_index = self._inj_known
-        else:
-            self._watch_reg = reg_index
-
-    def _apply_flip_set(self, flips: tuple[tuple[str, int], ...], count: int) -> None:
+        assert flips is not None
         for register, bit in flips:
             self.regs.flip_bit(register, bit)
         self._inj_applied = True
         reg_indices = {RegisterFile.index_of(register) for register, _ in flips}
         if _RIP in reg_indices:
+            # Control is transferred through RIP on the very next fetch:
+            # always activated, immediately.
             self._activated = True
             self._activation_index = count
         elif len(reg_indices) == 1:
-            reg_index = next(iter(reg_indices))
             if self._inj_known is not None:
+                # The lock-step scan proved the first access is a read at
+                # this index; settle the report without arming the watch so
+                # the run stays on the translated path.
                 self._activated = True
                 self._activation_index = self._inj_known
             else:
-                self._watch_reg = reg_index
-        # Multi-register burst: no single register to watch — the report's
+                (self._watch_reg,) = reg_indices
+        # Several registers: no single register to watch — the report's
         # ``activated`` stays None and callers infer it from divergence.
 
     def _watch(self, instr: Instr, count: int) -> None:

@@ -19,14 +19,13 @@ fault, or terminate before the budget is reached:
   number** (``value = base + slope*k``) with demotion to sound intervals
   when affinity is lost (masking, loads);
 * every conditional branch in the cycle must be *decidably constant* over
-  all remaining iterations and match the recorded direction;
+  all remaining iterations and match the recorded direction — unless its
+  other arm rejoins the cycle ahead of it: then the pass **forks** into
+  both arms, clamps each by the ordering its direction implies, and merges
+  them at the rejoin;
 * every load/store address range must stay inside one mapped (and, for
   stores, writable) region for all remaining iterations;
-* a loaded value is unknown (bottom) in the first pass; when that leaves a
-  branch undecidable, a second pass **enumerates** the load's affine
-  address set concretely — sound because the cycle's stores are proven
-  disjoint from it, so those words cannot change — and retries with the
-  observed value range;
+* a loaded value is unknown (bottom);
 * the cycle's live-in registers must be closed under the period transfer
   (``out = in + delta``), which is what extends two measured periods to an
   arbitrary number of them.
@@ -89,10 +88,6 @@ _SUPPORTED = frozenset({
 # range); ('i', lo, hi) is a sound unsigned interval.  _FULL is the
 # bottom element.
 _FULL = ("i", 0, MASK64)
-
-#: Cap on per-load concrete enumeration in the refinement pass (one word
-#: per remaining iteration; the watchdog budget keeps K far below this).
-_ENUM_LIMIT = 8192
 
 
 def find_period(hist: list[int], cur: int) -> list[int] | None:
@@ -499,16 +494,9 @@ def prove_runaway(
     # ``evaluate`` walks the cycle once, threading the symbolic register
     # state and a flag source — ('sub', a, b) | ('add', a, b) |
     # ('logic', result), set by the last flag-writing instruction; each JCC
-    # derives (CF, ZF, SF, OF) from it.  Structural problems (wrong
-    # successor, possible memory fault, missing flags) are *hard* failures:
-    # no refinement can fix them.  An undecidable-or-wrong branch is a
-    # *soft* failure: the walk continues (values evolve along the recorded
-    # path either way) so every load address and store range is still
-    # collected for the refinement pass.  Load keys are a period index, or
-    # ('alt', fork_index, step) inside an alternate arm.
-    load_addrs: dict = {}
-    store_rngs: list[tuple[int, int]] = []
-    store_vrngs: list[tuple[int, int]] = []
+    # derives (CF, ZF, SF, OF) from it.  Any failure ends the walk: a wrong
+    # successor, a possible memory fault, missing flags, or a branch that
+    # decidably leaves the cycle or is undecidable with no rejoining arm.
 
     def hull(a, b):
         (alo, ahi), (blo, bhi) = rng(a), rng(b)
@@ -545,15 +533,14 @@ def prove_runaway(
             return  # arm infeasible for every value: leave unrefined
         vals[flag_reg] = mk_iv(lo, hi)
 
-    def evaluate(load_vals: dict) -> list | None:
+    def evaluate() -> list | None:
         vals = list(vals0)
         fl: tuple | None = (None, None)  # (flag_src, flag_reg)
-        soft_fail = False
         merges: dict[int, list[list]] = {}
 
-        def step(ins: Instr, vals: list, fl: tuple, lkey) -> tuple | None:
+        def step(ins: Instr, vals: list, fl: tuple) -> tuple | None:
             """Transfer one non-JCC instruction; returns the updated
-            (flag_src, flag_reg) or None on a hard (structural) failure."""
+            (flag_src, flag_reg) or None on a failure."""
             op = ins.op
             flag_src, flag_reg = fl
             if op is Op.MOV:
@@ -570,16 +557,13 @@ def prove_runaway(
                 av = add_vals(vals[ins.mem_base_index], const(ins.mem_disp))
                 if not check_mem(av, write=False):
                     return None
-                load_addrs[lkey] = av
-                vals[ins.dst_index] = load_vals.get(lkey, _FULL)
+                vals[ins.dst_index] = _FULL
                 if ins.dst_index == flag_reg:
                     flag_reg = None
             elif op is Op.STORE:
                 av = add_vals(vals[ins.mem_base_index], const(ins.mem_disp))
                 if not check_mem(av, write=True):
                     return None
-                store_rngs.append(rng(av))
-                store_vrngs.append(rng(src_val(ins, vals)))
             elif op is Op.ADD:
                 a, b = vals[ins.dst_index], src_val(ins, vals)
                 flag_src, flag_reg = ("add", a, b), None
@@ -671,13 +655,11 @@ def prove_runaway(
                 truth = jcc_truth(ins.cond_table, flags_of(flag_src))
                 if truth == recorded:
                     continue
-                if truth is not None:
-                    soft_fail = True  # decidably exits the cycle
-                    continue
                 ai = alt_info.get(i)
-                if ai is None:
-                    soft_fail = True  # undecidable, no rejoining other arm
-                    continue
+                if truth is not None or ai is None:
+                    # Decidably exits the cycle, or undecidable with no
+                    # rejoining other arm.
+                    return None
                 # Undecidable but harmless: both arms stay in the cycle.
                 # Fork — clamp each arm by the ordering its direction
                 # implies, run the alternate trace, merge at the rejoin.
@@ -690,72 +672,22 @@ def prove_runaway(
                     vals, flag_src, flag_reg, ins.cond_table, recorded
                 )
                 afl = fl
-                for s_idx, (_a_addr, a_ins) in enumerate(alt_seq):
-                    afl = step(a_ins, avals, afl, ("alt", i, s_idx))
+                for _a_addr, a_ins in alt_seq:
+                    afl = step(a_ins, avals, afl)
                     if afl is None:
                         return None
                 merges.setdefault(j, []).append(avals)
                 continue
             if nxt != (addr + ib) & mask:
                 return None  # straight-line successor mismatch
-            fl = step(ins, vals, fl, i)
+            fl = step(ins, vals, fl)
             if fl is None:
                 return None
-        return None if soft_fail else vals
+        return vals
 
-    out = evaluate({})
+    out = evaluate()
     if out is None:
-        # Refinement: a branch was undecidable with loads at bottom.  Each
-        # affine-address load touches an enumerable word set — read every
-        # word concretely and start from their hull.  That hull is a sound
-        # invariant for the loaded values unless a cycle store can land in
-        # the load's address span with a value outside it, in which case
-        # the hull is widened by the store's value range and re-checked
-        # (assume-guarantee: if loads drawn from R imply every aliasing
-        # store writes within R, then by induction over time all loaded
-        # values lie in R — untouched words are in the concrete hull, and
-        # overwritten words hold an earlier in-range store).
-        if K + 1 > _ENUM_LIMIT:
-            return False
-        cand = {k: av for k, av in load_addrs.items() if av[0] == "a"}
-        if not cand:
-            return False
-        refined: dict = {}
-        for k, av in cand.items():
-            b, s = av[1], av[2]
-            words = [memory.read_u64(b + s * n) for n in range(K + 1)]
-            refined[k] = mk_iv(min(words), max(words))
-        for _ in range(3):
-            load_addrs.clear()
-            store_rngs.clear()
-            store_vrngs.clear()
-            out = evaluate(refined)
-            if out is None:
-                return False
-            widened = False
-            # Justify every refined value the pass actually consumed.  A
-            # refined load the branch refinement made unreachable needs no
-            # justification; a load the pass saw but refinement never keyed
-            # evaluated at bottom, which is always sound.
-            for k, av in load_addrs.items():
-                rv = refined.get(k)
-                if rv is None:
-                    continue
-                if cand.get(k) != av:
-                    return False  # address changed vs the enumeration pass
-                lo, hi = rng(av)
-                vlo, vhi = rng(rv)
-                for (slo, shi), (svlo, svhi) in zip(store_rngs, store_vrngs):
-                    if lo <= shi + 7 and slo <= hi + 7 and (
-                        svlo < vlo or svhi > vhi
-                    ):
-                        vlo, vhi = min(vlo, svlo), max(vhi, svhi)
-                        refined[k] = mk_iv(vlo, vhi)
-                        widened = True
-            if not widened:
-                break
-        else:
-            return False  # no stable invariant within the widening budget
+        return False
 
     # -- induction closure: out = in + delta for every live-in register ----
     for r in live_in:

@@ -1,6 +1,6 @@
-"""Persistence: deployable rule tables, campaign records, datasets.
+"""Persistence: deployable rule tables, trained models, campaign records.
 
-Four artifact kinds cross process boundaries in a real deployment of this
+Three artifact kinds cross process boundaries in a real deployment of this
 system, and each gets a stable on-disk format:
 
 * **compiled rule tables** (JSON) — the artifact that would be compiled into
@@ -9,10 +9,9 @@ system, and each gets a stable on-disk format:
 * **trained models** (JSON) — a rule table bundled with the held-out
   evaluation it shipped with (``repro-xentry train --save-model``);
 * **campaign records** (JSON lines) — one fault-injection trial per line, so
-  multi-hour campaigns can be analyzed incrementally and merged;
-* **datasets** (``.npz``) — labeled feature matrices for re-training.
+  multi-hour campaigns can be analyzed incrementally and merged.
 
-A fifth kind, the **golden artifact** (:mod:`repro.artifacts`), is binary
+A fourth kind, the **golden artifact** (:mod:`repro.artifacts`), is binary
 (checkpoint pages and numpy columns dominate it), but its structured rim —
 activations and activation results — round-trips through the
 JSON codecs below, so the artifact header stays greppable and the binary
@@ -22,8 +21,6 @@ layer stays a pure blob index.
 from __future__ import annotations
 
 import json
-import os
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +38,6 @@ from repro.faults.outcomes import (
     TrialRecord,
     UndetectedKind,
 )
-from repro.ml.dataset import Dataset
 from repro.ml.export import CompiledRules
 
 __all__ = [
@@ -52,10 +48,6 @@ __all__ = [
     "load_model",
     "save_records",
     "load_records",
-    "append_records_jsonl",
-    "iter_records_jsonl",
-    "save_dataset",
-    "load_dataset",
     "activation_to_dict",
     "activation_from_dict",
     "activation_result_to_dict",
@@ -320,39 +312,6 @@ def load_records(path: str | Path) -> tuple[TrialRecord, ...]:
     return records
 
 
-def append_records_jsonl(
-    records: Iterable[TrialRecord], path: str | Path, *, fsync: bool = False
-) -> int:
-    """Append trial records to a headerless JSONL stream; returns the count.
-
-    The streaming companion to :func:`save_records`: multi-hour campaigns
-    (and the engine's shard workers) can flush batches incrementally instead
-    of holding every record in memory for one final write.  ``fsync=True``
-    makes the batch durable before returning (the engine journals this way).
-    """
-    count = 0
-    with open(path, "a") as fh:
-        for record in records:
-            fh.write(json.dumps(_record_to_dict(record)) + "\n")
-            count += 1
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    return count
-
-
-def iter_records_jsonl(path: str | Path) -> Iterator[TrialRecord]:
-    """Stream trial records from a file written by :func:`append_records_jsonl`.
-
-    Yields records one at a time (constant memory); blank lines are skipped
-    so concatenated batch files parse cleanly.
-    """
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                yield _record_from_dict(json.loads(line))
-
-
 # -- golden-artifact structural codecs ----------------------------------------
 #
 # The JSON-able rim of a golden artifact (repro.artifacts.codec): everything
@@ -417,27 +376,4 @@ def activation_result_from_dict(data: dict, *, registry):
         path_hash=data["path_hash"],
         sample=CounterSample(*data["sample"]),
         tsc_end=data["tsc_end"],
-    )
-
-
-# -- datasets ----------------------------------------------------------------------
-
-
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Save a labeled dataset as ``.npz``."""
-    np.savez_compressed(
-        path,
-        X=dataset.X,
-        y=dataset.y,
-        feature_names=np.array(dataset.feature_names),
-    )
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    """Load a dataset saved by :func:`save_dataset`."""
-    data = np.load(path, allow_pickle=False)
-    return Dataset(
-        data["X"],
-        data["y"],
-        tuple(str(n) for n in data["feature_names"]),
     )

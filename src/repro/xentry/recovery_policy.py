@@ -277,44 +277,35 @@ class RecoveryExecutor:
 
     def _reexecute(self, hazard: FaultSpec | None) -> _Attempt:
         """Section VI: restore the critical copy and re-initiate the handler."""
-        hv = self.hv
         self._copy.restore(self._critical)
-        hv.cpu.clear_injection()
-        if hazard is not None:
-            hv.cpu.schedule_register_flip(hazard.dynamic_index, hazard.register, hazard.bit)
-        try:
-            result = hv.execute(self._activation)
-        except HardwareException as exc:
-            return _Attempt(False, hv.cpu.tracer.count, f"re-execution died: {exc.vector.name}")
-        except AssertionViolation as exc:
-            return _Attempt(
-                False, hv.cpu.tracer.count, f"re-execution assertion {exc.assertion_id}"
-            )
-        except SimulationLimitExceeded:
-            return _Attempt(False, hv.cpu.tracer.count, "re-execution hung (watchdog NMI)")
-        return _Attempt(True, result.instructions, "re-executed from critical copy")
+        return self._rerun(hazard, "re-execution", "re-executed from critical copy")
 
     def _microreboot(self, hazard: FaultSpec | None) -> _Attempt:
         """ReHype: roll the whole machine back to the clean pre-activation
         checkpoint and replay the activation."""
+        self.hv.restore(self._golden.checkpoint)
+        # "rung @0": the wording of the pre-activation restart since the
+        # records first carried it; rewording it would change the records.
+        return self._rerun(hazard, "micro-reboot", "micro-rebooted from rung @0")
+
+    def _rerun(self, hazard: FaultSpec | None, name: str, done: str) -> _Attempt:
+        """Execute the activation on the state a rung restored: the transient
+        is dropped, ``hazard`` (a fault striking during recovery) armed.
+        ``name`` prefixes a failed attempt's detail; ``done`` is the detail
+        of one that reached VM entry."""
         hv = self.hv
-        hv.restore(self._golden.checkpoint)
         hv.cpu.clear_injection()
         if hazard is not None:
-            hv.cpu.schedule_register_flip(hazard.dynamic_index, hazard.register, hazard.bit)
+            hv.cpu.schedule_flips(hazard.dynamic_index, hazard.flips)
         try:
             result = hv.execute(self._activation)
         except HardwareException as exc:
-            return _Attempt(False, hv.cpu.tracer.count, f"micro-reboot died: {exc.vector.name}")
+            return _Attempt(False, hv.cpu.tracer.count, f"{name} died: {exc.vector.name}")
         except AssertionViolation as exc:
-            return _Attempt(
-                False, hv.cpu.tracer.count, f"micro-reboot assertion {exc.assertion_id}"
-            )
+            return _Attempt(False, hv.cpu.tracer.count, f"{name} assertion {exc.assertion_id}")
         except SimulationLimitExceeded:
-            return _Attempt(False, hv.cpu.tracer.count, "micro-reboot hung (watchdog NMI)")
-        # "rung @0": the wording of the pre-activation restart since the
-        # records first carried it; rewording it would change the records.
-        return _Attempt(True, result.instructions, "micro-rebooted from rung @0")
+            return _Attempt(False, hv.cpu.tracer.count, f"{name} hung (watchdog NMI)")
+        return _Attempt(True, result.instructions, done)
 
     def _quarantine(self) -> _Attempt:
         """Squash the activation: pre-activation rollback + domain quarantine."""

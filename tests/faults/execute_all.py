@@ -95,8 +95,6 @@ def run_memory_trial_executing(
     return injector._execute_and_classify(
         hv, activation, fault, golden,
         detector=detector, benchmark=benchmark, followups=followups,
-        activation_index=lambda: 0,
-        activated=None,
     )
 
 

@@ -205,7 +205,7 @@ def test_pending_flip_executes_the_window(group):
 
     def setup(hv):
         _corrupt_scratch(hv, golden)
-        hv.cpu.schedule_register_flip(5, "rsp", 40)
+        hv.cpu.schedule_flips(5, (("rsp", 40),))
 
     got, counts = assert_window_matches(hv, activation, followups, golden, setup)
     assert got[0] is not None  # the flip struck and was caught
@@ -220,7 +220,7 @@ def test_live_activation_watch_does_not_block_reuse(group):
 
     def setup(hv):
         hv.restore(golden.checkpoint)
-        hv.cpu.schedule_register_flip(golden.result.instructions - 1, "rbx", 3)
+        hv.cpu.schedule_flips(golden.result.instructions - 1, (("rbx", 3),))
         hv.execute(activation)
         assert hv.cpu.injection_report.activated is None  # still watching
         hv.memory.write_u64(hv.layout.scratch.word_address(1), 0x5EED)

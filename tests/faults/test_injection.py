@@ -10,10 +10,12 @@ from repro.faults import (
     FaultModel,
     FaultSpec,
     capture_golden,
+    run_spec_trial,
     run_trial,
 )
-from repro.faults.outcomes import DetectionTechnique, FailureClass
+from repro.faults.outcomes import BurstFaultSpec, DetectionTechnique, FailureClass
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
+from repro.machine.isa import Op
 from repro.machine.registers import INJECTABLE_REGISTERS
 
 
@@ -108,6 +110,28 @@ class TestRunTrial:
                 rec = run_trial(hv, a, FaultSpec("rbx", bit, idx), golden=golden)
                 classes.add(rec.failure_class)
         assert any(c.is_long_latency for c in classes)
+
+
+class TestBurstTrial:
+    def test_latency_counts_from_the_strike_not_the_apply_index(self):
+        """A burst's latency counts from ``fault.dynamic_index``.  A bulk
+        ``rep movs`` retire can carry the count past that index before the
+        flips apply, and the core's report then reads the later index."""
+        hv = XenHypervisor(seed=5)
+        hv.reset()
+        a = act("grant_table_op", 4, 2)
+        golden = capture_golden(hv, a)
+        ops = [hv.program.instruction_at(addr).op for addr in golden.trace]
+        # The copy retires at 14, then its 4 words in one bulk (15-18).
+        assert [i for i, op in enumerate(ops) if op is Op.REP_MOVS] == [14, 15, 16, 17, 18]
+        fault = BurstFaultSpec(flips=(("rip", 60), ("rax", 3)), dynamic_index=16)
+        rec = run_spec_trial(hv, a, fault, golden=golden)
+        assert hv.cpu.injection_report.activation_index == 19  # applied after it
+        assert rec.detected_by is DetectionTechnique.HW_EXCEPTION
+        # The fetch at 19 faults: 3 instructions after the strike, where
+        # the report's index would give 0.
+        assert rec.detection_latency == 3
+        assert rec.activated
 
 
 class TestCampaign:

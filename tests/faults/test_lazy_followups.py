@@ -156,10 +156,10 @@ def _run_followups(hv, followups):
     [
         # Scheduled past the activation: still pending when its run ends,
         # it fires inside the trial's own follow-ups.
-        lambda hv, n: hv.cpu.schedule_register_flip(n + 4, "rbp", 44),
+        lambda hv, n: hv.cpu.schedule_flips(n + 4, (("rbp", 44),)),
         # Applied at the activation's last instruction: the watch on rbx
         # stays armed, and settles inside the follow-ups.
-        lambda hv, n: hv.cpu.schedule_register_flip(n - 1, "rbx", 3),
+        lambda hv, n: hv.cpu.schedule_flips(n - 1, (("rbx", 3),)),
     ],
     ids=["pending-flip", "armed-watch"],
 )

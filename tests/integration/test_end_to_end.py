@@ -98,7 +98,7 @@ class TestProtectedPlatformUnderFire:
                 domain_id=1 + i % 2, seq=i,
             )
             if i % 4 == 0:
-                hv.cpu.schedule_register_flip(2, "rdi", 45)  # vector way out
+                hv.cpu.schedule_flips(2, (("rdi", 45),))  # vector way out
             outcome = xentry.protect(act)
             if not outcome.vm_entry_permitted:
                 detections += 1

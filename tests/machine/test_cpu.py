@@ -262,7 +262,7 @@ class TestRepMovs:
         baseline = cpu.run(prog, prog.address_of("entry"))
         cpu2 = CPUCore(0, memory)
         cpu2.regs["rsp"] = STACK_TOP
-        cpu2.schedule_register_flip(3, "rcx", 4)  # 8 -> 24 words
+        cpu2.schedule_flips(3, (("rcx", 4),))  # 8 -> 24 words
         res = cpu2.run(prog, prog.address_of("entry"))
         assert res.instructions > baseline.instructions
         assert res.path_hash != baseline.path_hash
@@ -275,25 +275,25 @@ class TestRepMovs:
 
 class TestInjection:
     def test_flip_applied_at_dynamic_index(self, cpu, assemble):
-        cpu.schedule_register_flip(1, "rax", 3)
+        cpu.schedule_flips(1, (("rax", 3),))
         run(cpu, assemble, "entry:\n mov rax, 0\n mov rbx, rax\n vmentry")
         assert cpu.regs["rbx"] == 8  # flip landed before the copy
         report = cpu.injection_report
         assert report.applied and report.activated
 
     def test_overwrite_before_read_is_not_activated(self, cpu, assemble):
-        cpu.schedule_register_flip(1, "rbx", 5)
+        cpu.schedule_flips(1, (("rbx", 5),))
         run(cpu, assemble, "entry:\n mov rax, 1\n mov rbx, 7\n mov rcx, rbx\n vmentry")
         assert cpu.injection_report.activated is False
         assert cpu.regs["rcx"] == 7  # value fully masked
 
     def test_never_touched_register_is_not_activated(self, cpu, assemble):
-        cpu.schedule_register_flip(0, "r15", 1)
+        cpu.schedule_flips(0, (("r15", 1),))
         run(cpu, assemble, "entry:\n mov rax, 1\n vmentry")
         assert cpu.injection_report.activated is None
 
     def test_rip_flip_always_activated(self, cpu, assemble):
-        cpu.schedule_register_flip(1, "rip", 60)  # lands non-canonical
+        cpu.schedule_flips(1, (("rip", 60),))  # lands non-canonical
         with pytest.raises(HardwareException):
             run(cpu, assemble, "entry:\n nop\n nop\n nop\n vmentry")
         assert cpu.injection_report.activated is True
@@ -313,7 +313,7 @@ class TestInjection:
         golden = cpu.run(prog, prog.address_of("entry"))
         cpu2 = CPUCore(0, cpu.memory)
         cpu2.regs["rsp"] = STACK_TOP
-        cpu2.schedule_register_flip(1, "rip", 3)
+        cpu2.schedule_flips(1, (("rip", 3),))
         res = cpu2.run(prog, prog.address_of("entry"))
         assert res.exit_op is Op.VMENTRY           # still terminates legally
         assert res.instructions < golden.instructions  # skipped instructions
@@ -336,30 +336,77 @@ class TestInjection:
         assert cpu.regs["rbx"] == 222
         cpu2 = CPUCore(0, cpu.memory)
         cpu2.regs["rsp"] = STACK_TOP
-        cpu2.schedule_register_flip(2, "rflags", 6)  # clear ZF before je
+        cpu2.schedule_flips(2, (("rflags", 6),))  # clear ZF before je
         cpu2.run(prog, prog.address_of("entry"))
         assert cpu2.regs["rbx"] == 111
         assert cpu2.injection_report.activated is True
 
     def test_injection_validation(self, cpu):
         with pytest.raises(MachineConfigError):
-            cpu.schedule_register_flip(0, "bogus", 1)
+            cpu.schedule_flips(0, (("bogus", 1),))
         with pytest.raises(MachineConfigError):
-            cpu.schedule_register_flip(0, "rax", 64)
+            cpu.schedule_flips(0, (("rax", 64),))
         with pytest.raises(MachineConfigError):
-            cpu.schedule_register_flip(-1, "rax", 0)
+            cpu.schedule_flips(-1, (("rax", 0),))
+        with pytest.raises(MachineConfigError):
+            cpu.schedule_flips(0, ())
 
     def test_clear_injection_disarms(self, cpu, assemble):
-        cpu.schedule_register_flip(0, "rax", 0)
+        cpu.schedule_flips(0, (("rax", 0),))
         cpu.clear_injection()
         run(cpu, assemble, "entry:\n mov rbx, rax\n vmentry")
         assert cpu.regs["rbx"] == 0
         assert cpu.injection_report is None
 
     def test_injection_beyond_run_never_applies(self, cpu, assemble):
-        cpu.schedule_register_flip(10_000, "rax", 0)
+        cpu.schedule_flips(10_000, (("rax", 0),))
         run(cpu, assemble, "entry:\n nop\n vmentry")
         assert cpu.injection_report.applied is False
+
+
+class TestFlipSets:
+    """Several flips armed at once follow the single flip's rules: one
+    register is watched, ``rip`` activates where it strikes, and a set
+    spanning registers leaves activation to the caller."""
+
+    def test_multibit_set_read_first_is_activated_at_the_read(self, cpu, assemble):
+        cpu.schedule_flips(1, (("rax", 3), ("rax", 5)))
+        run(cpu, assemble, "entry:\n mov rax, 0\n nop\n mov rbx, rax\n vmentry")
+        assert cpu.regs["rbx"] == 0b101000  # both bits landed
+        report = cpu.injection_report
+        assert report.applied and report.activated is True
+        assert report.activation_index == 2
+        assert (report.register, report.bit) == ("rax", 3)  # the first flip
+
+    def test_multibit_set_overwritten_first_is_not_activated(self, cpu, assemble):
+        cpu.schedule_flips(1, (("rbx", 5), ("rbx", 9)))
+        run(cpu, assemble, "entry:\n mov rax, 1\n mov rbx, 7\n mov rcx, rbx\n vmentry")
+        assert cpu.injection_report.activated is False
+        assert cpu.regs["rcx"] == 7
+
+    def test_known_activation_settles_a_multibit_set_without_the_watch(
+        self, cpu, assemble
+    ):
+        # The watch would settle False at the overwrite; the scan's read
+        # point settles the report instead, the moment the flips apply.
+        cpu.schedule_flips(1, (("rbx", 5), ("rbx", 9)), known_activation=3)
+        run(cpu, assemble, "entry:\n mov rax, 1\n mov rbx, 7\n mov rcx, rbx\n vmentry")
+        report = cpu.injection_report
+        assert report.activated is True and report.activation_index == 3
+
+    def test_set_spanning_registers_is_not_watched(self, cpu, assemble):
+        cpu.schedule_flips(1, (("rax", 3), ("rbx", 4)), known_activation=2)
+        run(cpu, assemble, "entry:\n mov rax, 0\n mov rbx, rax\n mov rcx, rbx\n vmentry")
+        report = cpu.injection_report
+        assert report.applied
+        assert report.activated is None and report.activation_index is None
+
+    def test_set_holding_rip_is_activated_where_it_strikes(self, cpu, assemble):
+        cpu.schedule_flips(1, (("rax", 3), ("rip", 60)))  # rip lands non-canonical
+        with pytest.raises(HardwareException):
+            run(cpu, assemble, "entry:\n nop\n nop\n nop\n vmentry")
+        report = cpu.injection_report
+        assert report.activated is True and report.activation_index == 1
 
 
 class TestRegisterAccessMetadata:

@@ -79,7 +79,8 @@ class TestDiffTraces:
         core = CPUCore(0, memory)
         core.regs["rsp"] = STACK_TOP
         if flip:
-            core.schedule_register_flip(*flip)
+            index, register, bit = flip
+            core.schedule_flips(index, ((register, bit),))
         return trace_execution(core, prog, prog.address_of("entry"))
 
     def test_identical_traces(self, memory, assemble):

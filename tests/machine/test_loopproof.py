@@ -123,7 +123,8 @@ def _spin(memory, source, *, loop_proof, translate, flip=None):
     core.regs["rsp"] = STACK_TOP
     core.loop_proof = loop_proof
     if flip is not None:
-        core.schedule_register_flip(*flip)
+        index, register, bit = flip
+        core.schedule_flips(index, ((register, bit),))
 
     def run():
         try:

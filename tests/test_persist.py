@@ -1,4 +1,4 @@
-"""Persistence round-trips for rules, records and datasets."""
+"""Persistence round-trips for rules, models and records."""
 
 import json
 
@@ -16,13 +16,9 @@ from repro.faults.outcomes import (
 from repro.ml import DecisionTreeClassifier, compile_tree
 from repro.persist import (
     ModelArtifact,
-    append_records_jsonl,
-    iter_records_jsonl,
-    load_dataset,
     load_model,
     load_records,
     load_rules,
-    save_dataset,
     save_model,
     save_records,
     save_rules,
@@ -159,35 +155,6 @@ class TestRecords:
             == coverage_by_technique(records).coverage
         )
 
-
-class TestJsonlStreaming:
-    """Append-safe JSONL: the streaming substrate under the engine journal."""
-
-    @pytest.fixture(scope="class")
-    def records(self):
-        cfg = CampaignConfig(benchmarks=("mcf",), n_injections=40, seed=6)
-        return FaultInjectionCampaign(cfg).run().records
-
-    def test_appends_accumulate(self, tmp_path, records):
-        path = tmp_path / "stream.jsonl"
-        assert append_records_jsonl(records[:15], path) == 15
-        assert append_records_jsonl(records[15:], path, fsync=True) == 25
-        assert tuple(iter_records_jsonl(path)) == records
-
-    def test_iteration_is_lazy(self, tmp_path, records):
-        path = tmp_path / "stream.jsonl"
-        append_records_jsonl(records, path)
-        it = iter_records_jsonl(path)
-        assert next(it) == records[0]  # no full read required
-
-    def test_blank_lines_skipped(self, tmp_path, records):
-        path = tmp_path / "stream.jsonl"
-        append_records_jsonl(records[:3], path)
-        with open(path, "a") as fh:
-            fh.write("\n\n")
-        append_records_jsonl(records[3:6], path)
-        assert tuple(iter_records_jsonl(path)) == records[:6]
-
     def test_roundtrip_of_every_enum_and_none_combination(self, tmp_path):
         """Synthetic records exercising the full field space, not just the
         combinations a small campaign happens to produce."""
@@ -222,28 +189,10 @@ class TestJsonlStreaming:
                 )
             )
         path = tmp_path / "specimens.jsonl"
-        append_records_jsonl(specimens, path)
-        loaded = tuple(iter_records_jsonl(path))
+        save_records(specimens, path)
+        loaded = load_records(path)
         assert loaded == tuple(specimens)
         # Enum fields come back as real enums, not their string values.
         assert isinstance(loaded[0].failure_class, FailureClass)
         assert isinstance(loaded[0].detected_by, DetectionTechnique)
         assert isinstance(loaded[-1].undetected_kind, UndetectedKind)
-
-
-class TestDatasets:
-    def test_roundtrip(self, tmp_path):
-        ds = separable_dataset(150, seed=3)
-        path = tmp_path / "data.npz"
-        save_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert (loaded.X == ds.X).all()
-        assert (loaded.y == ds.y).all()
-        assert loaded.feature_names == ds.feature_names
-
-    def test_loaded_dataset_trains(self, tmp_path):
-        ds = separable_dataset(150, seed=4)
-        path = tmp_path / "data.npz"
-        save_dataset(ds, path)
-        tree = DecisionTreeClassifier().fit(load_dataset(path))
-        assert tree.n_nodes >= 1

@@ -248,7 +248,7 @@ class TestXentryFramework:
         xentry, hv = protected
         hv.reset()
         act = Activation(vmer=REGISTRY.by_name("mmu_update").vmer, args=(5, 1), domain_id=1)
-        hv.cpu.schedule_register_flip(3, "rbp", 44)  # derail the globals base
+        hv.cpu.schedule_flips(3, (("rbp", 44),))  # derail the globals base
         outcome = xentry.protect(act)
         assert outcome.verdict is ProtectionVerdict.DETECTED
         assert outcome.detection.technique is DetectionTechnique.HW_EXCEPTION

@@ -24,7 +24,7 @@ def collect_inj_part_three_executions(hv, config, generator, shard, stream, on_u
         golden = capture_golden(hv, activation)
         hv.restore(golden.checkpoint)
         fault = config.fault_model.sample(fault_rng, golden.result.instructions)
-        hv.cpu.schedule_register_flip(fault.dynamic_index, fault.register, fault.bit)
+        hv.cpu.schedule_flips(fault.dynamic_index, fault.flips)
         try:
             faulty = hv.execute(activation)
         except (HardwareException, AssertionViolation, SimulationLimitExceeded):
