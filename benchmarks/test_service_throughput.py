@@ -1,13 +1,15 @@
 """Streaming-service throughput at fleet scale.
 
-Runs the detection daemon's synchronous pipeline — fleet emission, bounded
-per-host queues, global micro-batching, ``classify_batch`` scoring, full
-metrics accounting — over >= 200 simulated hosts and reports sustained
-rows/sec plus the p50/p95/p99 decision latency (emission to verdict, via
-the analysis-layer CDF).  A machine-readable summary is written to
-``BENCH_service.json`` next to this file (override with
-``REPRO_BENCH_OUTPUT``) and committed, so the service's perf trajectory
-stays CI-visible like the machine/ML benchmarks.
+Runs the detection daemon's synchronous pipeline over >= 200 simulated
+hosts: each tick is emitted as one columnar ``FleetTick``, queued per host
+as column chunks under the overflow rule, accepted into the global buffer
+and scored in ``batch_rows`` slices through ``classify_batch``, with
+per-host counters and latency histograms updated once per batch.  It
+reports sustained rows/sec plus the p50/p95/p99 decision latency (emission
+to verdict, via the analysis-layer CDF).  A machine-readable summary, with
+the host it was measured on, is written to ``BENCH_service.json`` next to
+this file (override with ``REPRO_BENCH_OUTPUT``) and committed, so the
+service's perf trajectory stays CI-visible like the machine/ML benchmarks.
 
 The floor is deliberately loose (absolute throughput varies across
 machines); the committed JSON is the honest reference point.

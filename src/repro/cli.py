@@ -352,12 +352,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = service.endpoint(port=args.port).start()
         print(f"serving /metrics and /healthz at {server.url}", flush=True)
     try:
-        try:
-            report = service.run(progress=progress)
-        except KeyboardInterrupt:
-            # Graceful drain: score what's queued, then summarize.
-            service.request_stop()
-            report = service.run()
+        # Ctrl-C stops the tick loop; the run drains and reports what ran.
+        report = service.run(progress=progress)
         if args.summary:
             service.write_summary(args.summary)
         if server is not None and args.hold > 0:

@@ -6,12 +6,15 @@ that scores activation feature streams from a fleet of simulated hypervisor
 hosts through a loaded model artifact, with Prometheus-style observability:
 
 * :mod:`repro.service.fleet` — deterministic fleet simulator (hosts x VMs
-  emitting (VMER, RT, BR, RM, WM) rows from seeded per-host RNG streams);
+  emitting (VMER, RT, BR, RM, WM) rows from seeded per-host RNG streams),
+  one columnar ``FleetTick`` per tick;
 * :mod:`repro.service.scorer` — bounded per-host queues with explicit
   backpressure, drained into micro-batches through
-  ``CompiledRules.classify_batch``;
+  ``CompiledRules.classify_batch``, every stage on column chunks rather
+  than row objects;
 * :mod:`repro.service.metrics` — from-scratch ``Counter``/``Gauge``/
-  ``Histogram`` with labels and text exposition (no new dependency);
+  ``Histogram`` with labels and text exposition (no new dependency); a
+  histogram takes a scored batch's latencies in one grouped update;
 * :mod:`repro.service.http` — stdlib scrape endpoint (``/metrics``,
   ``/healthz``) with graceful shutdown;
 * :mod:`repro.service.daemon` — the tick loop wiring it together, exposed as
@@ -24,7 +27,13 @@ on the emission schedule and queue depth).
 """
 
 from repro.service.daemon import DetectionService, ServiceConfig, ServiceReport
-from repro.service.fleet import FleetConfig, FleetRow, FleetSimulator, HostStream
+from repro.service.fleet import (
+    FleetConfig,
+    FleetRow,
+    FleetSimulator,
+    FleetTick,
+    HostStream,
+)
 from repro.service.http import MetricsServer
 from repro.service.metrics import (
     Counter,
@@ -33,12 +42,7 @@ from repro.service.metrics import (
     MetricsRegistry,
     ServiceMetrics,
 )
-from repro.service.scorer import (
-    HostQueue,
-    MicroBatchScorer,
-    OverflowPolicy,
-    ScoreTotals,
-)
+from repro.service.scorer import MicroBatchScorer, OverflowPolicy, ScoreTotals
 
 __all__ = [
     "Counter",
@@ -46,9 +50,9 @@ __all__ = [
     "FleetConfig",
     "FleetRow",
     "FleetSimulator",
+    "FleetTick",
     "Gauge",
     "Histogram",
-    "HostQueue",
     "HostStream",
     "MetricsRegistry",
     "MetricsServer",

@@ -3,9 +3,10 @@
 One run is a synchronous tick loop — deterministic by construction:
 
 1. every host emits its tick's rows (seeded per-host streams, host order
-   fixed), which are stamped and submitted to the scorer's bounded queues;
-2. the scorer drains any queue holding a full micro-batch through
-   ``classify_batch``;
+   fixed) as one columnar :class:`~repro.service.fleet.FleetTick`, which is
+   submitted to the scorer's bounded queues and stamped once on arrival;
+2. the scorer accepts the queues into its pending buffer and scores every
+   full micro-batch through ``classify_batch``;
 3. at end of stream (row cap reached, duration elapsed, or SIGINT) the
    queues are drained to empty, final gauges are published, and only then
    does the scrape endpoint shut down.
@@ -18,10 +19,15 @@ regardless of batch size, queue policy timing, or host machine.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from repro.analysis.stats import Cdf
 from repro.errors import CampaignConfigError
@@ -163,7 +169,13 @@ class DetectionService:
         }
 
     def run(self, *, progress=None) -> ServiceReport:
-        """Tick until the stop condition, drain, and summarize."""
+        """Tick until the stop condition, drain, and summarize.
+
+        Ctrl-C (``SIGINT``) is a stop request while the loop runs in the
+        main thread: the current tick finishes, the queues drain, and the
+        report covers every tick that ran.  A ``KeyboardInterrupt`` raised
+        between ticks (from ``progress``) stops the loop the same way.
+        """
         config = self.config
         self.metrics.hosts_up.set(config.fleet.hosts)
         started = time.perf_counter()
@@ -171,21 +183,22 @@ class DetectionService:
             started + config.duration if config.duration is not None else None
         )
         ticks = 0
-        while not self._stop:
-            if config.max_rows is not None and self.fleet.emitted >= config.max_rows:
-                break
-            if deadline is not None and time.perf_counter() >= deadline:
-                break
-            rows = self.fleet.next_tick(config.max_rows)
-            stamp = time.perf_counter()
-            for row in rows:
-                row.emitted_at = stamp
-                self.scorer.submit(row)
-            self.scorer.pump()
-            ticks += 1
-            if progress is not None and ticks % 256 == 0:
-                progress(self.fleet.emitted, self.scorer.totals.rows_scored)
-        self.scorer.drain()
+        with self._sigint_stops():
+            try:
+                while not self._stop:
+                    if (config.max_rows is not None
+                            and self.fleet.emitted >= config.max_rows):
+                        break
+                    if deadline is not None and time.perf_counter() >= deadline:
+                        break
+                    self.scorer.submit(self.fleet.next_tick(config.max_rows))
+                    self.scorer.pump()
+                    ticks += 1
+                    if progress is not None and ticks % 256 == 0:
+                        progress(self.fleet.emitted, self.scorer.totals.rows_scored)
+            except KeyboardInterrupt:
+                self._stop = True
+            self.scorer.drain()
         elapsed = time.perf_counter() - started
         self._report = ServiceReport(
             totals=self.scorer.totals,
@@ -197,11 +210,26 @@ class DetectionService:
         )
         return self._report
 
+    @contextlib.contextmanager
+    def _sigint_stops(self):
+        """Route SIGINT to :meth:`request_stop` (signals reach the main
+        thread only, and a handler Python did not install cannot be put
+        back, so either way this leaves SIGINT alone)."""
+        previous = signal.getsignal(signal.SIGINT)
+        if previous is None or threading.current_thread() is not threading.main_thread():
+            yield
+            return
+        signal.signal(signal.SIGINT, lambda *_: self.request_stop())
+        try:
+            yield
+        finally:
+            signal.signal(signal.SIGINT, previous)
+
     def latency_percentiles(self) -> dict[str, float]:
         """p50/p95/p99 decision latency via the analysis-layer CDF."""
         if not self.scorer.latencies:
             return {}
-        cdf = Cdf.from_samples(self.scorer.latencies)
+        cdf = Cdf.from_samples(np.concatenate(self.scorer.latencies))
         return {
             "p50": cdf.percentile(0.50),
             "p95": cdf.percentile(0.95),

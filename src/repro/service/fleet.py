@@ -11,6 +11,11 @@ counters are perturbed the way an activated soft error perturbs real
 executions (inflated/deflated instruction, branch and memory counts), and the
 row remembers its ground truth so the service can label verdicts.
 
+A tick is emitted as columns (:class:`FleetTick`): each host slices its rows
+from a column buffer refilled by vectorized draws, and the fleet stacks the
+slices in host order.  Iterating a tick yields one :class:`FleetRow` per row
+for consumers that want objects.
+
 Bursts model the failure mode backpressure exists for: every
 ``burst_every`` ticks a host emits ``burst_rows`` extra rows in one tick,
 which overflows bounded queues deterministically (drops depend only on the
@@ -28,7 +33,7 @@ from repro import rng
 from repro.errors import CampaignConfigError
 from repro.hypervisor import REGISTRY
 
-__all__ = ["FleetConfig", "FleetRow", "FleetSimulator", "HostStream"]
+__all__ = ["FleetConfig", "FleetRow", "FleetSimulator", "FleetTick", "HostStream"]
 
 #: Counter envelopes for a nominal activation, loosely matching the ranges
 #: the simulated hypervisor's handlers produce (see Fig. 3 harnesses).
@@ -36,6 +41,9 @@ _RT_RANGE = (40, 900)
 _BR_RANGE = (2, 120)
 _RM_RANGE = (1, 90)
 _WM_RANGE = (0, 60)
+
+#: Columns of a host's row block: the VM, the five features, the injected flag.
+_VM, _FEATURES, _INJECTED = 0, slice(1, 6), 6
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,7 @@ class FleetConfig:
             raise CampaignConfigError("burst settings must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FleetRow:
     """One activation feature row with its provenance and ground truth."""
 
@@ -70,18 +78,39 @@ class FleetRow:
     tick: int
     features: tuple[int, int, int, int, int]  # (VMER, RT, BR, RM, WM)
     injected: bool
-    emitted_at: float = 0.0  # perf-counter timestamp, set by the daemon
+
+
+@dataclass(frozen=True)
+class FleetTick:
+    """One tick of fleet emission as columns, rows in host order."""
+
+    tick: int
+    host: np.ndarray       # (n,) int64
+    vm: np.ndarray         # (n,) int64
+    features: np.ndarray   # (n, 5) int64: VMER, RT, BR, RM, WM
+    injected: np.ndarray   # (n,) bool
+
+    def __len__(self) -> int:
+        return len(self.host)
+
+    def __iter__(self) -> Iterator[FleetRow]:
+        for host, vm, features, injected in zip(
+            self.host.tolist(), self.vm.tolist(),
+            self.features.tolist(), self.injected.tolist(),
+        ):
+            yield FleetRow(host, vm, self.tick, tuple(features), injected)
 
 
 class HostStream:
     """One host's deterministic emission stream.
 
-    All randomness comes from the host's named stream, consumed in a fixed
-    per-row order (vm, vmer, counters, inject draw, perturbation), so row
-    *i* of host *h* is a pure function of ``(seed, h, i)``.
+    All randomness comes from the host's named stream: each tick draws its
+    row count, and rows come from column blocks drawn in a fixed order (vm,
+    vmer, counters, inject draw, perturbation), so row *i* of host *h* is a
+    pure function of ``(seed, h, i)``.
     """
 
-    #: Rows' worth of column data drawn per vectorized refill.
+    #: Rows drawn per vectorized refill.
     BLOCK = 256
 
     def __init__(self, config: FleetConfig, host: int) -> None:
@@ -89,15 +118,19 @@ class HostStream:
         self.host = host
         self._rng = rng.stream(config.seed, "fleet", host)
         self._n_vmers = len(REGISTRY)
-        self.emitted = 0
-        self.injected = 0
-        # Pre-drawn (vm, features, injected) tuples, newest last.  Refills
-        # are vectorized in BLOCK-row chunks so emission costs one numpy
-        # call per column per block instead of per tick (ticks are ~4 rows).
-        self._buffer: list[tuple[int, tuple[int, int, int, int, int], bool]] = []
+        # Each tick emits ``low <= n < high`` rows, plus ``burst`` on every
+        # ``burst_every``-th tick.
+        self._low = max(1, config.rows_per_tick - 1)
+        self._high = config.rows_per_tick + 2
+        self._burst = config.burst_rows if config.burst_every else 0
+        # Drawn rows (see _VM, _FEATURES, _INJECTED); rows before _next are
+        # already emitted.  Refills replace the array, never write into it,
+        # so emitted slices stay valid.
+        self._rows = np.empty((0, 7), dtype=np.int64)
+        self._next = 0
 
     def _refill(self, n: int) -> None:
-        """Draw at least ``n`` more rows' worth of column data, vectorized.
+        """Draw at least ``n`` more rows, vectorized.
 
         Draw order is fixed (each column, then the injection perturbation;
         perturbation draws are consumed for every row, applied only to the
@@ -124,47 +157,25 @@ class HostStream:
         br = np.where(injected, (br * scale).astype(np.int64), br)
         rm = np.where(injected & rm_hit, (rm * scale).astype(np.int64), rm)
         wm = np.where(injected & wm_hit, (wm * scale).astype(np.int64), wm)
-        block = list(
-            zip(
-                vm.tolist(),
-                zip(vmer.tolist(), rt.tolist(), br.tolist(),
-                    rm.tolist(), wm.tolist()),
-                injected.tolist(),
-            )
-        )
-        block.reverse()  # popping from the end preserves draw order
-        self._buffer[:0] = block
+        drawn = np.column_stack((vm, vmer, rt, br, rm, wm, injected))
+        self._rows = np.concatenate((self._rows[self._next:], drawn))
+        self._next = 0
 
-    def rows_for_tick(self, tick: int) -> list[FleetRow]:
-        """Emit this tick's rows (jittered around ``rows_per_tick``)."""
-        g = self._rng
-        config = self.config
-        mean = config.rows_per_tick
-        n = int(g.integers(max(1, mean - 1), mean + 2))
-        if (
-            config.burst_every
-            and config.burst_rows
-            and tick % config.burst_every == config.burst_every - 1
-        ):
-            n += config.burst_rows
-        if len(self._buffer) < n:
-            self._refill(n - len(self._buffer))
-        host = self.host
-        buffer = self._buffer
-        rows = []
-        injected_count = 0
-        for _ in range(n):
-            vm, features, injected = buffer.pop()
-            injected_count += injected
-            rows.append(
-                FleetRow(
-                    host=host, vm=vm, tick=tick,
-                    features=features, injected=injected,
-                )
-            )
-        self.emitted += n
-        self.injected += injected_count
-        return rows
+    def rows_for_tick(self, tick: int) -> np.ndarray:
+        """This tick's rows (jittered around ``rows_per_tick``) as an (n, 7)
+        int64 block: the VM, the five features, the injected flag."""
+        n = int(self._rng.integers(self._low, self._high))
+        if self._burst:
+            every = self.config.burst_every
+            if tick % every == every - 1:
+                n += self._burst
+        start = self._next
+        available = len(self._rows) - start
+        if available < n:
+            self._refill(n - available)
+            start = 0
+        self._next = start + n
+        return self._rows[start:start + n]
 
 
 class FleetSimulator:
@@ -177,35 +188,41 @@ class FleetSimulator:
         self.emitted = 0
         self.injected = 0
 
-    def next_tick(self, max_rows: int | None = None) -> list[FleetRow]:
+    def next_tick(self, max_rows: int | None = None) -> FleetTick:
         """Emit one tick of rows across the fleet, in host order.
 
         ``max_rows`` caps *cumulative* fleet emission: the tick is truncated
         mid-host once the cap is reached, at a point that depends only on
         the emission schedule (host order is fixed), never on downstream
-        batching.
+        batching.  The fleet's tallies move only once the whole tick exists,
+        so a tick interrupted part-way was never emitted.
         """
-        rows: list[FleetRow] = []
+        budget = None if max_rows is None else max_rows - self.emitted
+        blocks, sizes = [], []
         for host in self.hosts:
-            if max_rows is not None and self.emitted >= max_rows:
+            if budget is not None and budget <= 0:
                 break
-            emitted = host.rows_for_tick(self.tick)
-            if max_rows is not None:
-                budget = max_rows - self.emitted
-                if budget < len(emitted):
-                    # Rewind the host's tallies for rows we refuse to ship.
-                    for row in emitted[budget:]:
-                        host.emitted -= 1
-                        if row.injected:
-                            host.injected -= 1
-                    emitted = emitted[:budget]
-            rows.extend(emitted)
-            self.emitted += len(emitted)
-            self.injected += sum(1 for row in emitted if row.injected)
+            block = host.rows_for_tick(self.tick)
+            if budget is not None:
+                block = block[:budget]
+                budget -= len(block)
+            blocks.append(block)
+            sizes.append(len(block))
+        rows = np.concatenate(blocks) if blocks else np.empty((0, 7), np.int64)
+        tick = FleetTick(
+            tick=self.tick,
+            host=np.repeat(np.arange(len(blocks)), sizes),
+            vm=rows[:, _VM],
+            features=rows[:, _FEATURES],
+            injected=rows[:, _INJECTED] != 0,
+        )
+        emitted, injected = len(rows), int(np.count_nonzero(tick.injected))
+        self.emitted += emitted
+        self.injected += injected
         self.tick += 1
-        return rows
+        return tick
 
-    def stream(self, max_rows: int) -> Iterator[list[FleetRow]]:
+    def stream(self, max_rows: int) -> Iterator[FleetTick]:
         """Yield ticks until ``max_rows`` rows have been emitted."""
         while self.emitted < max_rows:
             yield self.next_tick(max_rows)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +44,11 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 )
 
 
+def _bucket(edges: np.ndarray, values):
+    """Bucket index of each value: the first bound at or above it."""
+    return np.searchsorted(edges, values, side="left")
+
+
 class Histogram(_Metric):
     """Cumulative-bucket histogram (the ``le`` convention)."""
 
@@ -64,32 +68,36 @@ class Histogram(_Metric):
         if bounds[-1] != math.inf:
             bounds = bounds + (math.inf,)
         self.bounds = bounds
+        self._edges = np.array(bounds)
 
     class Child:
-        __slots__ = ("_lock", "bounds", "counts", "total", "count")
+        __slots__ = ("_lock", "bounds", "_edges", "counts", "total", "count")
 
-        def __init__(self, bounds: tuple[float, ...]) -> None:
+        def __init__(self, bounds: tuple[float, ...], edges: np.ndarray) -> None:
             self._lock = threading.Lock()
             self.bounds = bounds
-            self.counts = [0] * len(bounds)  # per-bucket (non-cumulative)
+            self._edges = edges
+            self.counts = np.zeros(len(bounds), dtype=np.int64)  # per bucket
             self.total = 0.0
             self.count = 0
 
         def observe(self, value: float) -> None:
-            index = bisect_left(self.bounds, value)
+            index = _bucket(self._edges, value)
             with self._lock:
                 self.counts[index] += 1
                 self.total += value
                 self.count += 1
 
+        def _fold(self, counts: np.ndarray, total: float, count: int) -> None:
+            with self._lock:
+                self.counts += counts
+                self.total += total
+                self.count += count
+
         def cumulative(self) -> list[int]:
             """Counts at or below each bound (the exposition convention)."""
             with self._lock:
-                out, running = [], 0
-                for c in self.counts:
-                    running += c
-                    out.append(running)
-                return out
+                return np.cumsum(self.counts).tolist()
 
         def latency_cdf(self) -> Cdf:
             """Lower the buckets onto the analysis-layer CDF machinery.
@@ -101,7 +109,7 @@ class Histogram(_Metric):
             represented by the largest finite bound.
             """
             with self._lock:
-                counts = list(self.counts)
+                counts = self.counts.copy()
             finite = [b for b in self.bounds if b != math.inf]
             uppers = finite + [finite[-1]]  # +Inf observations clamp to last bound
             samples = np.repeat(uppers, counts)
@@ -110,10 +118,28 @@ class Histogram(_Metric):
             return Cdf.from_samples(samples)
 
     def _make_child(self) -> "Histogram.Child":
-        return Histogram.Child(self.bounds)
+        return Histogram.Child(self.bounds, self._edges)
 
     def observe(self, value: float) -> None:
         self._default_child().observe(value)
+
+    def observe_grouped(
+        self,
+        children: Sequence["Histogram.Child"],
+        group: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Observe ``values[i]`` in ``children[group[i]]``: the values are
+        bucketed together and each child is updated once."""
+        width = len(self.bounds)
+        cells = group * width + _bucket(self._edges, values)
+        counts = np.bincount(cells, minlength=len(children) * width)
+        totals = np.bincount(group, weights=values, minlength=len(children))
+        sizes = np.bincount(group, minlength=len(children))
+        for child, row, total, size in zip(
+            children, counts.reshape(-1, width), totals.tolist(), sizes.tolist()
+        ):
+            child._fold(row, total, size)
 
     def _expose_child(self, key: tuple[str, ...], child: "Histogram.Child") -> list[str]:
         lines = []

@@ -1,25 +1,31 @@
 """Micro-batch scoring with bounded per-host queues and explicit backpressure.
 
-Two stages, mirroring a real ingest pipeline:
+Two stages, mirroring a real ingest pipeline, both holding rows as column
+chunks (host, features, injected, emission stamp) rather than row objects:
 
 1. **Per-host bounded queues** absorb each tick's emission.  The consumer
    empties every queue once per pump, so a queue's fill only ever reflects
    the *current* producer burst — overflow (and therefore every drop) is a
    pure function of the emission schedule and ``queue_depth``, never of how
    scoring is batched downstream.
-2. **A global pending buffer** collects accepted rows across hosts and is
-   scored in exact ``batch_rows`` chunks through ``classify_batch`` (PR 4's
-   vectorized path — bit-identical to per-row classification).  Rows wait in
-   the buffer until a batch fills, which is where the batching/latency
-   trade-off becomes visible in the latency histogram.
+2. **A global pending buffer** collects accepted rows across hosts, in
+   sorted host order per pump, and is scored in exact ``batch_rows`` slices
+   through ``classify_batch`` (PR 4's vectorized path — bit-identical to
+   per-row classification).  Rows wait in the buffer until a batch fills,
+   which is where the batching/latency trade-off becomes visible in the
+   latency histogram.
 
-Backpressure is explicit, never silent:
+Backpressure is explicit, never silent.  Rows arriving for a host are
+numbered in arrival order since that host's queue was last emptied; with
+``t`` of them against a depth ``d``:
 
-* ``DROP_OLDEST`` — a full queue evicts its oldest row; the drop is counted
-  per host (``repro_rows_dropped_total``) and tallied in the totals;
+* ``DROP_OLDEST`` — a full queue evicts its oldest row, so the first
+  ``t - d`` rows are dropped; each drop is counted per host
+  (``repro_rows_dropped_total``) and tallied in the totals;
 * ``BLOCK`` — the producer stalls until the consumer runs; in the
-  synchronous tick loop that means the queue flushes to the buffer
-  immediately and no row is ever lost.
+  synchronous tick loop that means a full queue flushes to the buffer before
+  the next row lands, so the first ``d * ((t - 1) // d)`` rows move to the
+  buffer at once and no row is ever lost.
 
 Determinism contract: which rows are scored vs dropped depends only on
 (seed, schedule, queue_depth, policy); labels are batch-size-invariant by
@@ -38,10 +44,10 @@ import numpy as np
 
 from repro.errors import CampaignConfigError
 from repro.ml.dataset import INCORRECT
-from repro.service.fleet import FleetRow
-from repro.service.metrics import ServiceMetrics
+from repro.service.fleet import FleetTick
+from repro.service.metrics import OUTCOMES, ServiceMetrics
 
-__all__ = ["HostQueue", "MicroBatchScorer", "OverflowPolicy", "ScoreTotals"]
+__all__ = ["MicroBatchScorer", "OverflowPolicy", "ScoreTotals"]
 
 
 class OverflowPolicy(enum.Enum):
@@ -97,7 +103,7 @@ class ScoreTotals:
 
 
 class _HostChildren:
-    """One host's resolved metric children (labels() is per-row hot)."""
+    """One host's resolved metric children (labels() hashes its label set)."""
 
     __slots__ = ("emitted", "scored", "dropped", "queue_depth", "latency")
 
@@ -109,34 +115,31 @@ class _HostChildren:
         self.latency = metrics.decision_latency.labels(host=host)
 
 
-class HostQueue:
-    """A bounded FIFO of pending rows for one host."""
+class _Rows:
+    """A chunk of queued or pending rows as columns, in arrival order."""
 
-    def __init__(self, host: int, depth: int) -> None:
-        if depth < 1:
-            raise CampaignConfigError("queue depth must be >= 1")
-        self.host = host
-        self.depth = depth
-        self.rows: deque[FleetRow] = deque()
+    __slots__ = ("host", "features", "injected", "emitted_at")
+
+    def __init__(self, host, features, injected, emitted_at) -> None:
+        self.host = host              # (n,) int64
+        self.features = features      # (n, 5) int64
+        self.injected = injected      # (n,) bool
+        self.emitted_at = emitted_at  # (n,) float64 clock stamps
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.host)
 
-    @property
-    def full(self) -> bool:
-        return len(self.rows) >= self.depth
+    def __getitem__(self, index) -> "_Rows":
+        return _Rows(self.host[index], self.features[index],
+                     self.injected[index], self.emitted_at[index])
 
-    def push(self, row: FleetRow) -> FleetRow | None:
-        """Append a row; returns the evicted row if the queue was full."""
-        evicted = self.rows.popleft() if self.full else None
-        self.rows.append(row)
-        return evicted
-
-    def take_all(self) -> list[FleetRow]:
-        """Pop every queued row (the consumer's per-pump drain)."""
-        rows = list(self.rows)
-        self.rows.clear()
-        return rows
+    @staticmethod
+    def concat(chunks: list["_Rows"]) -> "_Rows":
+        if len(chunks) == 1:
+            return chunks[0]
+        return _Rows(*(np.concatenate(column) for column in zip(*(
+            (c.host, c.features, c.injected, c.emitted_at) for c in chunks
+        ))))
 
 
 class MicroBatchScorer:
@@ -160,6 +163,8 @@ class MicroBatchScorer:
     ) -> None:
         if batch_rows < 1:
             raise CampaignConfigError("batch_rows must be >= 1")
+        if queue_depth < 1:
+            raise CampaignConfigError("queue depth must be >= 1")
         self.model = model
         self.metrics = metrics
         self.batch_rows = batch_rows
@@ -167,22 +172,16 @@ class MicroBatchScorer:
         self.policy = policy
         self.clock = clock
         self.totals = ScoreTotals()
-        self.latencies: list[float] = []  # per-row decision latency, seconds
-        self._queues: dict[int, HostQueue] = {}
-        self._pending: deque[FleetRow] = deque()
-        # Label lookups hash the label set on every call; the hot path runs
-        # per row, so each host's children are resolved once and cached.
+        #: Decision latencies in seconds, one float array per scored batch.
+        self.latencies: list[np.ndarray] = []
+        self._queued: _Rows | None = None  # every host queue, arrival order
+        self._pending: deque[_Rows] = deque()
+        self._pending_rows = 0
+        # Label lookups hash the label set on every call, so each host's
+        # children are resolved once, on the host's first submitted row.
         self._host_children: dict[int, _HostChildren] = {}
 
-    # -- ingestion -----------------------------------------------------------
-
-    def _queue(self, host: int) -> HostQueue:
-        queue = self._queues.get(host)
-        if queue is None:
-            queue = self._queues[host] = HostQueue(host, self.queue_depth)
-        return queue
-
-    def _children(self, host: int) -> "_HostChildren":
+    def _children(self, host: int) -> _HostChildren:
         children = self._host_children.get(host)
         if children is None:
             children = self._host_children[host] = _HostChildren(
@@ -190,104 +189,154 @@ class MicroBatchScorer:
             )
         return children
 
-    def submit(self, row: FleetRow) -> None:
-        """Enqueue one row, applying the overflow policy if needed."""
-        queue = self._queue(row.host)
-        children = self._children(row.host)
-        children.emitted.inc()
-        if queue.full and self.policy is OverflowPolicy.BLOCK:
-            # Producer would block; the consumer accepts the backlog now.
-            self._accept(queue)
-        evicted = queue.push(row)
-        if evicted is not None:
-            self.totals.rows_dropped += 1
-            self.totals.dropped_by_host[queue.host] = (
-                self.totals.dropped_by_host.get(queue.host, 0) + 1
-            )
-            children.dropped.inc()
-        children.queue_depth.set(len(queue))
+    # -- ingestion -----------------------------------------------------------
+
+    def submit(self, tick: FleetTick) -> None:
+        """Enqueue a tick's rows, applying the overflow policy per host.
+
+        The tick is stamped once, on arrival, and its rows' decision
+        latencies count from that stamp.
+        """
+        n = len(tick)
+        if not n:
+            return
+        stamp = self.clock()
+        tick_hosts, tick_sizes = np.unique(tick.host, return_counts=True)
+        children = [self._children(host) for host in tick_hosts.tolist()]
+        for child, count in zip(children, tick_sizes.tolist()):
+            child.emitted.inc(count)
+        arrived = _Rows(tick.host, tick.features, tick.injected, np.full(n, stamp))
+        queued = arrived if self._queued is None else _Rows.concat(
+            [self._queued, arrived]
+        )
+        # Number each host's queued rows in arrival order; the overflow
+        # rule takes the leading ones out of the queue.
+        order = np.argsort(queued.host, kind="stable")
+        hosts, sizes = np.unique(queued.host, return_counts=True)
+        depth = self.queue_depth
+        if self.policy is OverflowPolicy.BLOCK:
+            leading = depth * ((sizes - 1) // depth)
+        else:
+            leading = np.maximum(sizes - depth, 0)
+        if leading.any():
+            starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+            rank = np.arange(len(queued)) - starts
+            out = rank < np.repeat(leading, sizes)
+            if self.policy is OverflowPolicy.BLOCK:
+                # The producer blocked: each full queue reached the buffer
+                # when its host's next row arrived, in arrival order.
+                arrival = order[(starts + (rank // depth + 1) * depth)[out]]
+                flushed = order[out][np.argsort(arrival, kind="stable")]
+                self._append_pending(queued[flushed])
+            else:
+                for host, count in zip(hosts[leading > 0].tolist(),
+                                       leading[leading > 0].tolist()):
+                    self.totals.rows_dropped += count
+                    self.totals.dropped_by_host[host] = (
+                        self.totals.dropped_by_host.get(host, 0) + count
+                    )
+                    self._host_children[host].dropped.inc(count)
+            queued = queued[np.sort(order[~out])]
+        self._queued = queued
+        left = (sizes - leading)[np.searchsorted(hosts, tick_hosts)]
+        for child, count in zip(children, left.tolist()):
+            child.queue_depth.set(count)
 
     # -- draining ------------------------------------------------------------
 
-    def _accept(self, queue: HostQueue) -> None:
-        """Move a queue's backlog into the global pending buffer."""
-        rows = queue.take_all()
-        if rows:
-            self._pending.extend(rows)
-            self._children(queue.host).queue_depth.set(0)
-        self.metrics.pending_rows.set(len(self._pending))
+    def _append_pending(self, rows: _Rows) -> None:
+        self._pending.append(rows)
+        self._pending_rows += len(rows)
+        self.metrics.pending_rows.set(self._pending_rows)
+
+    def _accept(self) -> None:
+        """Move every queue's backlog into the pending buffer, hosts in
+        sorted order."""
+        queued, self._queued = self._queued, None
+        if queued is None:
+            return
+        host = queued.host
+        if (host[1:] < host[:-1]).any():
+            queued = queued[np.argsort(host, kind="stable")]
+        for host in np.unique(host).tolist():
+            self._host_children[host].queue_depth.set(0)
+        self._append_pending(queued)
 
     def pump(self) -> int:
         """One consumer cycle: accept all backlogs, score full batches."""
-        for host in sorted(self._queues):
-            self._accept(self._queues[host])
+        self._accept()
         scored = 0
-        while len(self._pending) >= self.batch_rows:
+        while self._pending_rows >= self.batch_rows:
             scored += self._score(self._take_batch(self.batch_rows))
         return scored
 
     def drain(self) -> int:
         """Flush everything (end of stream / graceful shutdown)."""
         scored = self.pump()
-        while self._pending:
+        while self._pending_rows:
             scored += self._score(self._take_batch(self.batch_rows))
         return scored
 
     def queue_depths(self) -> dict[int, int]:
-        return {host: len(q) for host, q in sorted(self._queues.items())}
+        counts = {}
+        if self._queued is not None:
+            hosts, sizes = np.unique(self._queued.host, return_counts=True)
+            counts = dict(zip(hosts.tolist(), sizes.tolist()))
+        return {host: counts.get(host, 0) for host in sorted(self._host_children)}
 
     @property
     def pending(self) -> int:
-        return len(self._pending)
+        return self._pending_rows
 
-    def _take_batch(self, n: int) -> list[FleetRow]:
-        rows = [
-            self._pending.popleft() for _ in range(min(n, len(self._pending)))
-        ]
-        self.metrics.pending_rows.set(len(self._pending))
-        return rows
-
-    def _score(self, rows: list[FleetRow]) -> int:
-        if not rows:
-            return 0
-        X = np.array([row.features for row in rows], dtype=np.int64)
-        labels = self.model.predict_batch(X)
-        now = self.clock()
-        outcomes = {name: 0 for name in (
-            "true_positive", "false_positive", "true_negative", "false_negative",
-        )}
-        by_host: dict[int, int] = {}
-        latencies = self.latencies
-        flagged_labels = np.asarray(labels) == INCORRECT
-        for row, flagged in zip(rows, flagged_labels.tolist()):
-            if flagged:
-                outcome = "true_positive" if row.injected else "false_positive"
+    def _take_batch(self, n: int) -> _Rows:
+        """Pop the next ``n`` pending rows (fewer at the end of the buffer)."""
+        pending = self._pending
+        chunks = []
+        while n and pending:
+            head = pending[0]
+            if len(head) <= n:
+                chunks.append(pending.popleft())
+                n -= len(head)
             else:
-                outcome = "false_negative" if row.injected else "true_negative"
-            outcomes[outcome] += 1
-            by_host[row.host] = by_host.get(row.host, 0) + 1
-            if row.emitted_at:
-                latency = max(0.0, now - row.emitted_at)
-                latencies.append(latency)
-                self._children(row.host).latency.observe(latency)
-        for outcome, count in outcomes.items():
+                chunks.append(head[:n])
+                pending[0] = head[n:]
+                n = 0
+        batch = _Rows.concat(chunks)
+        self._pending_rows -= len(batch)
+        self.metrics.pending_rows.set(self._pending_rows)
+        return batch
+
+    def _score(self, batch: _Rows) -> int:
+        n = len(batch)
+        flagged = np.asarray(self.model.predict_batch(batch.features)) == INCORRECT
+        now = self.clock()
+        injected = batch.injected
+        true_positive = int(np.count_nonzero(flagged & injected))
+        false_positive = int(np.count_nonzero(flagged)) - true_positive
+        false_negative = int(np.count_nonzero(injected)) - true_positive
+        true_negative = n - true_positive - false_positive - false_negative
+        counts = (true_positive, false_positive, true_negative, false_negative)
+        for outcome, count in zip(OUTCOMES, counts):
             if count:
                 setattr(self.totals, outcome, getattr(self.totals, outcome) + count)
                 self.metrics.detections.labels(outcome=outcome).inc(count)
         # Every positive detection dispatches the recovery path: a true
         # positive restores-and-re-executes ("recovered"), a false positive
         # pays the same cost for nothing ("spurious").
-        if outcomes["true_positive"]:
-            self.metrics.recoveries.labels(outcome="recovered").inc(
-                outcomes["true_positive"]
-            )
-        if outcomes["false_positive"]:
-            self.metrics.recoveries.labels(outcome="spurious").inc(
-                outcomes["false_positive"]
-            )
-        for host, count in by_host.items():
-            self._children(host).scored.inc(count)
-        self.totals.rows_scored += len(rows)
+        if true_positive:
+            self.metrics.recoveries.labels(outcome="recovered").inc(true_positive)
+        if false_positive:
+            self.metrics.recoveries.labels(outcome="spurious").inc(false_positive)
+        latency = np.maximum(0.0, now - batch.emitted_at)
+        self.latencies.append(latency)
+        hosts, group = np.unique(batch.host, return_inverse=True)
+        children = [self._host_children[host] for host in hosts.tolist()]
+        for child, count in zip(children, np.bincount(group).tolist()):
+            child.scored.inc(count)
+        self.metrics.decision_latency.observe_grouped(
+            [child.latency for child in children], group, latency
+        )
+        self.totals.rows_scored += n
         self.totals.batches += 1
         self.metrics.batches.inc()
-        return len(rows)
+        return n

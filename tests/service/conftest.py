@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.ml.export import CompiledRules
-from repro.service.fleet import FleetRow
+from repro.service.fleet import FleetRow, FleetTick
 
 
 def make_threshold_rules(threshold: int = 1000) -> CompiledRules:
@@ -37,6 +37,17 @@ def make_row(
     """A feature row whose verdict under ``threshold_rules`` is rt > 1000."""
     return FleetRow(
         host=host, vm=vm, tick=tick, features=(3, rt, 10, 5, 2), injected=injected
+    )
+
+
+def make_tick(rows: list[FleetRow], tick: int = 0) -> FleetTick:
+    """Stack rows, in the order given, into one tick's columns."""
+    return FleetTick(
+        tick=tick,
+        host=np.array([row.host for row in rows], dtype=np.int64),
+        vm=np.array([row.vm for row in rows], dtype=np.int64),
+        features=np.array([row.features for row in rows], dtype=np.int64).reshape(-1, 5),
+        injected=np.array([row.injected for row in rows], dtype=bool),
     )
 
 

@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import CampaignConfigError
 from repro.hypervisor import REGISTRY
-from repro.service.fleet import FleetConfig, FleetSimulator, HostStream
+from repro.service.fleet import FleetConfig, FleetRow, FleetSimulator, HostStream
+
+from tests.service.per_row import PerRowFleet
 
 
 def emit_all(config: FleetConfig, max_rows: int):
@@ -14,36 +16,44 @@ def emit_all(config: FleetConfig, max_rows: int):
     return sim, rows
 
 
+def host_rows(stream: HostStream, ticks: int) -> np.ndarray:
+    return np.concatenate([stream.rows_for_tick(t) for t in range(ticks)])
+
+
 class TestHostStream:
     def test_host_stream_is_a_pure_function_of_seed_and_host(self):
         a = HostStream(FleetConfig(hosts=4, seed=11), host=2)
         b = HostStream(FleetConfig(hosts=4, seed=11), host=2)
-        rows_a = [r for t in range(20) for r in a.rows_for_tick(t)]
-        rows_b = [r for t in range(20) for r in b.rows_for_tick(t)]
-        assert [r.features for r in rows_a] == [r.features for r in rows_b]
-        assert [r.injected for r in rows_a] == [r.injected for r in rows_b]
+        assert np.array_equal(host_rows(a, 20), host_rows(b, 20))
 
     def test_host_stream_independent_of_fleet_size(self):
         small = HostStream(FleetConfig(hosts=3, seed=9), host=1)
         large = HostStream(FleetConfig(hosts=300, seed=9), host=1)
-        rows_s = [r for t in range(10) for r in small.rows_for_tick(t)]
-        rows_l = [r for t in range(10) for r in large.rows_for_tick(t)]
-        assert [r.features for r in rows_s] == [r.features for r in rows_l]
+        assert np.array_equal(host_rows(small, 10), host_rows(large, 10))
 
     def test_different_hosts_differ(self):
         config = FleetConfig(hosts=4, seed=11)
         rows0 = HostStream(config, 0).rows_for_tick(0)
         rows1 = HostStream(config, 1).rows_for_tick(0)
-        assert [r.features for r in rows0] != [r.features for r in rows1]
+        assert not np.array_equal(rows0, rows1)
 
     def test_features_within_envelopes(self):
         stream = HostStream(FleetConfig(hosts=1, seed=5, inject_fraction=0.0), 0)
-        for tick in range(50):
-            for row in stream.rows_for_tick(tick):
-                vmer, rt, br, rm, wm = row.features
-                assert 0 <= vmer < len(REGISTRY)
-                assert all(v >= 0 for v in (rt, br, rm, wm))
-                assert 0 <= row.vm < stream.config.vms_per_host
+        rows = host_rows(stream, 50)
+        vm, vmer, counters = rows[:, 0], rows[:, 1], rows[:, 2:6]
+        assert ((0 <= vmer) & (vmer < len(REGISTRY))).all()
+        assert (counters >= 0).all()
+        assert ((0 <= vm) & (vm < stream.config.vms_per_host)).all()
+        assert not rows[:, 6].any()
+
+    def test_emitted_blocks_survive_refills(self):
+        """A tick's block is a view the next refill never writes into."""
+        stream = HostStream(FleetConfig(hosts=1, seed=3, rows_per_tick=90), 0)
+        first = stream.rows_for_tick(0)
+        kept = first.copy()
+        for tick in range(1, 12):
+            stream.rows_for_tick(tick)
+        assert np.array_equal(first, kept)
 
 
 class TestFleetSimulator:
@@ -51,8 +61,33 @@ class TestFleetSimulator:
         config = FleetConfig(hosts=6, seed=3, inject_fraction=0.1)
         _, rows_a = emit_all(config, 2000)
         _, rows_b = emit_all(config, 2000)
-        assert [(r.host, r.vm, r.tick, r.features, r.injected) for r in rows_a] \
-            == [(r.host, r.vm, r.tick, r.features, r.injected) for r in rows_b]
+        assert rows_a == rows_b
+
+    def test_stream_keeps_the_per_row_draws(self):
+        """Column buffers emit exactly the rows the per-row list buffer did,
+        bursts and a mid-host row cap included."""
+        config = FleetConfig(hosts=5, seed=13, inject_fraction=0.2,
+                             burst_every=3, burst_rows=300)
+        _, rows = emit_all(config, 4321)
+        oracle = PerRowFleet(config)
+        expected = []
+        while oracle.emitted < 4321:
+            expected += oracle.next_tick(4321)
+        assert [(r.host, r.vm, r.tick, r.features, r.injected) for r in rows] \
+            == [(r.host, r.vm, r.tick, r.features, r.injected) for r in expected]
+
+    def test_tick_columns(self):
+        sim = FleetSimulator(FleetConfig(hosts=3, seed=2))
+        tick = sim.next_tick()
+        n = len(tick)
+        assert tick.tick == 0 and sim.tick == 1
+        assert tick.features.shape == (n, 5) and tick.features.dtype == np.int64
+        assert tick.host.dtype == tick.vm.dtype == np.int64
+        assert tick.injected.dtype == bool and tick.injected.shape == (n,)
+        assert list(tick.host) == sorted(tick.host) and set(tick.host) == {0, 1, 2}
+        rows = list(tick)
+        assert all(isinstance(row, FleetRow) for row in rows)
+        assert [row.features for row in rows] == [tuple(f) for f in tick.features.tolist()]
 
     def test_max_rows_cap_is_exact(self):
         sim, rows = emit_all(FleetConfig(hosts=7, seed=1), 1234)

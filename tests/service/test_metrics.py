@@ -79,6 +79,36 @@ class TestHistogram:
         assert child.count == 4
         assert child.total == pytest.approx(2.65)
 
+    def test_buckets_match_bisect_left(self):
+        """searchsorted(side="left") puts each value where bisect_left does."""
+        from bisect import bisect_left
+
+        h = Histogram("lat", "Latency.", buckets=(0.001, 0.01, 0.1, 1.0))
+        child = h.labels()
+        values = [0.0, 0.001, 0.0010001, 0.01, 0.05, 0.1, 1.0, 3.0, math.inf]
+        for value in values:
+            child.observe(value)
+        expected = [0] * len(h.bounds)
+        for value in values:
+            expected[bisect_left(h.bounds, value)] += 1
+        assert child.counts.tolist() == expected
+
+    def test_grouped_observe_equals_one_observe_per_value(self):
+        h = Histogram("lat", "Latency.", ("host",), buckets=(0.001, 0.01, 0.1))
+        one_by_one = Histogram("lat", "Latency.", ("host",), buckets=(0.001, 0.01, 0.1))
+        rng = np.random.default_rng(7)
+        values = rng.choice([0.0005, 0.001, 0.003, 0.01, 0.2], 60)
+        group = rng.integers(0, 3, 60)
+        children = [h.labels(host=host) for host in range(3)]
+        h.observe_grouped(children, group, values)
+        for host, value in zip(group.tolist(), values.tolist()):
+            one_by_one.labels(host=host).observe(value)
+        for host in range(3):
+            grouped, single = h.labels(host=host), one_by_one.labels(host=host)
+            assert grouped.cumulative() == single.cumulative()
+            assert grouped.count == single.count
+            assert grouped.total == pytest.approx(single.total)
+
     def test_infinite_bucket_added(self):
         h = Histogram("lat", "Latency.", buckets=(1.0,))
         assert h.bounds == (1.0, math.inf)

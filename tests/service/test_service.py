@@ -1,6 +1,11 @@
 """The daemon end to end: determinism contract, drains, health, endpoint."""
 
+import json
+import os
+import signal
+import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,10 @@ from repro.service import (
 )
 
 from tests.service.conftest import make_threshold_rules
+
+PINNED = json.loads(
+    (Path(__file__).parent / "pinned_backpressure.json").read_text()
+)["shapes"]
 
 
 def run_service(
@@ -85,6 +94,30 @@ class TestDeterminismContract:
         assert report.totals.rows_scored == report.rows_emitted
 
 
+class TestPinnedTotals:
+    """Fleet-level totals of three shapes, pinned to what the per-row
+    pipeline computed: a rewrite that drops or scores the wrong rows moves
+    them even when every run of the new tree agrees with every other."""
+
+    @pytest.mark.parametrize("shape", sorted(PINNED))
+    def test_shape_matches_pinned_totals(self, shape):
+        pinned = PINNED[shape]
+        kwargs = dict(pinned["run_service"])
+        if "policy" in kwargs:
+            kwargs["policy"] = OverflowPolicy(kwargs["policy"])
+        service, report = run_service(**kwargs)
+        metrics = service.metrics
+
+        def per_host(metric):
+            return {key[0]: child.value for key, child in metric.children()}
+
+        assert report.deterministic_dict() == pinned["summary"]
+        assert report.totals.batches == pinned["batches"]
+        assert per_host(metrics.rows_emitted) == pinned["rows_emitted_total"]
+        assert per_host(metrics.rows_scored) == pinned["rows_scored_total"]
+        assert per_host(metrics.rows_dropped) == pinned["rows_dropped_total"]
+
+
 class TestReport:
     def test_detections_fire_on_injected_rows(self):
         service, report = run_service(inject_fraction=0.1)
@@ -111,8 +144,6 @@ class TestReport:
         assert report.rows_per_sec > 0
 
     def test_write_summary_roundtrip(self, tmp_path):
-        import json
-
         service, report = run_service()
         path = tmp_path / "summary.json"
         service.write_summary(path)
@@ -146,6 +177,61 @@ class TestLifecycle:
         # Stopped before the first tick: nothing emitted, nothing lost.
         assert report.rows_emitted == 0
         assert report.totals.rows_scored == 0
+
+    def test_interrupt_reports_every_tick_that_ran(self):
+        """A Ctrl-C between ticks stops the loop, drains, and the report
+        counts the ticks and time of the whole run."""
+        config = ServiceConfig(
+            fleet=FleetConfig(hosts=20, seed=7), max_rows=10_000_000,
+        )
+        service = DetectionService(config, make_threshold_rules())
+        seen = []
+
+        def interrupt(emitted, scored):
+            seen.append(emitted)
+            raise KeyboardInterrupt
+
+        started = time.perf_counter()
+        try:
+            report = service.run(progress=interrupt)
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped the run instead of stopping it")
+        wall = time.perf_counter() - started
+        assert seen == [report.rows_emitted]
+        assert report.ticks == 256
+        assert report.rows_emitted == service.fleet.emitted > 0
+        t = report.totals
+        assert t.rows_scored + t.rows_dropped == report.rows_emitted
+        assert 0.5 * wall <= report.elapsed_seconds <= wall
+        assert service.health()["done"] is True
+
+    def test_sigint_mid_batch_finishes_the_tick(self):
+        """A real SIGINT lands while a batch is being classified: the tick
+        still completes, so no row taken for scoring is lost."""
+        rules = make_threshold_rules()
+        sent_at_tick = []
+
+        class Interrupting:
+            calls = 0
+
+            def predict_batch(self, X):
+                Interrupting.calls += 1
+                if Interrupting.calls == 5:
+                    sent_at_tick.append(service.fleet.tick)
+                    os.kill(os.getpid(), signal.SIGINT)
+                return rules.predict_batch(X)
+
+        config = ServiceConfig(
+            fleet=FleetConfig(hosts=20, seed=7), batch_rows=16,
+            max_rows=10_000_000,
+        )
+        service = DetectionService(config, Interrupting())
+        handler = signal.getsignal(signal.SIGINT)
+        report = service.run()
+        assert signal.getsignal(signal.SIGINT) is handler
+        assert report.ticks == sent_at_tick[0]
+        t = report.totals
+        assert t.rows_scored + t.rows_dropped == report.rows_emitted > 0
 
     def test_endpoint_serves_final_totals(self):
         service, report = run_service()

@@ -179,6 +179,40 @@ class TestExecution:
         assert summaries[0] == summaries[1] == summaries[2]
         assert summaries[0]["totals"]["rows_scored"] == 3000
 
+    def test_serve_interrupt_summarizes_the_whole_run(
+        self, capsys, saved_model, tmp_path, monkeypatch
+    ):
+        """Ctrl-C while the progress line prints: the run drains and its
+        summary counts every tick that ran, timed from the start."""
+        import json as json_mod
+        import sys
+
+        class InterruptingStderr:
+            def __init__(self, stream):
+                self.stream = stream
+                self.fired = False
+
+            def write(self, text):
+                if "rows emitted" in text and not self.fired:
+                    self.fired = True
+                    raise KeyboardInterrupt
+                return self.stream.write(text)
+
+            def flush(self):
+                self.stream.flush()
+
+        monkeypatch.setattr(sys, "stderr", InterruptingStderr(sys.stderr))
+        path = tmp_path / "summary.json"
+        assert main(["serve", "--model", saved_model, "--seed", "7",
+                     "--hosts", "20", "--max-rows", "1000000", "--no-http",
+                     "--summary", str(path)]) == 0
+        summary = json_mod.loads(path.read_text())
+        assert summary["ticks"] == 256
+        totals = summary["totals"]
+        assert totals["rows_scored"] + totals["rows_dropped"] \
+            == summary["rows_emitted"] > 0
+        assert "256 ticks" in capsys.readouterr().out
+
     def test_serve_endpoint_scrapes_during_run(self, capsys, saved_model):
         import urllib.request
 

@@ -53,8 +53,8 @@ PACKAGES = {
     ),
     "repro.service": (
         "DetectionService", "ServiceConfig", "ServiceReport",
-        "FleetConfig", "FleetRow", "FleetSimulator", "HostStream",
-        "MicroBatchScorer", "HostQueue", "OverflowPolicy", "ScoreTotals",
+        "FleetConfig", "FleetRow", "FleetSimulator", "FleetTick", "HostStream",
+        "MicroBatchScorer", "OverflowPolicy", "ScoreTotals",
         "Counter", "Gauge", "Histogram", "MetricsRegistry", "ServiceMetrics",
         "MetricsServer",
     ),
