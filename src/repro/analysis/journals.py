@@ -9,10 +9,10 @@ machines, and summarize in-flight progress without touching the engine.
 
 from __future__ import annotations
 
-from collections import Counter
 from pathlib import Path
 
 from repro.engine.journal import JournalState, SampleJournal, read_state
+from repro.engine.telemetry import EngineTelemetry
 from repro.errors import JournalError
 from repro.faults.outcomes import TrialRecord
 from repro.ml.dataset import Dataset
@@ -41,6 +41,16 @@ def _shards(state: JournalState, include_partial: bool) -> list:
     if include_partial:
         shards.extend(state.partial.values())
     return shards
+
+
+def _outcomes(state: JournalState) -> dict:
+    """The manifest's ``outcomes`` section over the completed shards' items,
+    folded as the engine folds them."""
+    telemetry = EngineTelemetry()
+    telemetry.record_outcomes(
+        item for items in state.completed.values() for _, item in items
+    )
+    return telemetry.outcomes()
 
 
 def records_from_journal(
@@ -122,10 +132,6 @@ def sample_journal_progress(path: str | Path) -> dict:
     state = SampleJournal.read(path)
     if state is None:
         raise JournalError(f"{path}: no sample journal found")
-    labels: Counter[str] = Counter()
-    for items in state.completed.values():
-        for _, (_features, label) in items:
-            labels["incorrect" if label else "correct"] += 1
     done_shards = sorted(state.completed_shards)
     return {
         "total_runs": state.total_trials,
@@ -136,7 +142,7 @@ def sample_journal_progress(path: str | Path) -> dict:
         "fraction_shards_done": (
             len(done_shards) / state.n_shards if state.n_shards else 0.0
         ),
-        "labels": dict(labels),
+        "labels": _outcomes(state)["labels"],
     }
 
 
@@ -145,18 +151,13 @@ def journal_progress(path: str | Path) -> dict:
 
     Works on in-flight and dead journals alike; the engine does not need to
     be running.  Keys: ``total_trials``, ``done_trials``, ``n_shards``,
-    ``completed_shards``, ``partial_trials``, ``fraction_done`` and
-    per-outcome counters under ``outcomes``.
+    ``completed_shards``, ``partial_trials``, ``fraction_done`` and, under
+    ``outcomes``, the completed shards' outcome counters, as the run
+    manifest's ``outcomes`` section renders them.
     """
     state = read_state(path)
     if state is None:
         raise JournalError(f"{path}: no journal found")
-    detected: Counter[str] = Counter()
-    failure: Counter[str] = Counter()
-    for trials in state.completed.values():
-        for _, record in trials:
-            detected[record.detected_by.value] += 1
-            failure[record.failure_class.value] += 1
     done = state.completed_trials
     return {
         "total_trials": state.total_trials,
@@ -165,8 +166,5 @@ def journal_progress(path: str | Path) -> dict:
         "completed_shards": sorted(state.completed_shards),
         "partial_trials": sum(len(v) for v in state.partial.values()),
         "fraction_done": done / state.total_trials if state.total_trials else 0.0,
-        "outcomes": {
-            "detected_by": dict(detected),
-            "failure_class": dict(failure),
-        },
+        "outcomes": _outcomes(state),
     }

@@ -61,7 +61,7 @@ class Cdf:
 
     @classmethod
     def from_samples(cls, samples) -> "Cdf":
-        arr = np.sort(np.asarray(list(samples), dtype=np.float64))
+        arr = np.sort(np.asarray(samples, dtype=np.float64))
         if arr.size == 0:
             raise CampaignConfigError("cannot build a CDF from no samples")
         fractions = np.arange(1, arr.size + 1, dtype=np.float64) / arr.size

@@ -313,6 +313,16 @@ class EngineTelemetry:
             eta_seconds=eta,
         )
 
+    def outcomes(self) -> dict:
+        """The manifest's ``outcomes`` section: what :meth:`record_outcomes`
+        folded."""
+        return {
+            "detected_by": dict(self.detected_by),
+            "failure_class": dict(self.failure_class),
+            "fault_classes": dict(self.fault_classes),
+            "labels": dict(self.label_counts),
+        }
+
     def manifest(self) -> dict:
         """Machine-readable run summary (the observability artifact)."""
         snap = self.snapshot()
@@ -326,12 +336,7 @@ class EngineTelemetry:
             "jobs": self.jobs,
             "elapsed_seconds": snap.elapsed,
             "trials_per_sec": snap.trials_per_sec,
-            "outcomes": {
-                "detected_by": dict(self.detected_by),
-                "failure_class": dict(self.failure_class),
-                "fault_classes": dict(self.fault_classes),
-                "labels": dict(self.label_counts),
-            },
+            "outcomes": self.outcomes(),
             "recovery": {
                 "trials": sum(self.recovery_actions.values()),
                 "recovered": self.recovered_trials,

@@ -21,13 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import MemoryConfigError
 from repro.machine.exceptions import HardwareException, PageFaultKind, Vector
-
-try:  # vectorized word scan in diff_region; pure-Python fallback below
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 __all__ = [
     "PAGE_SIZE",
@@ -533,11 +530,6 @@ class Memory:
 def _differing_words(page, chunk, base: int) -> list[int]:
     """Addresses of the words in which two page-sized buffers at ``base``
     differ."""
-    if _np is not None:
-        a = _np.frombuffer(page, dtype=_np.uint64)
-        b = _np.frombuffer(chunk, dtype=_np.uint64)
-        return [base + 8 * word for word in _np.nonzero(a != b)[0].tolist()]
-    return [
-        base + word for word in range(0, PAGE_SIZE, 8)
-        if page[word:word + 8] != chunk[word:word + 8]
-    ]
+    a = np.frombuffer(page, dtype=np.uint64)
+    b = np.frombuffer(chunk, dtype=np.uint64)
+    return [base + 8 * word for word in np.nonzero(a != b)[0].tolist()]

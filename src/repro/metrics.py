@@ -1,11 +1,11 @@
-"""Labeled counters and gauges, and the campaign's one counting registry.
+"""Labeled counters, gauges and histograms, and the campaign's one counting
+registry.
 
 The bottom layer of the package, importable from :mod:`repro.machine` up:
-``Counter`` and ``Gauge`` with label support, thread safety and the
-Prometheus text exposition (version 0.0.4), collected in a
-:class:`MetricsRegistry`.  The streaming service adds histograms on top
-(:mod:`repro.service.metrics`, whose percentile lowering needs the analysis
-layer).
+``Counter``, ``Gauge`` and ``Histogram`` with label support, thread safety
+and the Prometheus text exposition (version 0.0.4), collected in a
+:class:`MetricsRegistry`.  The streaming service's taxonomy
+(:mod:`repro.service.metrics`) is one such registry.
 
 Everything a campaign counts about its own work — instructions by execution
 path, translation blocks, lock-step twins, trials, skipped instructions,
@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import CampaignConfigError
 
@@ -33,6 +35,7 @@ __all__ = [
     "CampaignCounters",
     "Counter",
     "Gauge",
+    "Histogram",
     "MetricsRegistry",
     "counted",
     "format_value",
@@ -203,6 +206,107 @@ class Gauge(_Metric):
         return self._default_child().value
 
 
+#: Default histogram buckets (seconds), tuned for sub-millisecond decisions.
+DEFAULT_BUCKETS: tuple[float, ...] = (
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
+    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+)
+
+
+def _bucket(edges: np.ndarray, values):
+    """Bucket index of each value: the first bound at or above it."""
+    return np.searchsorted(edges, values, side="left")
+
+
+class Histogram(_Metric):
+    """Cumulative-bucket histogram (the ``le`` convention)."""
+
+    kind = "histogram"
+
+    def __init__(
+        self,
+        name: str,
+        help: str,
+        labelnames: Sequence[str] = (),
+        buckets: Iterable[float] = DEFAULT_BUCKETS,
+    ) -> None:
+        super().__init__(name, help, labelnames)
+        bounds = tuple(sorted(float(b) for b in buckets))
+        if not bounds:
+            raise CampaignConfigError("histogram needs at least one bucket")
+        if bounds[-1] != math.inf:
+            bounds = bounds + (math.inf,)
+        self.bounds = bounds
+        self._edges = np.array(bounds)
+
+    class Child:
+        __slots__ = ("_lock", "bounds", "_edges", "counts", "total", "count")
+
+        def __init__(self, bounds: tuple[float, ...], edges: np.ndarray) -> None:
+            self._lock = threading.Lock()
+            self.bounds = bounds
+            self._edges = edges
+            self.counts = np.zeros(len(bounds), dtype=np.int64)  # per bucket
+            self.total = 0.0
+            self.count = 0
+
+        def observe(self, value: float) -> None:
+            index = _bucket(self._edges, value)
+            with self._lock:
+                self.counts[index] += 1
+                self.total += value
+                self.count += 1
+
+        def _fold(self, counts: np.ndarray, total: float, count: int) -> None:
+            with self._lock:
+                self.counts += counts
+                self.total += total
+                self.count += count
+
+        def cumulative(self) -> list[int]:
+            """Counts at or below each bound (the exposition convention)."""
+            with self._lock:
+                return np.cumsum(self.counts).tolist()
+
+    def _make_child(self) -> "Histogram.Child":
+        return Histogram.Child(self.bounds, self._edges)
+
+    def observe(self, value: float) -> None:
+        self._default_child().observe(value)
+
+    def observe_grouped(
+        self,
+        children: Sequence["Histogram.Child"],
+        group: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Observe ``values[i]`` in ``children[group[i]]``: the values are
+        bucketed together and each child is updated once."""
+        width = len(self.bounds)
+        cells = group * width + _bucket(self._edges, values)
+        counts = np.bincount(cells, minlength=len(children) * width)
+        totals = np.bincount(group, weights=values, minlength=len(children))
+        sizes = np.bincount(group, minlength=len(children))
+        for child, row, total, size in zip(
+            children, counts.reshape(-1, width), totals.tolist(), sizes.tolist()
+        ):
+            child._fold(row, total, size)
+
+    def _expose_child(self, key: tuple[str, ...], child: "Histogram.Child") -> list[str]:
+        lines = []
+        cumulative = child.cumulative()
+        for bound, count in zip(child.bounds, cumulative):
+            names = self.labelnames + ("le",)
+            values = key + (format_value(bound),)
+            lines.append(
+                f"{self.name}_bucket{_render_labels(names, values)} {count}"
+            )
+        labels = _render_labels(self.labelnames, key)
+        lines.append(f"{self.name}_sum{labels} {format_value(child.total)}")
+        lines.append(f"{self.name}_count{labels} {child.count}")
+        return lines
+
+
 class MetricsRegistry:
     """An ordered collection of metrics with one text exposition."""
 
@@ -223,6 +327,15 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str, labelnames: Sequence[str] = ()) -> Gauge:
         return self.register(Gauge(name, help, labelnames))  # type: ignore[return-value]
 
+    def histogram(
+        self,
+        name: str,
+        help: str,
+        labelnames: Sequence[str] = (),
+        buckets: Iterable[float] = DEFAULT_BUCKETS,
+    ) -> Histogram:
+        return self.register(Histogram(name, help, labelnames, buckets))  # type: ignore[return-value]
+
     def get(self, name: str) -> _Metric:
         with self._lock:
             return self._metrics[name]
@@ -242,7 +355,7 @@ class MetricsRegistry:
             metrics = list(self._metrics.values())
         return {
             (metric.name, key): child.value
-            for metric in metrics
+            for metric in metrics if not isinstance(metric, Histogram)
             for key, child in metric.children()
         }
 

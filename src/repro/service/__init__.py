@@ -12,9 +12,11 @@ hosts through a loaded model artifact, with Prometheus-style observability:
   backpressure, drained into micro-batches through
   ``CompiledRules.classify_batch``, every stage on column chunks rather
   than row objects;
-* :mod:`repro.service.metrics` — from-scratch ``Counter``/``Gauge``/
-  ``Histogram`` with labels and text exposition (no new dependency); a
-  histogram takes a scored batch's latencies in one grouped update;
+* :mod:`repro.service.metrics` — the metric taxonomy on one registry of
+  :mod:`repro.metrics`'s ``Counter``/``Gauge``/``Histogram`` (no new
+  dependency); the run's totals, its summary and ``/healthz`` render from
+  the children ``/metrics`` exposes, and a histogram takes a scored
+  batch's latencies in one grouped update;
 * :mod:`repro.service.http` — stdlib scrape endpoint (``/metrics``,
   ``/healthz``) with graceful shutdown;
 * :mod:`repro.service.daemon` — the tick loop wiring it together, exposed as
@@ -26,6 +28,7 @@ micro-batch size (batching never changes a label; overflow drops depend only
 on the emission schedule and queue depth).
 """
 
+from repro.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.daemon import DetectionService, ServiceConfig, ServiceReport
 from repro.service.fleet import (
     FleetConfig,
@@ -35,13 +38,7 @@ from repro.service.fleet import (
     HostStream,
 )
 from repro.service.http import MetricsServer
-from repro.service.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ServiceMetrics,
-)
+from repro.service.metrics import ServiceMetrics
 from repro.service.scorer import MicroBatchScorer, OverflowPolicy, ScoreTotals
 
 __all__ = [

@@ -14,7 +14,9 @@ One run is a synchronous tick loop — deterministic by construction:
 Wall-clock never influences *what* is scored — only the stop condition in
 ``--duration`` mode and the latency histogram — so fixed-seed, row-capped
 runs produce bit-identical :class:`~repro.service.scorer.ScoreTotals`
-regardless of batch size, queue policy timing, or host machine.
+regardless of batch size, queue policy timing, or host machine.  Every
+service owns one :class:`~repro.service.metrics.ServiceMetrics` registry:
+the report, ``--summary``, ``/healthz`` and ``/metrics`` all read it.
 """
 
 from __future__ import annotations
@@ -119,19 +121,13 @@ class DetectionService:
     """Run a fleet's row stream through a detector, observably.
 
     ``model`` needs ``predict_batch(X) -> labels`` (a ``CompiledRules``, a
-    loaded ``ModelArtifact``, or a forest).  ``metrics`` may be shared so a
-    test or an embedding process can assert on the registry directly.
+    loaded ``ModelArtifact``, or a forest).  ``metrics`` is the service's
+    registry, which a test or an embedding process can assert on directly.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        model,
-        *,
-        metrics: ServiceMetrics | None = None,
-    ) -> None:
+    def __init__(self, config: ServiceConfig, model) -> None:
         self.config = config
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self.fleet = FleetSimulator(config.fleet)
         self.scorer = MicroBatchScorer(
             model,

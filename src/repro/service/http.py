@@ -14,7 +14,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.service.metrics import MetricsRegistry
+from repro.metrics import MetricsRegistry
 
 __all__ = ["MetricsServer"]
 

@@ -21,7 +21,7 @@ numbered in arrival order since that host's queue was last emptied; with
 
 * ``DROP_OLDEST`` — a full queue evicts its oldest row, so the first
   ``t - d`` rows are dropped; each drop is counted per host
-  (``repro_rows_dropped_total``) and tallied in the totals;
+  (``repro_rows_dropped_total``), where the totals read it;
 * ``BLOCK`` — the producer stalls until the consumer runs; in the
   synchronous tick loop that means a full queue flushes to the buffer before
   the next row lands, so the first ``d * ((t - 1) // d)`` rows move to the
@@ -61,9 +61,10 @@ class OverflowPolicy(enum.Enum):
 class ScoreTotals:
     """Deterministic end-of-run tallies (no wall-clock terms).
 
-    These mirror the counters in :class:`ServiceMetrics` and are what the
-    determinism contract is asserted on: fixed seed + row cap => everything
-    here except ``batches`` is equal across runs *and* across batch sizes.
+    :attr:`MicroBatchScorer.totals` reads them off the counters in
+    :class:`ServiceMetrics`; they are what the determinism contract is
+    asserted on: fixed seed + row cap => everything here except ``batches``
+    is equal across runs *and* across batch sizes.
     """
 
     rows_scored: int = 0
@@ -100,6 +101,11 @@ class ScoreTotals:
                 str(host): n for host, n in sorted(self.dropped_by_host.items())
             },
         }
+
+
+def _by_label(metric) -> dict[str, int]:
+    """A one-label counter's values, by label value."""
+    return {key: child.value for (key,), child in metric.children()}
 
 
 class _HostChildren:
@@ -171,7 +177,6 @@ class MicroBatchScorer:
         self.queue_depth = queue_depth
         self.policy = policy
         self.clock = clock
-        self.totals = ScoreTotals()
         #: Decision latencies in seconds, one float array per scored batch.
         self.latencies: list[np.ndarray] = []
         self._queued: _Rows | None = None  # every host queue, arrival order
@@ -231,10 +236,6 @@ class MicroBatchScorer:
             else:
                 for host, count in zip(hosts[leading > 0].tolist(),
                                        leading[leading > 0].tolist()):
-                    self.totals.rows_dropped += count
-                    self.totals.dropped_by_host[host] = (
-                        self.totals.dropped_by_host.get(host, 0) + count
-                    )
                     self._host_children[host].dropped.inc(count)
             queued = queued[np.sort(order[~out])]
         self._queued = queued
@@ -288,6 +289,21 @@ class MicroBatchScorer:
     def pending(self) -> int:
         return self._pending_rows
 
+    @property
+    def totals(self) -> ScoreTotals:
+        """The tallies so far, read off the metric children ``/metrics``
+        exposes."""
+        metrics = self.metrics
+        dropped = _by_label(metrics.rows_dropped)
+        outcomes = _by_label(metrics.detections)
+        return ScoreTotals(
+            rows_scored=sum(_by_label(metrics.rows_scored).values()),
+            rows_dropped=sum(dropped.values()),
+            batches=sum(child.value for _, child in metrics.batches.children()),
+            dropped_by_host={int(host): n for host, n in dropped.items() if n},
+            **{outcome: outcomes.get(outcome, 0) for outcome in OUTCOMES},
+        )
+
     def _take_batch(self, n: int) -> _Rows:
         """Pop the next ``n`` pending rows (fewer at the end of the buffer)."""
         pending = self._pending
@@ -318,7 +334,6 @@ class MicroBatchScorer:
         counts = (true_positive, false_positive, true_negative, false_negative)
         for outcome, count in zip(OUTCOMES, counts):
             if count:
-                setattr(self.totals, outcome, getattr(self.totals, outcome) + count)
                 self.metrics.detections.labels(outcome=outcome).inc(count)
         # Every positive detection dispatches the recovery path: a true
         # positive restores-and-re-executes ("recovered"), a false positive
@@ -336,7 +351,5 @@ class MicroBatchScorer:
         self.metrics.decision_latency.observe_grouped(
             [child.latency for child in children], group, latency
         )
-        self.totals.rows_scored += n
-        self.totals.batches += 1
         self.metrics.batches.inc()
         return n

@@ -68,8 +68,8 @@ class TestCdf:
         """Pin the empirical percentile to numpy's inverted-CDF method.
 
         The streaming service reuses ``Cdf`` for its latency summaries
-        (p50/p95/p99 over histogram buckets), so the definition must stay
-        aligned with the standard empirical quantile.
+        (p50/p95/p99 over the exact per-row decision latencies), so the
+        definition must stay aligned with the standard empirical quantile.
         """
         rng = np.random.default_rng(7)
         samples = rng.exponential(0.002, 1000)

@@ -10,6 +10,8 @@ The two acceptance properties of the engine subsystem live here:
   no duplicated and no missing trial records.
 """
 
+import json
+
 import pytest
 
 from repro.analysis import journal_progress, records_from_journal
@@ -140,3 +142,6 @@ class TestObservability:
         progress = journal_progress(journal)
         assert progress["fraction_done"] == 1.0
         assert progress["completed_shards"] == [0, 1, 2, 3]
+        # The journal reader counts outcomes the way the manifest does.
+        manifest = json.loads((tmp_path / "trials.jsonl.manifest.json").read_text())
+        assert progress["outcomes"] == manifest["outcomes"]

@@ -6,7 +6,10 @@ share, seed), the backpressure (queue depth, both policies), the batch size
 agree on the totals, the ticks, the batches and the whole ``/metrics``
 exposition, children in the same order; only the latency histogram's
 ``_bucket`` and ``_sum`` lines are left out, since they hold wall-clock
-values (its ``_count`` lines are compared).
+values (its ``_count`` lines are compared).  The oracle tallies its totals
+by hand, while the service reads them off its registry, so the comparison
+also checks the registry's counts; the registry's per-host children and
+``/healthz`` must agree with the report.
 """
 
 from hypothesis import given, settings
@@ -25,9 +28,13 @@ _WALL_CLOCK = (
 
 def exposition(metrics) -> list[str]:
     return [
-        line for line in metrics.expose().splitlines()
+        line for line in metrics.registry.expose().splitlines()
         if not line.startswith(_WALL_CLOCK)
     ]
+
+
+def per_host(metric) -> dict[str, int]:
+    return {host: child.value for (host,), child in metric.children()}
 
 
 configs = st.builds(
@@ -62,3 +69,15 @@ def test_columnar_pipeline_matches_per_row_oracle(config, threshold):
     assert (report.rows_emitted, report.rows_injected, report.ticks) \
         == (oracle.rows_emitted, oracle.rows_injected, oracle.ticks)
     assert exposition(service.metrics) == exposition(oracle.metrics)
+
+    metrics = service.metrics
+    emitted = per_host(metrics.rows_emitted)
+    scored, dropped = per_host(metrics.rows_scored), per_host(metrics.rows_dropped)
+    assert list(emitted) == list(scored) == list(dropped)
+    for host, rows in emitted.items():
+        assert rows == scored[host] + dropped[host], host
+    assert sum(emitted.values()) == report.rows_emitted
+    health = service.health()
+    t = report.totals
+    assert (health["rows_scored"], health["rows_dropped"], health["detections"]) \
+        == (t.rows_scored, t.rows_dropped, t.detections)

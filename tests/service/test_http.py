@@ -6,8 +6,8 @@ import urllib.request
 
 import pytest
 
+from repro.metrics import MetricsRegistry
 from repro.service.http import MetricsServer
-from repro.service.metrics import MetricsRegistry
 
 
 def get(url: str):

@@ -11,15 +11,18 @@ import threading
 import numpy as np
 import pytest
 
+from repro import metrics as metrics_module
 from repro.errors import CampaignConfigError
-from repro.service.metrics import (
+from repro.metrics import (
+    CampaignCounters,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    ServiceMetrics,
+    counted,
     format_value,
 )
+from repro.service.metrics import ServiceMetrics
 
 
 class TestCounter:
@@ -117,41 +120,6 @@ class TestHistogram:
         with pytest.raises(CampaignConfigError):
             Histogram("lat", "Latency.", buckets=())
 
-    def test_latency_cdf_lowers_onto_analysis_cdf(self):
-        h = Histogram("lat", "Latency.", buckets=(0.001, 0.01, 0.1))
-        child = h.labels()
-        for _ in range(90):
-            child.observe(0.0005)
-        for _ in range(9):
-            child.observe(0.005)
-        child.observe(0.05)
-        cdf = child.latency_cdf()
-        assert cdf.n == 100
-        # Buckets are represented by their upper bounds.
-        assert cdf.percentile(0.50) == 0.001
-        assert cdf.percentile(0.95) == 0.01
-        assert cdf.percentile(0.999) == 0.1
-
-    def test_latency_cdf_percentile_matches_numpy_inverted_cdf(self):
-        """Satellite pin: Cdf.percentile == np.percentile(inverted_cdf)."""
-        h = Histogram("lat", "Latency.", buckets=(0.001, 0.01, 0.1, 1.0))
-        child = h.labels()
-        rng = np.random.default_rng(3)
-        for value in rng.uniform(0, 1.2, 500):
-            child.observe(float(value))
-        cdf = child.latency_cdf()
-        finite = [b for b in h.bounds if b != math.inf]
-        samples = np.repeat(finite + [finite[-1]], child.counts)
-        for q in (0.5, 0.9, 0.95, 0.99):
-            assert cdf.percentile(q) == pytest.approx(
-                float(np.percentile(samples, q * 100, method="inverted_cdf"))
-            )
-
-    def test_empty_histogram_has_no_cdf(self):
-        h = Histogram("lat", "Latency.", buckets=(1.0,))
-        with pytest.raises(CampaignConfigError):
-            h.labels().latency_cdf()
-
 
 class TestRegistry:
     def test_duplicate_names_rejected(self):
@@ -205,6 +173,46 @@ class TestRegistry:
         assert format_value(0.25) == "0.25"
         assert format_value(math.inf) == "+Inf"
 
+    def test_snapshot_skips_histograms(self):
+        """A snapshot holds every counter and gauge child, and no histogram
+        child, whose value is its buckets."""
+        metrics = ServiceMetrics()
+        metrics.rows_scored.labels(host=0).inc(5)
+        metrics.queue_depth.labels(host=0).set(3)
+        metrics.decision_latency.labels(host=0).observe(0.001)
+        assert metrics.registry.snapshot() == {
+            ("repro_rows_scored_total", ("0",)): 5,
+            ("repro_queue_depth", ("0",)): 3.0,
+        }
+
+    def test_counted_difference_folds_beside_a_histogram(self, monkeypatch):
+        """What ``counted`` returns from a registry holding an observed
+        histogram folds into a fresh registry of the same metrics."""
+
+        def registry_with_histogram() -> CampaignCounters:
+            counters = CampaignCounters()
+            counters.registry.histogram("repro_layer_seconds", "Layer times.")
+            return counters
+
+        counters = registry_with_histogram()
+        layer = counters.registry.get("repro_layer_seconds")
+        layer.observe(0.5)
+        monkeypatch.setattr(metrics_module, "COUNTERS", counters)
+
+        def work():
+            counters.trials_replayed.inc(3)
+            counters.proved_hangs.inc()
+            layer.observe(0.25)
+
+        _, counts = counted(work)
+        assert counts == {
+            ("repro_trials_total", ("checkpoint",)): 3,
+            ("repro_proved_hangs_total", ()): 1,
+        }
+        fresh = registry_with_histogram()
+        fresh.registry.fold(counts)
+        assert (fresh.trials_replayed.value, fresh.proved_hangs.value) == (3, 1)
+
     def test_concurrent_increments_do_not_lose_counts(self):
         c = Counter("hits_total", "Hits.", ("worker",))
 
@@ -226,7 +234,7 @@ class TestRegistry:
 class TestServiceMetrics:
     def test_taxonomy_registers_once(self):
         metrics = ServiceMetrics()
-        exposition = metrics.expose()
+        exposition = metrics.registry.expose()
         for name in (
             "repro_rows_emitted_total", "repro_rows_scored_total",
             "repro_rows_dropped_total", "repro_detections_total",
@@ -235,8 +243,3 @@ class TestServiceMetrics:
             "repro_decision_latency_seconds",
         ):
             assert f"# TYPE {name} " in exposition
-
-    def test_shared_registry_rejected_twice(self):
-        metrics = ServiceMetrics()
-        with pytest.raises(CampaignConfigError):
-            ServiceMetrics(metrics.registry)  # names collide on purpose
