@@ -1,8 +1,9 @@
-"""ML inference throughput: per-row tree walks vs vectorized batch traversal.
+"""ML inference throughput: per-row tree walks vs the exit-leaf batch kernel.
 
 Measures rows/sec classifying a large feature matrix through the compiled
 rule table (``CompiledRules``) and the random forest, each both ways: the
-per-row ``predict`` oracle and the level-synchronous ``predict_batch``.
+per-row ``predict`` oracle and ``predict_batch``, the exit-leaf bitmask
+kernel (one search, gather and AND per split feature, whatever the depth).
 Bit-identity between the two paths is asserted on every run — the speedup
 must never change a single label.  A machine-readable summary is written to
 ``BENCH_ml.json`` next to this file (override with ``REPRO_BENCH_OUTPUT``).

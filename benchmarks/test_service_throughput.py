@@ -3,8 +3,9 @@
 Runs the detection daemon's synchronous pipeline over >= 200 simulated
 hosts: each tick is emitted as one columnar ``FleetTick``, queued per host
 as column chunks under the overflow rule, accepted into the global buffer
-and scored in ``batch_rows`` slices through ``classify_batch``, with
-per-host counters and latency histograms updated once per batch.  It
+and scored in ``batch_rows`` slices through ``classify_batch`` (the
+exit-leaf bitmask kernel), with the per-host counter, gauge and histogram
+families updated by slot, one call per family per tick or batch.  It
 reports sustained rows/sec plus the p50/p95/p99 decision latency (emission
 to verdict, via the analysis-layer CDF).  A machine-readable summary, with
 the host it was measured on, is written to ``BENCH_service.json`` next to

@@ -7,6 +7,13 @@ and the Prometheus text exposition (version 0.0.4), collected in a
 :class:`MetricsRegistry`.  The streaming service's taxonomy
 (:mod:`repro.service.metrics`) is one such registry.
 
+A family stores its children's values itself, indexed by each child's
+creation slot: counters as Python numbers, gauges in a float64 array,
+histograms as an (n x buckets) count matrix with sum and count columns.  A
+child is a handle on one slot, so a hot loop can also update many children
+in one call under the family's one lock (``Counter.inc_at``,
+``Gauge.set_at``, ``Histogram.observe_grouped``).
+
 Everything a campaign counts about its own work — instructions by execution
 path, translation blocks, lock-step twins, trials, skipped instructions,
 proved hangs, follow-ups taken from the golden run, golden artifact
@@ -69,18 +76,61 @@ def _render_labels(names: Sequence[str], values: Sequence[str]) -> str:
     return "{" + pairs + "}"
 
 
+class _Store:
+    """A family's child values in columns indexed by creation slot, and the
+    family's one lock.
+
+    Children point here, never at their family, so a registry and its
+    children hold no reference cycle and are freed as soon as they are
+    dropped.  A list column grows in place; an array column doubles its
+    capacity, so a child reads its column through the store, not a copy.
+    """
+
+    def __init__(self, **columns) -> None:
+        self.lock = threading.Lock()
+        self._columns = tuple(columns)
+        self.__dict__.update(columns)
+
+    def grow(self, size: int) -> None:
+        """Make room for ``size`` slots, new ones zero."""
+        for name in self._columns:
+            column = getattr(self, name)
+            if isinstance(column, list):
+                column.extend([0] * (size - len(column)))
+            elif len(column) < size:
+                grown = np.zeros((max(size, 2 * len(column)), *column.shape[1:]),
+                                 column.dtype)
+                grown[:len(column)] = column
+                setattr(self, name, grown)
+
+
+class _Handle:
+    """A child: one slot of its family's store."""
+
+    __slots__ = ("_store", "slot")
+
+    def __init__(self, store: _Store, slot: int) -> None:
+        self._store = store
+        self.slot = slot
+
+
 class _Metric:
-    """Shared child bookkeeping: one child per label-value tuple."""
+    """Shared child bookkeeping: one child per label-value tuple, each a
+    handle on one slot of the family's :class:`_Store`."""
 
     kind = "untyped"
+    Child: type
 
-    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()) -> None:
+    def __init__(
+        self, name: str, help: str, labelnames: Sequence[str], store: _Store
+    ) -> None:
         if not name.replace("_", "").replace(":", "").isalnum():
             raise CampaignConfigError(f"invalid metric name {name!r}")
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        self._lock = threading.Lock()
+        self._store = store
+        self._lock = store.lock
         self._children: dict[tuple[str, ...], object] = {}
 
     def labels(self, **labelvalues: object):
@@ -94,7 +144,9 @@ class _Metric:
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                child = self._children[key] = self._make_child()
+                slot = len(self._children)
+                self._store.grow(slot + 1)
+                child = self._children[key] = self.Child(self._store, slot)
             return child
 
     def _default_child(self):
@@ -103,8 +155,15 @@ class _Metric:
             raise CampaignConfigError(f"{self.name} is labeled; use .labels(...)")
         return self.labels()
 
-    def _make_child(self):
-        raise NotImplementedError
+    def _slots(self, slots) -> np.ndarray:
+        """``slots`` as an index array, checked to name existing children."""
+        slots = np.asarray(slots, dtype=np.intp)
+        if slots.size and not (0 <= slots.min() and slots.max() < len(self._children)):
+            raise CampaignConfigError(
+                f"{self.name}: slots {slots.tolist()} outside its "
+                f"{len(self._children)} children"
+            )
+        return slots
 
     def children(self) -> list[tuple[tuple[str, ...], object]]:
         """Snapshot of (label values, child) pairs in creation order."""
@@ -126,34 +185,57 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """A monotonically increasing count, optionally labeled."""
+    """A monotonically increasing count, optionally labeled.
+
+    Values are Python numbers: integer until a fractional amount arrives, so
+    counts stay ints.
+    """
 
     kind = "counter"
 
     class Child:
-        __slots__ = ("_lock", "_value")
+        # The values list grows in place, so the child holds it directly.
+        __slots__ = ("_lock", "_values", "slot")
 
-        def __init__(self) -> None:
-            self._lock = threading.Lock()
-            # Integer until a fractional amount arrives, so counts stay ints.
-            self._value = 0
+        def __init__(self, store: _Store, slot: int) -> None:
+            self._lock = store.lock
+            self._values = store.values
+            self.slot = slot
 
         def inc(self, amount: float = 1) -> None:
             if amount < 0:
                 raise CampaignConfigError("counters only go up")
             with self._lock:
-                self._value += amount
+                self._values[self.slot] += amount
 
         @property
         def value(self) -> float:
             with self._lock:
-                return self._value
+                return self._values[self.slot]
 
-    def _make_child(self) -> "Counter.Child":
-        return Counter.Child()
+    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()) -> None:
+        super().__init__(name, help, labelnames, _Store(values=[]))
 
     def inc(self, amount: float = 1) -> None:
         self._default_child().inc(amount)
+
+    def inc_at(self, slots, amounts) -> None:
+        """Add ``amounts[i]`` to the child at slot ``slots[i]`` (a child's
+        :attr:`~Counter.Child.slot`), all under the family's lock; a
+        negative amount or a missing one raises and adds nothing."""
+        slots = self._slots(slots).tolist()
+        amounts = np.asarray(amounts).tolist()
+        if len(amounts) != len(slots):
+            raise CampaignConfigError(
+                f"{self.name}: {len(amounts)} amounts for {len(slots)} slots"
+            )
+        if amounts and min(amounts) < 0:
+            raise CampaignConfigError("counters only go up")
+        store = self._store
+        with store.lock:
+            values = store.values
+            for slot, amount in zip(slots, amounts):
+                values[slot] += amount
 
     @property
     def value(self) -> float:
@@ -165,35 +247,41 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    class Child:
-        __slots__ = ("_lock", "_value")
-
-        def __init__(self) -> None:
-            self._lock = threading.Lock()
-            self._value = 0.0
+    class Child(_Handle):
+        __slots__ = ()
 
         def set(self, value: float) -> None:
-            with self._lock:
-                self._value = float(value)
+            store = self._store
+            with store.lock:
+                store.values[self.slot] = value
 
         def inc(self, amount: float = 1.0) -> None:
-            with self._lock:
-                self._value += amount
+            store = self._store
+            with store.lock:
+                store.values[self.slot] += amount
 
         def dec(self, amount: float = 1.0) -> None:
-            with self._lock:
-                self._value -= amount
+            self.inc(-amount)
 
         @property
         def value(self) -> float:
-            with self._lock:
-                return self._value
+            store = self._store
+            with store.lock:
+                return float(store.values[self.slot])
 
-    def _make_child(self) -> "Gauge.Child":
-        return Gauge.Child()
+    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()) -> None:
+        super().__init__(name, help, labelnames, _Store(values=np.zeros(0)))
 
     def set(self, value: float) -> None:
         self._default_child().set(value)
+
+    def set_at(self, slots, values) -> None:
+        """Set the child at slot ``slots[i]`` to ``values[i]`` (or every
+        one to a scalar ``values``), under the family's lock."""
+        slots = self._slots(slots)
+        store = self._store
+        with store.lock:
+            store.values[slots] = values
 
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().inc(amount)
@@ -219,7 +307,11 @@ def _bucket(edges: np.ndarray, values):
 
 
 class Histogram(_Metric):
-    """Cumulative-bucket histogram (the ``le`` convention)."""
+    """Cumulative-bucket histogram (the ``le`` convention).
+
+    The family keeps an (n x buckets) int64 count matrix and a sum and a
+    count column, a row per child.
+    """
 
     kind = "histogram"
 
@@ -230,72 +322,72 @@ class Histogram(_Metric):
         labelnames: Sequence[str] = (),
         buckets: Iterable[float] = DEFAULT_BUCKETS,
     ) -> None:
-        super().__init__(name, help, labelnames)
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise CampaignConfigError("histogram needs at least one bucket")
         if bounds[-1] != math.inf:
             bounds = bounds + (math.inf,)
+        store = _Store(counts=np.zeros((0, len(bounds)), dtype=np.int64),
+                       sums=np.zeros(0), count=np.zeros(0, dtype=np.int64))
+        store.edges = np.array(bounds)
+        super().__init__(name, help, labelnames, store)
         self.bounds = bounds
-        self._edges = np.array(bounds)
 
-    class Child:
-        __slots__ = ("_lock", "bounds", "_edges", "counts", "total", "count")
-
-        def __init__(self, bounds: tuple[float, ...], edges: np.ndarray) -> None:
-            self._lock = threading.Lock()
-            self.bounds = bounds
-            self._edges = edges
-            self.counts = np.zeros(len(bounds), dtype=np.int64)  # per bucket
-            self.total = 0.0
-            self.count = 0
+    class Child(_Handle):
+        __slots__ = ()
 
         def observe(self, value: float) -> None:
-            index = _bucket(self._edges, value)
-            with self._lock:
-                self.counts[index] += 1
-                self.total += value
-                self.count += 1
+            store, slot = self._store, self.slot
+            index = _bucket(store.edges, value)
+            with store.lock:
+                store.counts[slot, index] += 1
+                store.sums[slot] += value
+                store.count[slot] += 1
 
-        def _fold(self, counts: np.ndarray, total: float, count: int) -> None:
-            with self._lock:
-                self.counts += counts
-                self.total += total
-                self.count += count
+        @property
+        def counts(self) -> np.ndarray:
+            """Observations per bucket (a copy)."""
+            store = self._store
+            with store.lock:
+                return store.counts[self.slot].copy()
+
+        @property
+        def total(self) -> float:
+            store = self._store
+            with store.lock:
+                return float(store.sums[self.slot])
+
+        @property
+        def count(self) -> int:
+            store = self._store
+            with store.lock:
+                return int(store.count[self.slot])
 
         def cumulative(self) -> list[int]:
             """Counts at or below each bound (the exposition convention)."""
-            with self._lock:
-                return np.cumsum(self.counts).tolist()
-
-    def _make_child(self) -> "Histogram.Child":
-        return Histogram.Child(self.bounds, self._edges)
+            return np.cumsum(self.counts).tolist()
 
     def observe(self, value: float) -> None:
         self._default_child().observe(value)
 
-    def observe_grouped(
-        self,
-        children: Sequence["Histogram.Child"],
-        group: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        """Observe ``values[i]`` in ``children[group[i]]``: the values are
-        bucketed together and each child is updated once."""
+    def observe_grouped(self, slots, group: np.ndarray, values: np.ndarray) -> None:
+        """Observe ``values[i]`` in the child at slot ``slots[group[i]]``: the
+        values are bucketed together and the family is updated once."""
+        slots = self._slots(slots)
+        store = self._store
         width = len(self.bounds)
-        cells = group * width + _bucket(self._edges, values)
-        counts = np.bincount(cells, minlength=len(children) * width)
-        totals = np.bincount(group, weights=values, minlength=len(children))
-        sizes = np.bincount(group, minlength=len(children))
-        for child, row, total, size in zip(
-            children, counts.reshape(-1, width), totals.tolist(), sizes.tolist()
-        ):
-            child._fold(row, total, size)
+        cells = group * width + _bucket(store.edges, values)
+        counts = np.bincount(cells, minlength=len(slots) * width)
+        totals = np.bincount(group, weights=values, minlength=len(slots))
+        sizes = np.bincount(group, minlength=len(slots))
+        with store.lock:
+            np.add.at(store.counts, slots, counts.reshape(-1, width))
+            np.add.at(store.sums, slots, totals)
+            np.add.at(store.count, slots, sizes)
 
     def _expose_child(self, key: tuple[str, ...], child: "Histogram.Child") -> list[str]:
         lines = []
-        cumulative = child.cumulative()
-        for bound, count in zip(child.bounds, cumulative):
+        for bound, count in zip(self.bounds, child.cumulative()):
             names = self.labelnames + ("le",)
             values = key + (format_value(bound),)
             lines.append(

@@ -84,8 +84,8 @@ class RandomForestClassifier:
         )
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized majority vote: member trees classify level-synchronously
-        (:meth:`CompiledRules.predict_batch`), then the vote is one matrix
+        """Vectorized majority vote: member trees classify by their exit-leaf
+        kernels (:meth:`CompiledRules.predict_batch`), then the vote is one matrix
         reduction — stack the ``(n_trees, n_rows)`` label matrix and sum over
         the tree axis (INCORRECT is 1, so the sum *is* the vote count).
         Bit-identical to :meth:`predict`, tie-break included."""

@@ -10,10 +10,16 @@ chunks (host, features, injected, emission stamp) rather than row objects:
    scoring is batched downstream.
 2. **A global pending buffer** collects accepted rows across hosts, in
    sorted host order per pump, and is scored in exact ``batch_rows`` slices
-   through ``classify_batch`` (PR 4's vectorized path — bit-identical to
-   per-row classification).  Rows wait in the buffer until a batch fills,
+   through ``classify_batch`` (the exit-leaf bitmask kernel — bit-identical
+   to per-row classification).  Rows wait in the buffer until a batch fills,
    which is where the batching/latency trade-off becomes visible in the
    latency histogram.
+
+Metrics are updated per family, not per host: each host's five children
+(emitted, scored, dropped, queue depth, latency) are resolved once, on its
+first row, into a table of slots, and a tick or a batch then makes one
+slot-addressed call per family (``inc_at``, ``set_at``,
+``observe_grouped``).
 
 Backpressure is explicit, never silent.  Rows arriving for a host are
 numbered in arrival order since that host's queue was last emptied; with
@@ -108,17 +114,10 @@ def _by_label(metric) -> dict[str, int]:
     return {key: child.value for (key,), child in metric.children()}
 
 
-class _HostChildren:
-    """One host's resolved metric children (labels() hashes its label set)."""
-
-    __slots__ = ("emitted", "scored", "dropped", "queue_depth", "latency")
-
-    def __init__(self, metrics: ServiceMetrics, host: int) -> None:
-        self.emitted = metrics.rows_emitted.labels(host=host)
-        self.scored = metrics.rows_scored.labels(host=host)
-        self.dropped = metrics.rows_dropped.labels(host=host)
-        self.queue_depth = metrics.queue_depth.labels(host=host)
-        self.latency = metrics.decision_latency.labels(host=host)
+#: The per-host families, by column of the scorer's slot table.
+_PER_HOST = ("rows_emitted", "rows_scored", "rows_dropped", "queue_depth",
+             "decision_latency")
+_EMITTED, _SCORED, _DROPPED, _DEPTH, _LATENCY = range(len(_PER_HOST))
 
 
 class _Rows:
@@ -183,16 +182,33 @@ class MicroBatchScorer:
         self._pending: deque[_Rows] = deque()
         self._pending_rows = 0
         # Label lookups hash the label set on every call, so each host's
-        # children are resolved once, on the host's first submitted row.
-        self._host_children: dict[int, _HostChildren] = {}
+        # children are resolved once, on the host's first submitted row,
+        # into a row of slots (-1 until then) indexed by host; every
+        # update after that addresses its family by slot.
+        self._slots = np.full((0, len(_PER_HOST)), -1, dtype=np.intp)
+        # Outcome children, resolved on their first non-zero count.
+        self._outcomes: dict[tuple[str, str], object] = {}
 
-    def _children(self, host: int) -> _HostChildren:
-        children = self._host_children.get(host)
-        if children is None:
-            children = self._host_children[host] = _HostChildren(
-                self.metrics, host
+    def _host_slots(self, hosts: np.ndarray) -> np.ndarray:
+        """The slot rows of ``hosts`` (sorted), resolving new hosts' children."""
+        table = self._slots
+        if len(table) <= hosts[-1]:
+            table = self._slots = np.vstack(
+                [table, np.full((hosts[-1] + 1 - len(table), len(_PER_HOST)), -1)]
             )
-        return children
+        for host in hosts[table[hosts, 0] < 0].tolist():
+            table[host] = [getattr(self.metrics, family).labels(host=host).slot
+                           for family in _PER_HOST]
+        return table[hosts]
+
+    def _count(self, family, outcome: str, count: int) -> None:
+        """Add a non-zero ``count`` to ``family``'s child for ``outcome``."""
+        child = self._outcomes.get((family.name, outcome))
+        if child is None:
+            child = self._outcomes[family.name, outcome] = family.labels(
+                outcome=outcome
+            )
+        child.inc(count)
 
     # -- ingestion -----------------------------------------------------------
 
@@ -206,10 +222,10 @@ class MicroBatchScorer:
         if not n:
             return
         stamp = self.clock()
+        metrics = self.metrics
         tick_hosts, tick_sizes = np.unique(tick.host, return_counts=True)
-        children = [self._children(host) for host in tick_hosts.tolist()]
-        for child, count in zip(children, tick_sizes.tolist()):
-            child.emitted.inc(count)
+        slots = self._host_slots(tick_hosts)
+        metrics.rows_emitted.inc_at(slots[:, _EMITTED], tick_sizes)
         arrived = _Rows(tick.host, tick.features, tick.injected, np.full(n, stamp))
         queued = arrived if self._queued is None else _Rows.concat(
             [self._queued, arrived]
@@ -234,14 +250,14 @@ class MicroBatchScorer:
                 flushed = order[out][np.argsort(arrival, kind="stable")]
                 self._append_pending(queued[flushed])
             else:
-                for host, count in zip(hosts[leading > 0].tolist(),
-                                       leading[leading > 0].tolist()):
-                    self._host_children[host].dropped.inc(count)
+                dropping = leading > 0
+                metrics.rows_dropped.inc_at(
+                    self._slots[hosts[dropping], _DROPPED], leading[dropping]
+                )
             queued = queued[np.sort(order[~out])]
         self._queued = queued
         left = (sizes - leading)[np.searchsorted(hosts, tick_hosts)]
-        for child, count in zip(children, left.tolist()):
-            child.queue_depth.set(count)
+        metrics.queue_depth.set_at(slots[:, _DEPTH], left)
 
     # -- draining ------------------------------------------------------------
 
@@ -259,8 +275,7 @@ class MicroBatchScorer:
         host = queued.host
         if (host[1:] < host[:-1]).any():
             queued = queued[np.argsort(host, kind="stable")]
-        for host in np.unique(host).tolist():
-            self._host_children[host].queue_depth.set(0)
+        self.metrics.queue_depth.set_at(self._slots[np.unique(host), _DEPTH], 0)
         self._append_pending(queued)
 
     def pump(self) -> int:
@@ -283,7 +298,8 @@ class MicroBatchScorer:
         if self._queued is not None:
             hosts, sizes = np.unique(self._queued.host, return_counts=True)
             counts = dict(zip(hosts.tolist(), sizes.tolist()))
-        return {host: counts.get(host, 0) for host in sorted(self._host_children)}
+        seen = np.flatnonzero(self._slots[:, 0] >= 0).tolist()
+        return {host: counts.get(host, 0) for host in seen}
 
     @property
     def pending(self) -> int:
@@ -331,25 +347,23 @@ class MicroBatchScorer:
         false_positive = int(np.count_nonzero(flagged)) - true_positive
         false_negative = int(np.count_nonzero(injected)) - true_positive
         true_negative = n - true_positive - false_positive - false_negative
+        metrics = self.metrics
         counts = (true_positive, false_positive, true_negative, false_negative)
         for outcome, count in zip(OUTCOMES, counts):
             if count:
-                self.metrics.detections.labels(outcome=outcome).inc(count)
+                self._count(metrics.detections, outcome, count)
         # Every positive detection dispatches the recovery path: a true
         # positive restores-and-re-executes ("recovered"), a false positive
         # pays the same cost for nothing ("spurious").
         if true_positive:
-            self.metrics.recoveries.labels(outcome="recovered").inc(true_positive)
+            self._count(metrics.recoveries, "recovered", true_positive)
         if false_positive:
-            self.metrics.recoveries.labels(outcome="spurious").inc(false_positive)
+            self._count(metrics.recoveries, "spurious", false_positive)
         latency = np.maximum(0.0, now - batch.emitted_at)
         self.latencies.append(latency)
         hosts, group = np.unique(batch.host, return_inverse=True)
-        children = [self._host_children[host] for host in hosts.tolist()]
-        for child, count in zip(children, np.bincount(group).tolist()):
-            child.scored.inc(count)
-        self.metrics.decision_latency.observe_grouped(
-            [child.latency for child in children], group, latency
-        )
-        self.metrics.batches.inc()
+        slots = self._slots[hosts]
+        metrics.rows_scored.inc_at(slots[:, _SCORED], np.bincount(group))
+        metrics.decision_latency.observe_grouped(slots[:, _LATENCY], group, latency)
+        metrics.batches.inc()
         return n

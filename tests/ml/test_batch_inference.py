@@ -3,7 +3,10 @@
 ``CompiledRules.predict`` (one :meth:`classify` walk per row) is the
 differential oracle; ``predict_batch`` must be bit-identical to it on every
 input — labels *and* traversal comparison counts — for single trees and for
-the forest's matrix-reduction vote.
+the forest's matrix-reduction vote.  The exit-leaf kernel keeps one mask bit
+per leaf, so the oracle runs on tables past one 64-bit word, on repeated and
+extreme thresholds, on rows exactly at a threshold, and on tables whose
+nodes are not stored in preorder.
 """
 
 import numpy as np
@@ -53,6 +56,165 @@ def leaf_rules(prediction: int) -> CompiledRules:
         prediction=np.array([prediction], dtype=np.int8),
         feature_names=("f0", "f1", "f2", "f3", "f4"),
     )
+
+
+#: Thresholds a generated table draws from: few, so splits repeat them, with
+#: negative and extreme int64 values among them.
+POOL = (-(2**62), -7, 0, 3, 10, 2**62)
+#: Row values: each pool threshold, one either side, and the int64 limits.
+PROBES = np.array(
+    sorted({t + d for t in POOL for d in (-1, 0, 1)}
+           | {np.iinfo(np.int64).min, np.iinfo(np.int64).max}),
+    dtype=np.int64,
+)
+
+
+def random_table(seed: int, n_leaves: int, features=(0, 1, 2, 3, 4)) -> CompiledRules:
+    """A random ``n_leaves``-leaf table splitting on ``features`` at ``POOL``
+    thresholds, the root at index 0 and every other node at a shuffled one."""
+    rng = np.random.default_rng(seed)
+    children: list[tuple[int, int] | None] = [None]
+    leaves = [0]
+    while len(leaves) < n_leaves:
+        node = leaves.pop(int(rng.integers(len(leaves))))
+        children[node] = (len(children), len(children) + 1)
+        leaves += [len(children), len(children) + 1]
+        children += [None, None]
+    n = len(children)
+    where = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    feature = np.full(n, _LEAF, dtype=np.int16)
+    threshold = np.zeros(n, dtype=np.int64)
+    left = np.zeros(n, dtype=np.int32)
+    right = np.zeros(n, dtype=np.int32)
+    for node, pair in enumerate(children):
+        if pair is not None:
+            at = where[node]
+            feature[at] = rng.choice(features)
+            threshold[at] = rng.choice(POOL)
+            left[at], right[at] = where[pair[0]], where[pair[1]]
+    return CompiledRules(
+        feature=feature, threshold=threshold, left=left, right=right,
+        prediction=rng.integers(0, 2, n).astype(np.int8),
+        feature_names=("f0", "f1", "f2", "f3", "f4"),
+    )
+
+
+def probe_rows(seed: int, n: int = 300) -> np.ndarray:
+    return np.random.default_rng(seed).choice(PROBES, size=(n, 5))
+
+
+def assert_matches_walks(rules: CompiledRules, X: np.ndarray) -> None:
+    """``classify_batch`` gives each row's walk: its label and comparisons."""
+    labels, comparisons = rules.classify_batch(X)
+    walks = np.array([rules.classify(row) for row in X]).reshape(-1, 2)
+    wrong = np.flatnonzero((labels != walks[:, 0]) | (comparisons != walks[:, 1]))
+    assert not wrong.size, (
+        f"{wrong.size} of {len(X)} rows differ, first {X[wrong[0]].tolist()}: "
+        f"batch {(labels[wrong[0]], comparisons[wrong[0]])}, "
+        f"walk {tuple(walks[wrong[0]])}"
+    )
+
+
+def n_leaves(rules: CompiledRules) -> int:
+    return int((rules.feature == _LEAF).sum())
+
+
+def random_dataset(seed: int, n: int) -> Dataset:
+    """Noisy labels over small integer features: fitted trees grow a leaf
+    per few rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-50, 50, (n, 5)).astype(np.int64)
+    return Dataset(X, rng.integers(0, 2, n).astype(np.int8))
+
+
+def at_thresholds(rules: CompiledRules, X: np.ndarray) -> np.ndarray:
+    """Rows of ``X`` moved onto each split's threshold, and one past it."""
+    rows = []
+    for node in np.flatnonzero(rules.feature != _LEAF):
+        for offset in (0, 1):
+            row = X[node % len(X)].copy()
+            row[rules.feature[node]] = rules.threshold[node] + offset
+            rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+class TestExitLeafKernel:
+    """The bitmask kernel against the per-row walk on the tables it could
+    get wrong."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        leaves=st.integers(1, 300),
+        features=st.sets(st.integers(0, 4), min_size=1),
+    )
+    def test_generated_tables_match_walks(self, seed, leaves, features):
+        rules = random_table(seed, leaves, tuple(sorted(features)))
+        assert_matches_walks(rules, probe_rows(seed))
+
+    @pytest.mark.parametrize("leaves", [1, 2, 63, 64, 65, 128, 129, 300])
+    def test_mask_word_boundaries(self, leaves):
+        """Feature 3 is never split on; the tables span 1 to 5 words."""
+        rules = random_table(leaves, leaves, features=(0, 1, 2, 4))
+        assert n_leaves(rules) == leaves
+        assert_matches_walks(rules, probe_rows(leaves))
+
+    @pytest.mark.parametrize("rows, least_leaves", [(400, 65), (1000, 129), (3000, 500)])
+    def test_fitted_trees_past_one_mask_word(self, rows, least_leaves):
+        ds = random_dataset(rows, rows)
+        rules = compile_tree(DecisionTreeClassifier(max_depth=32).fit(ds))
+        assert n_leaves(rules) >= least_leaves
+        X = np.vstack([ds.X, at_thresholds(rules, ds.X), probe_rows(rows)])
+        assert_matches_walks(rules, X)
+
+    def test_forest_members_match_walks(self):
+        ds = random_dataset(11, 2000)
+        forest = RandomForestClassifier(n_trees=5, max_depth=32, seed=3).fit(ds)
+        X = np.vstack([ds.X, probe_rows(11)])
+        for rules in forest._rules:
+            assert n_leaves(rules) > 128
+            assert_matches_walks(rules, np.vstack([X, at_thresholds(rules, ds.X)]))
+        assert (forest.predict_batch(X) == forest.predict(X)).all()
+
+    def test_duplicate_thresholds_and_rows_at_them(self):
+        """Three splits at ``f0 <= 3``; a row at 3 goes left at each."""
+        rules = CompiledRules(
+            feature=np.array([0, 0, 0, _LEAF, _LEAF, _LEAF, _LEAF], dtype=np.int16),
+            threshold=np.array([3, 3, 3, 0, 0, 0, 0], dtype=np.int64),
+            left=np.array([1, 3, 5, 0, 0, 0, 0], dtype=np.int32),
+            right=np.array([2, 4, 6, 0, 0, 0, 0], dtype=np.int32),
+            prediction=np.array([0, 0, 0, 1, 0, 0, 1], dtype=np.int8),
+            feature_names=("f0", "f1", "f2", "f3", "f4"),
+        )
+        X = np.array([[v, 0, 0, 0, 0] for v in (2, 3, 4, -(2**62), 2**62)])
+        labels, comparisons = rules.classify_batch(X)
+        assert labels.tolist() == [1, 1, 1, 1, 1]
+        assert comparisons.tolist() == [2] * 5
+        assert_matches_walks(rules, X)
+
+    def test_nodes_out_of_preorder(self):
+        """Root ``f0 <= 5``: left to ``f1 <= 2`` (leaves 0 and 1), right to
+        a leaf 1; the deepest leaves are stored before their parent."""
+        rules = CompiledRules(
+            feature=np.array([0, _LEAF, _LEAF, 1, _LEAF], dtype=np.int16),
+            threshold=np.array([5, 0, 0, 2, 0], dtype=np.int64),
+            left=np.array([3, 0, 0, 1, 0], dtype=np.int32),
+            right=np.array([4, 0, 0, 2, 0], dtype=np.int32),
+            prediction=np.array([0, 0, 1, 0, 1], dtype=np.int8),
+            feature_names=("f0", "f1", "f2", "f3", "f4"),
+        )
+        X = np.array([[5, 2, 0, 0, 0], [5, 3, 0, 0, 0], [6, 0, 0, 0, 0]])
+        labels, comparisons = rules.classify_batch(X)
+        assert labels.tolist() == [0, 1, 1]
+        assert comparisons.tolist() == [2, 2, 1]
+        assert rules.max_depth == 2
+
+    def test_single_leaf_table(self):
+        X = probe_rows(0, 10)
+        labels, comparisons = leaf_rules(INCORRECT).classify_batch(X)
+        assert labels.tolist() == [INCORRECT] * 10
+        assert comparisons.tolist() == [0] * 10
+        assert leaf_rules(CORRECT).max_depth == 0
 
 
 class TestTreeBatchEquivalence:

@@ -5,8 +5,12 @@ then read labeled children directly (``DETECTIONS.labels(outcome=...)
 .value``) and golden-test the text exposition.
 """
 
+import gc
+import json
 import math
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +26,10 @@ from repro.metrics import (
     counted,
     format_value,
 )
+from repro.service import DetectionService, FleetConfig, ServiceConfig
 from repro.service.metrics import ServiceMetrics
+
+from tests.service.conftest import make_threshold_rules
 
 
 class TestCounter:
@@ -102,8 +109,8 @@ class TestHistogram:
         rng = np.random.default_rng(7)
         values = rng.choice([0.0005, 0.001, 0.003, 0.01, 0.2], 60)
         group = rng.integers(0, 3, 60)
-        children = [h.labels(host=host) for host in range(3)]
-        h.observe_grouped(children, group, values)
+        slots = [h.labels(host=host).slot for host in range(3)]
+        h.observe_grouped(slots, group, values)
         for host, value in zip(group.tolist(), values.tolist()):
             one_by_one.labels(host=host).observe(value)
         for host in range(3):
@@ -119,6 +126,105 @@ class TestHistogram:
     def test_empty_bucket_list_rejected(self):
         with pytest.raises(CampaignConfigError):
             Histogram("lat", "Latency.", buckets=())
+
+
+def run_threads(targets) -> None:
+    """Run ``targets`` in threads at a short switch interval; each must end
+    within 60 s."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target) for target in targets]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+def slot_and_child_registries() -> tuple[MetricsRegistry, MetricsRegistry]:
+    """Two registries of the same families, children created in one order
+    (not host order)."""
+    registries = []
+    for _ in range(2):
+        registry = MetricsRegistry()
+        families = (
+            registry.counter("rows_total", "Rows.", ("host",)),
+            registry.gauge("depth", "Depth.", ("host",)),
+            registry.histogram("lat_seconds", "Latency.", ("host",),
+                               buckets=(0.001, 0.01, 0.1)),
+        )
+        for family in families:
+            for host in (4, 0, 2):
+                family.labels(host=host)
+        registries.append(registry)
+    return registries[0], registries[1]
+
+
+class TestSlotUpdates:
+    """A slot-addressed call equals the matching scalar child calls."""
+
+    def test_slot_calls_equal_child_calls(self):
+        by_slot, by_child = slot_and_child_registries()
+        rng = np.random.default_rng(3)
+        # Dyadic values add exactly in any order, so sums compare bytewise.
+        dyadic = np.array([2.0**-12, 2.0**-9, 2.0**-5, 0.5, 4.0])
+        for _ in range(20):
+            hosts = rng.choice([4, 0, 2], size=2, replace=False).tolist()
+            amounts = rng.integers(0, 9, 2)
+            depths = rng.integers(0, 50, 2)
+            group = rng.integers(0, 2, 7)
+            values = rng.choice(dyadic, 7)
+            slots = [by_slot.get("rows_total").labels(host=h).slot for h in hosts]
+            by_slot.get("rows_total").inc_at(slots, amounts)
+            by_slot.get("depth").set_at(
+                [by_slot.get("depth").labels(host=h).slot for h in hosts], depths)
+            latency = by_slot.get("lat_seconds")
+            latency.observe_grouped(
+                [latency.labels(host=h).slot for h in hosts], group, values)
+            for host, amount, depth in zip(hosts, amounts.tolist(), depths.tolist()):
+                by_child.get("rows_total").labels(host=host).inc(amount)
+                by_child.get("depth").labels(host=host).set(depth)
+            for index, value in zip(group.tolist(), values.tolist()):
+                by_child.get("lat_seconds").labels(host=hosts[index]).observe(value)
+        assert by_slot.expose() == by_child.expose()
+        for host in (4, 0, 2):
+            pair = [r.get("rows_total").labels(host=host).value
+                    for r in (by_slot, by_child)]
+            assert pair[0] == pair[1] and type(pair[0]) is int
+            grouped, single = (r.get("lat_seconds").labels(host=host)
+                               for r in (by_slot, by_child))
+            assert grouped.counts.tolist() == single.counts.tolist()
+            assert (grouped.total, grouped.count) == (single.total, single.count)
+
+    @pytest.mark.parametrize("amounts", [[5, -1, 5], [5, 5]])
+    def test_bad_amounts_raise_and_add_nothing(self, amounts):
+        """A negative amount, or one amount too few."""
+        c = Counter("x_total", "X.", ("host",))
+        slots = [c.labels(host=host).slot for host in range(3)]
+        c.inc_at(slots, [1, 2, 3])
+        with pytest.raises(CampaignConfigError):
+            c.inc_at(slots, amounts)
+        assert [c.labels(host=host).value for host in range(3)] == [1, 2, 3]
+
+    @pytest.mark.parametrize("slot", [-1, 2])
+    def test_slots_outside_the_family_rejected(self, slot):
+        c, g = Counter("x_total", "X.", ("host",)), Gauge("g", "G.", ("host",))
+        h = Histogram("h", "H.", ("host",))
+        for family in (c, g, h):
+            family.labels(host=0)
+            family.labels(host=1)
+        with pytest.raises(CampaignConfigError):
+            c.inc_at([0, slot], [1, 1])
+        with pytest.raises(CampaignConfigError):
+            g.set_at([slot], [7])
+        with pytest.raises(CampaignConfigError):
+            h.observe_grouped([slot], np.zeros(1, dtype=np.intp), np.ones(1))
+        assert c.labels(host=0).value == 0
+        assert g.labels(host=1).value == 0.0
+        assert h.labels(host=1).count == 0
 
 
 class TestRegistry:
@@ -214,21 +320,61 @@ class TestRegistry:
         assert (fresh.trials_replayed.value, fresh.proved_hangs.value) == (3, 1)
 
     def test_concurrent_increments_do_not_lose_counts(self):
+        """Children and slot-addressed calls share the family's one lock."""
         c = Counter("hits_total", "Hits.", ("worker",))
+        slots = [c.labels(worker=str(i)).slot for i in range(2)]
 
         def spin(worker: str) -> None:
             child = c.labels(worker=worker)
             for _ in range(5000):
                 child.inc()
 
-        threads = [
-            threading.Thread(target=spin, args=(str(i % 2),)) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.labels(worker="0").value + c.labels(worker="1").value == 20000
+        def spin_at() -> None:
+            for _ in range(5000):
+                c.inc_at(slots, [1, 1])
+
+        run_threads([lambda i=i: spin(str(i % 2)) for i in range(4)]
+                    + [spin_at] * 2)
+        assert c.labels(worker="0").value + c.labels(worker="1").value == 40000
+
+    def test_concurrent_observes_survive_storage_growth(self):
+        """New children regrow a histogram's arrays while others observe."""
+        h = Histogram("lat", "Latency.", ("host",), buckets=(0.5,))
+        slots = [h.labels(host=host).slot for host in range(2)]
+
+        def observe() -> None:
+            child = h.labels(host=0)
+            for _ in range(2000):
+                child.observe(0.25)
+
+        def observe_grouped() -> None:
+            for _ in range(2000):
+                h.observe_grouped(slots, np.array([0, 1, 1]), np.array([0.25, 1.0, 1.0]))
+
+        def grow() -> None:
+            for host in range(2, 600):
+                h.labels(host=host).observe(1.0)
+
+        run_threads([observe, observe, observe_grouped, observe_grouped, grow])
+        children = [child for _, child in h.children()]
+        assert sum(child.count for child in children) == 4000 + 12000 + 598
+        assert h.labels(host=1).cumulative() == [0, 8000]
+
+    def test_campaign_sections_stay_json_after_fractional_seconds(self):
+        """Counts stay ints beside a seconds counter gone fractional."""
+        counters = CampaignCounters()
+        counters.trials_replayed.inc(3)
+        counters.golden_hits.inc()
+        counters.capture_seconds.inc(0.25)
+        counters.capture_seconds.inc(1)
+        machine, cache = counters.machine(), counters.golden_cache()
+        json.dumps(machine)
+        json.dumps(cache)
+        assert machine["trials"] == 3 and type(machine["trials"]) is int
+        assert type(cache["golden_hits"]) is int
+        assert cache["golden_capture_seconds"] == 1.25
+        json.dumps(CampaignCounters().machine())
+        json.dumps(CampaignCounters().golden_cache())
 
 
 class TestServiceMetrics:
@@ -243,3 +389,23 @@ class TestServiceMetrics:
             "repro_decision_latency_seconds",
         ):
             assert f"# TYPE {name} " in exposition
+
+    def test_finished_service_frees_its_registry_without_the_collector(self):
+        """Children point at their family's storage, never at the family,
+        so a finished service's metrics (the registry and every family) are
+        freed by reference counting."""
+        gc.disable()
+        try:
+            service = DetectionService(
+                ServiceConfig(fleet=FleetConfig(hosts=4, seed=3), max_rows=500),
+                make_threshold_rules(),
+            )
+            service.run()
+            metrics = service.metrics
+            refs = [weakref.ref(metrics)] + [
+                weakref.ref(part) for part in vars(metrics).values()
+            ]
+            del service, metrics
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
