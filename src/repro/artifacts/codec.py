@@ -4,9 +4,10 @@ One artifact holds everything a worker needs to run a golden group's trials
 without executing the fault-free twin: the :class:`GoldenRun` (result,
 outputs, pre- and post-run checkpoints, the follow-up results when a trial
 materialized them, and the read set and write log of every golden
-execution) and the lock-step :class:`TwinPlan`
-lowered from its recorded address stream (absent when the group was
-captured with twin batching off; the stream itself is not stored).  The
+execution) and the lock-step :class:`TwinPlan` kept from its recorded
+address stream: the slot stream and its retirement boundaries (absent when
+the group was captured with twin batching off; the addresses themselves are
+not stored).  The
 heap image is not stored either: the header records the heap's base and
 length, and the decoder cuts the image out of the post-run pages.
 Artifacts travel inside packs (:mod:`repro.artifacts.store`).  The layout::
@@ -26,12 +27,13 @@ Two properties matter more than compactness:
   unique page *shared by both checkpoints* — restoring the copy-on-write
   structural sharing :meth:`Memory.restore` exploits (its diff is by buffer
   identity).
-* **Mappable columns.**  TwinPlan position columns are raw little-endian
-  int64 runs at 8-aligned offsets, so the decoder builds its arrays with
-  ``np.frombuffer`` over the bytes read from the pack — zero-copy.  The
-  execution logs sit beside them as three uint64 columns (read words,
-  written words, their values), each execution's run sorted, the
-  activation's first and then each follow-up's.
+* **Mappable columns.**  The TwinPlan's two columns (slots and retirement
+  boundaries) are raw little-endian int64 runs at 8-aligned offsets, so the
+  decoder builds its arrays with ``np.frombuffer`` over the bytes read from
+  the pack — zero-copy — and binds them to the program that runs the
+  trials.  The execution logs sit beside them as three uint64 columns
+  (read words, written words, their values), each execution's run sorted,
+  the activation's first and then each follow-up's.
 
 No pickle anywhere: a corrupt or adversarial artifact can fail to decode
 (:class:`ArtifactCorrupt`), never execute.  The trailing checksum makes
@@ -49,7 +51,8 @@ import numpy as np
 
 from repro.faults.propagation import GoldenRun
 from repro.hypervisor.image import MemoryMap
-from repro.machine.lockstep import TwinPlan
+from repro.machine.isa import Program
+from repro.machine.lockstep import TwinPlan, plan_from_columns
 from repro.machine.memory import PAGE_SIZE, ExecutionLog, MemoryCheckpoint
 from repro.persist import activation_result_from_dict, activation_result_to_dict
 
@@ -64,8 +67,8 @@ __all__ = [
 
 #: Last byte is the binary-format version: bump it and every older reader
 #: treats the file as corrupt (fallback to live capture, never a misparse).
-MAGIC = b"XENTART\x05"
-CODEC_FORMAT = "xentry-artifact-v5"
+MAGIC = b"XENTART\x06"
+CODEC_FORMAT = "xentry-artifact-v6"
 _CHECKSUM_BYTES = 16
 
 _COLUMN_DTYPE = np.dtype("<i8")
@@ -147,10 +150,8 @@ def encode_group(digest: str, golden: GoldenRun, plan: TwinPlan | None) -> bytes
         },
     }
     header["plan"] = None if plan is None else {
-        "instructions": plan.instructions,
+        "slots": _column_ref(plan.slots, writer),
         "tops": _column_ref(plan.tops, writer),
-        "reads_pos": [_column_ref(c, writer) for c in plan.reads_pos],
-        "writes_pos": [_column_ref(c, writer) for c in plan.writes_pos],
     }
     header["blobs"] = [[off, length] for off, length in writer.index]
 
@@ -230,14 +231,17 @@ def _logs_from(refs: dict | None, blob) -> list[ExecutionLog]:
     return logs
 
 
-def decode_group(buf: bytes | memoryview, *, registry) -> ArtifactPayload:
+def decode_group(
+    buf: bytes | memoryview, *, registry, program: Program
+) -> ArtifactPayload:
     """Decode artifact bytes; raises :class:`ArtifactCorrupt` on anything
     that is not a checksummed, well-formed encoding.
 
     TwinPlan columns become zero-copy ``np.frombuffer`` views and
     checkpoint pages zero-copy sub-views of ``buf`` (the bytes one
     :meth:`~repro.artifacts.store.GoldenStore.load_bytes` read), which the
-    decoded payload keeps alive.
+    decoded payload keeps alive.  The plan is bound to ``program``, the text
+    the trials run (:func:`~repro.machine.lockstep.plan_from_columns`).
     """
     view = memoryview(buf)
     try:
@@ -310,12 +314,11 @@ def decode_group(buf: bytes | memoryview, *, registry) -> ArtifactPayload:
             return np.frombuffer(raw, dtype=_COLUMN_DTYPE)
 
         p = header["plan"]
-        plan = None if p is None else TwinPlan(
-            tops=column(p["tops"]),
-            reads_pos=tuple(column(c) for c in p["reads_pos"]),
-            writes_pos=tuple(column(c) for c in p["writes_pos"]),
-            instructions=p["instructions"],
+        plan = None if p is None else plan_from_columns(
+            program, column(p["slots"]), column(p["tops"])
         )
+        if plan is not None and plan.instructions != golden.result.instructions:
+            raise ArtifactCorrupt("plan does not cover the golden run")
         return ArtifactPayload(
             digest=header["digest"], golden=golden, plan=plan, nbytes=len(view)
         )

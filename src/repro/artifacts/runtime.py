@@ -55,8 +55,9 @@ class GoldenSource:
         self.store = store
         self._pack = None
 
-    def acquire(self, benchmark: str, group: int, *, registry):
-        """Load one golden group's products, or ``None`` to capture live.
+    def acquire(self, benchmark: str, group: int, *, registry, program):
+        """Load one golden group's products, its plan bound to ``program``,
+        or ``None`` to capture live.
 
         The store's packs are indexed on the first lookup, torn ones
         skipped (the run's owner counts those, once per run, with
@@ -66,7 +67,7 @@ class GoldenSource:
         digest = golden_digest(self.config, benchmark, group)
         started = time.perf_counter()
         try:
-            payload = self._load(digest, registry)
+            payload = self._load(digest, registry, program)
         finally:
             COUNTERS.load_seconds.inc(time.perf_counter() - started)
         if payload is None:
@@ -76,9 +77,9 @@ class GoldenSource:
         COUNTERS.bytes_loaded.inc(payload.nbytes)
         return payload
 
-    def _load(self, digest: str, registry):
+    def _load(self, digest: str, registry, program):
         try:
-            return self.store.load(digest, registry=registry)
+            return self.store.load(digest, registry=registry, program=program)
         except ArtifactCorrupt:
             COUNTERS.artifact_corrupt.inc()
             return None

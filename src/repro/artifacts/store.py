@@ -281,13 +281,13 @@ class GoldenStore:
         except OSError:
             return None
 
-    def load(self, digest: str, *, registry):
-        """Decode one artifact; ``None`` when absent, raises ArtifactCorrupt
-        for present-but-invalid bytes."""
+    def load(self, digest: str, *, registry, program):
+        """Decode one artifact (its plan bound to ``program``); ``None``
+        when absent, raises ArtifactCorrupt for present-but-invalid bytes."""
         blob = self.load_bytes(digest)
         if blob is None:
             return None
-        payload = decode_group(blob, registry=registry)
+        payload = decode_group(blob, registry=registry, program=program)
         if payload.digest != digest:
             raise ArtifactCorrupt(
                 f"artifact self-identifies as {payload.digest}, filed as {digest}"

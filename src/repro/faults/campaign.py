@@ -284,7 +284,9 @@ def run_benchmark_groups(
         activation = stream[g * geo.stride]
         followups = tuple(stream[g * geo.stride + 1 : (g + 1) * geo.stride])
         payload = (
-            golden_source.acquire(benchmark, g, registry=hv.registry)
+            golden_source.acquire(
+                benchmark, g, registry=hv.registry, program=hv.program
+            )
             if golden_source is not None
             else None
         )

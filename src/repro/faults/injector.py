@@ -136,7 +136,7 @@ def trace_plan(program: Program, golden: GoldenRun) -> lockstep.TwinPlan:
 def _classify_spec_twin(plan, fault):
     """Classify one twin for the lock-step batch, by the registers it flips.
 
-    A fault flipping one register uses the position-column scan directly
+    A fault flipping one register uses the slot-stream scan directly
     (one register, one injection index — several bits only widen the
     flipped mask, not the access pattern that decides liveness).  A fault
     flipping several registers (a burst) is DEAD only if *every* flipped
@@ -174,7 +174,7 @@ def run_twin_batch(
 ) -> list[TrialRecord]:
     """Execute every faulty twin of one golden group as a lock-step batch.
 
-    Classifies each twin against the shared golden position columns
+    Classifies each twin against the shared golden slot stream
     (:mod:`repro.machine.lockstep`): *dead* twins — flip overwritten
     before the next read, or never touched again — synthesize their
     non-activated record without executing; diverging twins peel into

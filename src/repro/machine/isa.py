@@ -40,6 +40,7 @@ __all__ = [
     "OP_MEM_STORES",
     "STACK_OPS",
     "instr_register_accesses",
+    "register_accesses",
 ]
 
 INSTRUCTION_BYTES = 4
@@ -233,19 +234,27 @@ _RFLAGS = RegisterFile.index_of("rflags")
 
 
 def instr_register_accesses(instr: Instr) -> tuple[frozenset[int], frozenset[int]]:
-    """Return ``(reads, writes)`` register-index sets for ``instr``.
-
-    RIP is deliberately excluded (every instruction touches it); flips in RIP
-    are always considered activated by the injector.  The sets drive the
-    activated/non-activated classification of injected faults.
-
-    The result is memoized on the (static) instruction object: the injector's
-    watch loop calls this once per retired instruction while a flipped
-    register is live, so recomputation would dominate that window.
+    """:func:`register_accesses`, memoized on the (static) instruction object:
+    the injector's watch loop calls this once per retired instruction while a
+    flipped register is live, so recomputation would dominate that window.
     """
     cached = instr.__dict__.get("_accesses")
     if cached is not None:
         return cached
+    result = register_accesses(instr)
+    object.__setattr__(instr, "_accesses", result)  # frozen dataclass, no slots
+    return result
+
+
+def register_accesses(instr: Instr) -> tuple[frozenset[int], frozenset[int]]:
+    """Return ``(reads, writes)`` register-index sets for ``instr``.
+
+    RIP is deliberately excluded (every instruction touches it); flips in RIP
+    are always considered activated by the injector.  The sets drive the
+    activated/non-activated classification of injected faults.  Computed
+    afresh: a caller with a cache of its own leaves the instruction
+    untouched (:mod:`repro.machine.lockstep`'s mask tables).
+    """
     op = instr.op
     reads: set[int] = set()
     writes: set[int] = set()
@@ -309,9 +318,7 @@ def instr_register_accesses(instr: Instr) -> tuple[frozenset[int], frozenset[int
         reads.add(instr.dst.index)  # type: ignore[union-attr]
         reads.add(instr.src.index)  # type: ignore[union-attr]
     # JMP/NOP/VMENTRY/HALT touch nothing but RIP.
-    result = (frozenset(reads), frozenset(writes))
-    object.__setattr__(instr, "_accesses", result)  # frozen dataclass, no slots
-    return result
+    return (frozenset(reads), frozenset(writes))
 
 
 class Program:

@@ -8,10 +8,10 @@ the identity on N-1 of them: one decode/dispatch of the golden stream
 drives every column at once.  This module exploits that degeneracy
 head-on — the golden activation records its own address stream while
 it executes (full-trace mode, on the translated path), and
-:func:`build_plan` lowers that shared instruction stream into
-per-register *read/write position columns* (numpy arrays of dynamic
-indices) through per-program read/write/REP mask tables.  Each twin's
-divergence point then falls out analytically instead of by execution:
+:func:`build_plan` keeps it as a *slot stream*: the instruction slot of
+each retirement, plus the retirement boundaries.  Each twin's divergence
+point then falls out of one scan of the program's per-slot read/write
+mask rows over the stream, instead of by execution:
 
 * the flip fires at the first retirement boundary at-or-after its
   injection index (bulk-retiring REP iterations snap the flip to the
@@ -36,11 +36,11 @@ batch scan on or off — ``--no-twin-batch`` forces the per-trial path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.machine.isa import Op, Program, instr_register_accesses
+from repro.machine.isa import Op, Program, register_accesses
 from repro.machine.registers import ALL_REGISTERS, RegisterFile
 from repro.metrics import COUNTERS
 
@@ -48,6 +48,7 @@ __all__ = [
     "TwinPlan",
     "build_plan",
     "classify_twin",
+    "plan_from_columns",
     "stats",
     "DEAD",
     "PEEL",
@@ -57,8 +58,9 @@ _RIP = RegisterFile.index_of("rip")
 _RFLAGS = RegisterFile.index_of("rflags")
 _N_REGS = len(ALL_REGISTERS)
 
-#: Sentinel past any real dynamic index ("never touched again").
-_NEVER = 1 << 62
+#: Access bits of one register at one instruction slot.
+_READ = 1
+_WRITE = 2
 
 DEAD = "dead"
 PEEL = "peel"
@@ -75,59 +77,57 @@ def stats() -> dict[str, int]:
 
 @dataclass(frozen=True)
 class TwinPlan:
-    """Shared batch state of one golden group's faulty twins.
+    """Shared batch state of one golden group's faulty twins: the golden
+    run's slot stream, bound to its program's mask rows."""
 
-    The golden instruction stream, lowered to sorted position columns:
-    ``tops`` holds every retirement boundary (REP continuations collapse
-    into their first dispatch), ``reads_pos[r]`` / ``writes_pos[r]`` the
-    dynamic indices at which register ``r`` is read / written.
-    """
-
-    #: Dynamic indices that start a dispatch (flip application points).
+    #: Instruction slot of each retirement (a REP iteration repeats its slot).
+    slots: np.ndarray
+    #: Dynamic indices that start a dispatch (flip application points): REP
+    #: continuations collapse into their first dispatch.
     tops: np.ndarray
-    #: Per-register sorted dynamic indices of reads.
-    reads_pos: tuple[np.ndarray, ...]
-    #: Per-register sorted dynamic indices of writes.
-    writes_pos: tuple[np.ndarray, ...]
-    #: Dynamic length of the recorded golden run.
-    instructions: int
+    #: The program's mask rows, filled for every slot in ``slots``: row ``r``
+    #: holds each slot's read/write bits for register ``r``.  Shared by every
+    #: plan of the program and never stored.
+    masks: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def instructions(self) -> int:
+        """Dynamic length of the recorded golden run."""
+        return len(self.slots)
 
 
-#: Per-program lowering tables, keyed by text digest: per instruction slot,
-#: whether it is a REP_MOVS and whether its hit column is filled yet, plus
-#: the hit matrix — row ``r`` marks the slots that read register ``r``, row
-#: ``_N_REGS + r`` the slots that write it.  Columns fill on first use: a
-#: process lowers only the slots its goldens execute (about a third of the
-#: hypervisor text), and forked pool workers start with the tables of the
-#: process that forked them.
+#: Per-program mask tables, keyed by text digest: the (registers x slots)
+#: read/write bits, whether each slot is a REP_MOVS, and whether its column
+#: is filled yet.  Columns fill on first use: a process lowers only the slots its
+#: goldens execute (about a third of the hypervisor text), and forked pool
+#: workers start with the tables of the process that forked them.  The tables
+#: are the cache, so filling one stores no memo on the program's instructions
+#: (one per lowered instruction grows every filling process's resident
+#: memory).
 _MASK_TABLES: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-#: Row ``k`` of a stream's hit matrix ends before flat index ``(k + 1) * n``.
-_ROW_ENDS = np.arange(1, 2 * _N_REGS + 1)
 
 
 def _mask_tables(program: Program, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(hits, is_rep)`` of ``program``, filled for every slot in ``slots``."""
+    """``(masks, is_rep)`` of ``program``, filled for every slot in ``slots``."""
     key = program.text_digest()
     tables = _MASK_TABLES.get(key)
     if tables is None:
         n = len(program.instructions)
         tables = _MASK_TABLES[key] = (
-            np.zeros((2 * _N_REGS, n), dtype=bool),
+            np.zeros((_N_REGS, n), dtype=np.uint8),
             np.zeros(n, dtype=bool),
             np.zeros(n, dtype=bool),
         )
-    hits, is_rep, filled = tables
-    missing = slots[~filled[slots]]
-    if len(missing):
-        for slot in np.unique(missing).tolist():
+    masks, is_rep, filled = tables
+    if not filled[slots].all():
+        for slot in np.unique(slots[~filled[slots]]).tolist():
             ins = program.instructions[slot]
-            reads, writes = instr_register_accesses(ins)
-            hits[list(reads), slot] = True
-            hits[[_N_REGS + r for r in writes], slot] = True
+            reads, writes = register_accesses(ins)
+            masks[list(reads), slot] |= _READ
+            masks[list(writes), slot] |= _WRITE
             is_rep[slot] = ins.op is Op.REP_MOVS
             filled[slot] = True
-    return hits, is_rep
+    return masks, is_rep
 
 
 def build_plan(program: Program, addresses) -> TwinPlan:
@@ -135,21 +135,22 @@ def build_plan(program: Program, addresses) -> TwinPlan:
 
     ``addresses`` is the per-retirement address stream (REP iterations
     appear once per moved word, at the same address), as the full-trace
-    tracer records it.  Each address selects its instruction's column of
-    the program's mask tables; nothing is decoded or executed here.
+    tracer records it.  Each address becomes its instruction slot; nothing
+    is decoded or executed here beyond filling the mask columns of slots
+    this process has not seen yet.
     """
     n = len(addresses)
     offsets = np.fromiter(addresses, dtype=np.int64, count=n) - program.base
     # One unsigned maximum bounds both ends: a negative offset wraps high.
     if n and (
         offsets.view(np.uint64).max() >= 4 * len(program.instructions)
-        or np.any(offsets & 3)
+        or (offsets & 3).any()
     ):
         raise ValueError("address stream leaves the program text")
     slots = offsets >> 2
-    hit_table, is_rep = _mask_tables(program, slots)
-    # Consecutive same-address REP entries are one dispatch: a flip
-    # scheduled inside the bulk applies at the *next* boundary.
+    masks, is_rep = _mask_tables(program, slots)
+    # Consecutive same-slot REP entries are one dispatch: a flip scheduled
+    # inside the bulk applies at the *next* boundary.
     rep = is_rep[slots]
     if rep[1:].any():
         loop_top = np.ones(n, dtype=bool)
@@ -157,46 +158,51 @@ def build_plan(program: Program, addresses) -> TwinPlan:
         tops = np.flatnonzero(loop_top)
     else:
         tops = np.arange(n)
-    # Row-major hits of the stream: flat indices come grouped by row and
-    # ascending within it, so row boundaries split them into the columns.
-    flat = np.flatnonzero(hit_table[:, slots])
-    ends = np.searchsorted(flat, _ROW_ENDS * n).tolist()
-    positions = flat % n if n else flat
-    columns = [positions[a:b] for a, b in zip([0, *ends], ends)]
-    return TwinPlan(
-        tops=tops,
-        reads_pos=tuple(columns[:_N_REGS]),
-        writes_pos=tuple(columns[_N_REGS:]),
-        instructions=n,
-    )
+    return TwinPlan(slots=slots, tops=tops, masks=masks)
+
+
+def plan_from_columns(program: Program, slots: np.ndarray, tops: np.ndarray) -> TwinPlan:
+    """Bind a slot stream and its boundaries to ``program``'s mask rows.
+
+    Fills the mask columns of ``slots`` first: a process that only
+    decodes stored plans (a warm pool worker) may never have lowered those
+    slots itself.
+    """
+    n = len(slots)
+    # One unsigned maximum bounds both ends: a negative slot wraps high.
+    if n and slots.view(np.uint64).max() >= len(program.instructions):
+        raise ValueError("slot stream leaves the program text")
+    if bool(len(tops)) != bool(n) or (n and not 0 <= tops[0] <= tops[-1] < n):
+        raise ValueError("retirement boundaries leave the slot stream")
+    masks, _ = _mask_tables(program, slots)
+    return TwinPlan(slots=slots, tops=tops, masks=masks)
 
 
 def classify_twin(
     plan: TwinPlan, register: str, dynamic_index: int
 ) -> tuple[str, int | None]:
-    """Settle one twin against the shared golden columns.
+    """Settle one twin against the golden slot stream.
 
     Returns ``(DEAD, None)`` when the flip provably cannot diverge the
     twin from the golden column (synthesize the non-activated record),
     or ``(PEEL, read_point)`` when it must execute per-trial —
     ``read_point`` is the dynamic index of the first golden read of the
     flipped register (where the flip activates), or ``None`` when the
-    scan cannot bound it.
+    scan cannot bound it.  One scan of the register's mask row over the
+    stream from the flip point finds its first access: a read (an
+    instruction that reads and writes it reads first) peels there, a
+    write kills the flip, and no access at all leaves it dead.
     """
     reg = RegisterFile.index_of(register)
     if reg == _RIP or reg == _RFLAGS:
         return PEEL, None
     tops = plan.tops
-    j = int(np.searchsorted(tops, dynamic_index, side="left"))
+    j = int(tops.searchsorted(dynamic_index))
     if j >= len(tops):
         return PEEL, None  # at/past the end of the recorded run
     p = int(tops[j])
-    rp = plan.reads_pos[reg]
-    i = int(np.searchsorted(rp, p, side="left"))
-    first_read = int(rp[i]) if i < len(rp) else _NEVER
-    wp = plan.writes_pos[reg]
-    i = int(np.searchsorted(wp, p, side="left"))
-    first_write = int(wp[i]) if i < len(wp) else _NEVER
-    if first_read <= first_write and first_read < _NEVER:
-        return PEEL, first_read
-    return DEAD, None
+    touched = plan.masks[reg].take(plan.slots[p:])
+    first = int((touched != 0).argmax())
+    if touched[first] & _READ:
+        return PEEL, p + first
+    return DEAD, None  # written first, or never touched again

@@ -46,10 +46,13 @@ from repro.errors import (
     EngineError,
     SimulationLimitExceeded,
 )
+from repro.faults.injector import _classify_spec_twin, trace_plan
 from repro.faults.model import FaultModel
 from repro.faults.propagation import capture_golden, compute_divergence
 from repro.hypervisor.xen import XenHypervisor
+from repro.machine import lockstep
 from repro.machine.exceptions import AssertionViolation, HardwareException
+from repro.metrics import COUNTERS
 from repro.ml.dataset import CORRECT, Dataset, INCORRECT
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.export import CompiledRules, compile_tree
@@ -142,16 +145,33 @@ def _collect_inj_part(
     stream: str,
     on_unit: Callable[[], None],
 ) -> list[Sample]:
-    """Injection stream: golden/faulty pairs, at most one sample per run."""
+    """Injection stream: golden/faulty pairs, at most one sample per run.
+
+    Each golden run records its address stream, and the lock-step scan
+    settles the sampled fault against it (:mod:`repro.machine.lockstep`),
+    counted on the twin counters like a campaign's twins.  A fault the scan
+    proves dead cannot make the faulty run differ from the golden one, so
+    its sample is the golden run's, labeled CORRECT, and nothing is restored
+    or executed: live memory already holds what the faulty run would leave
+    behind.  Every other fault executes from the golden checkpoint, its
+    activation settled at the read point.
+    """
     fault_rng = rng_mod.stream(config.seed, stream, "faults", shard.benchmark)
     items: list[Sample] = []
     for activation in generator.activations(shard.n_runs, stream=f"{stream}.inj"):
-        # Nothing lowers a training golden's address stream and no trial
-        # window reads its logs: no recording, no logging.
-        golden = capture_golden(hv, activation, record=False, log=False)
-        hv.restore(golden.checkpoint)
+        # Recorded for the scan; no trial window reads its logs.
+        golden = capture_golden(hv, activation, log=False)
         fault = config.fault_model.sample(fault_rng, golden.result.instructions)
-        hv.cpu.schedule_flips(fault.dynamic_index, fault.flips)
+        kind, read_point = _classify_spec_twin(trace_plan(hv.program, golden), fault)
+        COUNTERS.twins.inc()
+        if kind == lockstep.DEAD:
+            COUNTERS.dead_twins.inc()
+            items.append((golden.result.features, CORRECT))
+            on_unit()
+            continue
+        COUNTERS.peeled_twins.inc()
+        hv.restore(golden.checkpoint)
+        hv.cpu.schedule_flips(fault.dynamic_index, fault.flips, known_activation=read_point)
         try:
             faulty = hv.execute(activation)
         except (HardwareException, AssertionViolation, SimulationLimitExceeded):

@@ -2,13 +2,16 @@
 
 The codec's contract has two halves.  Forward: a decoded golden group must
 be *functionally identical* to the captured one — same results, same page
-contents, same TwinPlan columns — with structural sharing preserved so the
+contents, same TwinPlan slot stream — with structural sharing preserved so the
 campaign's identity-diff restore stays cheap.  Backward: any damaged input
 (truncation, bit rot, torn write, version bump, garbage) must raise
 :class:`ArtifactCorrupt` — never a stray ``KeyError``/``struct.error``, and
 never a silently wrong payload — because the runtime maps that one exception
 to the live-capture fallback.
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -24,8 +27,16 @@ from repro.faults import capture_golden
 from repro.faults.injector import trace_plan
 from repro.faults.propagation import materialize_followups
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
+from repro.machine import lockstep
+from repro.machine.lockstep import classify_twin
 
 DIGEST = "ab" * 32
+PROGRAM = XenHypervisor(seed=23).program
+
+
+def _header(blob: bytes) -> dict:
+    n = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+    return json.loads(blob[len(MAGIC) + 8:len(MAGIC) + 8 + n])
 
 
 def act(name: str, *args: int, seq=0) -> Activation:
@@ -70,7 +81,7 @@ def blob(captured):
 class TestRoundTrip:
     def test_golden_round_trips_bit_exact(self, captured, blob):
         golden, _ = captured
-        payload = decode_group(blob, registry=REGISTRY)
+        payload = decode_group(blob, registry=REGISTRY, program=PROGRAM)
         assert payload.digest == DIGEST
         out = payload.golden
         assert out.result == golden.result
@@ -88,25 +99,25 @@ class TestRoundTrip:
 
     def test_unmaterialized_followups_round_trip_as_none(self, lazy):
         assert lazy.followups is None
-        out = decode_group(encode_group(DIGEST, lazy, None), registry=REGISTRY).golden
+        out = decode_group(encode_group(DIGEST, lazy, None), registry=REGISTRY, program=PROGRAM).golden
         assert out.followups is None
         assert bytes(out.heap_image) == bytes(lazy.heap_image)
         assert out.after == lazy.after
 
     def test_execution_logs_round_trip(self, captured, blob, lazy):
         golden, _ = captured
-        out = decode_group(blob, registry=REGISTRY).golden
+        out = decode_group(blob, registry=REGISTRY, program=PROGRAM).golden
         assert out.log is not None and out.log == golden.log
         assert len(out.followup_logs) == 2 and out.followup_logs == golden.followup_logs
         # Before any follow-up materialized: the activation's log alone.
-        out = decode_group(encode_group(DIGEST, lazy, None), registry=REGISTRY).golden
+        out = decode_group(encode_group(DIGEST, lazy, None), registry=REGISTRY, program=PROGRAM).golden
         assert out.log == lazy.log and out.followup_logs is None
 
     def test_after_pages_are_deduplicated_with_the_group(self, rerun):
         # ``after`` is stored deduplicated against the checkpoint: a page
         # equal to one of the checkpoint's decodes to the same buffer.
         _, blob = rerun
-        golden = decode_group(blob, registry=REGISTRY).golden
+        golden = decode_group(blob, registry=REGISTRY, program=PROGRAM).golden
         before = golden.checkpoint.pages
         equal = [b for b, page in golden.after.pages.items() if before.get(b) == page]
         assert equal
@@ -114,19 +125,34 @@ class TestRoundTrip:
 
     def test_plan_round_trips(self, captured, blob):
         _, plan = captured
-        out = decode_group(blob, registry=REGISTRY).plan
+        out = decode_group(blob, registry=REGISTRY, program=PROGRAM).plan
+        assert np.array_equal(out.slots, plan.slots)
         assert np.array_equal(out.tops, plan.tops)
         assert out.instructions == plan.instructions
-        for mine, theirs in zip(out.reads_pos, plan.reads_pos):
-            assert np.array_equal(mine, theirs)
-        for mine, theirs in zip(out.writes_pos, plan.writes_pos):
-            assert np.array_equal(mine, theirs)
+        # Bound to the program's mask rows, filled for its slots.
+        assert out.masks is plan.masks
+        for register in ("rax", "rbx", "rsp", "rip"):
+            for index in range(0, plan.instructions + 2, 3):
+                assert classify_twin(out, register, index) == classify_twin(
+                    plan, register, index
+                )
+
+    def test_plan_stores_two_columns(self, blob):
+        header = _header(blob)
+        assert sorted(header["plan"]) == ["slots", "tops"]
+
+    def test_plan_of_another_length_rejected(self, captured):
+        golden, plan = captured
+        short = lockstep.plan_from_columns(PROGRAM, plan.slots[:-1], plan.tops[:-1])
+        blob = encode_group(DIGEST, golden, short)
+        with pytest.raises(ArtifactCorrupt, match="plan does not cover"):
+            decode_group(blob, registry=REGISTRY, program=PROGRAM)
 
     def test_plan_none_and_absent_round_trip(self, captured):
         # Captured with twin batching off: no plan, and none comes back.
         golden, _ = captured
         blob = encode_group(DIGEST, golden, None)
-        assert decode_group(blob, registry=REGISTRY).plan is None
+        assert decode_group(blob, registry=REGISTRY, program=PROGRAM).plan is None
 
     def test_encoding_is_deterministic(self, captured):
         golden, plan = captured
@@ -140,7 +166,7 @@ class TestRoundTrip:
         # pages, a restore of the other identity-diffs only the pages whose
         # contents differ.
         golden, blob = rerun
-        out = decode_group(blob, registry=REGISTRY).golden
+        out = decode_group(blob, registry=REGISTRY, program=PROGRAM).golden
         differ = {
             b for b in golden.checkpoint.pages.keys() | golden.after.pages.keys()
             if golden.checkpoint.pages.get(b) != golden.after.pages.get(b)
@@ -153,8 +179,8 @@ class TestRoundTrip:
 
     def test_plan_columns_are_aligned_views(self, blob):
         # int64 columns must map without copy, which requires 8-alignment.
-        plan = decode_group(blob, registry=REGISTRY).plan
-        for arr in (plan.tops, *plan.reads_pos, *plan.writes_pos):
+        plan = decode_group(blob, registry=REGISTRY, program=PROGRAM).plan
+        for arr in (plan.slots, plan.tops):
             assert arr.dtype == np.int64
             assert arr.ctypes.data % 8 == 0
 
@@ -167,43 +193,49 @@ class TestCorruptionRejection:
         # mid-TOC, mid-blob, missing checksum tail alike.
         for cut in range(0, len(blob), max(1, len(blob) // 37)):
             with pytest.raises(ArtifactCorrupt):
-                decode_group(blob[:cut], registry=REGISTRY)
+                decode_group(blob[:cut], registry=REGISTRY, program=PROGRAM)
 
     def test_single_bit_rot_detected(self, blob):
         for offset in (0, 7, len(blob) // 2, len(blob) - 1):
             rotten = bytearray(blob)
             rotten[offset] ^= 0x40
             with pytest.raises(ArtifactCorrupt):
-                decode_group(bytes(rotten), registry=REGISTRY)
+                decode_group(bytes(rotten), registry=REGISTRY, program=PROGRAM)
 
     def test_version_bump_rejected(self, blob):
         assert blob[: len(MAGIC)] == MAGIC
         bumped = MAGIC[:-1] + bytes([MAGIC[-1] + 1]) + blob[len(MAGIC):]
         with pytest.raises(ArtifactCorrupt):
-            decode_group(bumped, registry=REGISTRY)
+            decode_group(bumped, registry=REGISTRY, program=PROGRAM)
 
-    def test_v4_artifact_rejected(self, captured, monkeypatch):
-        # The format before execution logs were stored: a v4 artifact
-        # decodes as corrupt (its group is captured live), never as a
-        # golden without logs.
+    def test_v5_artifact_rejected(self, captured, monkeypatch):
+        # The format before plans were slot streams: a v5 artifact decodes
+        # as corrupt (its group is captured live), never as a plan without
+        # slots.
         golden, plan = captured
         with monkeypatch.context() as m:
-            m.setattr(codec, "MAGIC", b"XENTART\x04")
-            m.setattr(codec, "CODEC_FORMAT", "xentry-artifact-v4")
-            m.setattr(codec, "_logs_ref", lambda golden, writer: None)
+            m.setattr(codec, "MAGIC", b"XENTART\x05")
+            m.setattr(codec, "CODEC_FORMAT", "xentry-artifact-v5")
             old = encode_group(DIGEST, golden, plan)
-        assert MAGIC == b"XENTART\x05"
+        assert MAGIC == b"XENTART\x06"
         with pytest.raises(ArtifactCorrupt, match="bad magic"):
-            decode_group(old, registry=REGISTRY)
+            decode_group(old, registry=REGISTRY, program=PROGRAM)
+
+    def test_slots_outside_the_program_rejected(self, captured):
+        golden, plan = captured
+        blob = encode_group(DIGEST, golden, dataclasses.replace(
+            plan, slots=plan.slots + len(PROGRAM.instructions)
+        ))
+        with pytest.raises(ArtifactCorrupt, match="leaves the program text"):
+            decode_group(blob, registry=REGISTRY, program=PROGRAM)
 
     def test_log_lengths_past_their_columns_rejected(self, captured):
         import hashlib
-        import json
 
         golden, _ = captured
         blob = encode_group(DIGEST, golden, None)
         n = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
-        header = json.loads(blob[len(MAGIC) + 8:len(MAGIC) + 8 + n])
+        header = _header(blob)
         # Grow one length by one without adding a digit, so the header keeps
         # its size and the blob offsets stay valid: only the log lies.
         lengths = header["golden"]["logs"]["lengths"]
@@ -214,12 +246,12 @@ class TestCorruptionRejection:
         body = blob[:len(MAGIC) + 8] + raw + blob[len(MAGIC) + 8 + n:-16]
         forged = body + hashlib.blake2b(body, digest_size=16).digest()
         with pytest.raises(ArtifactCorrupt):
-            decode_group(forged, registry=REGISTRY)
+            decode_group(forged, registry=REGISTRY, program=PROGRAM)
 
     def test_garbage_rejected(self):
         for garbage in (b"", b"\x00" * 64, b"not an artifact" * 100):
             with pytest.raises(ArtifactCorrupt):
-                decode_group(garbage, registry=REGISTRY)
+                decode_group(garbage, registry=REGISTRY, program=PROGRAM)
 
     def test_checksummed_but_structurally_torn_rejected(self, captured):
         # A torn write re-checksummed by an adversary (or a bug) still has
@@ -232,4 +264,4 @@ class TestCorruptionRejection:
         shortened = blob[:-16][: len(blob) - 4096]
         fake = shortened + hashlib.blake2b(shortened, digest_size=16).digest()
         with pytest.raises(ArtifactCorrupt):
-            decode_group(fake, registry=REGISTRY)
+            decode_group(fake, registry=REGISTRY, program=PROGRAM)

@@ -77,6 +77,9 @@ class TestDigestIdentity:
         assert digest(dataclasses.replace(CONFIG, **change)) == digest()
 
 
+PROGRAM = XenHypervisor(seed=5).program
+
+
 @pytest.fixture()
 def encoded():
     hv = XenHypervisor(seed=5)
@@ -104,7 +107,7 @@ class TestGoldenStore:
         d, blob = encoded
         store = GoldenStore(tmp_path)
         assert store.load_bytes(d) is None
-        assert store.load(d, registry=REGISTRY) is None
+        assert store.load(d, registry=REGISTRY, program=PROGRAM) is None
         pack = store.begin_pack()
         pack.append(d, blob)
         # Nothing is visible before the commit...
@@ -113,7 +116,7 @@ class TestGoldenStore:
         # ...and everything after it, to a store that scans afresh.
         fresh = GoldenStore(tmp_path)
         assert fresh.load_bytes(d) == blob
-        payload = fresh.load(d, registry=REGISTRY)
+        payload = fresh.load(d, registry=REGISTRY, program=PROGRAM)
         assert payload is not None and payload.digest == d
         assert payload.plan is not None
 
@@ -143,7 +146,7 @@ class TestGoldenStore:
         store = GoldenStore(tmp_path)
         commit(store, (d, blob[: len(blob) // 2]))
         with pytest.raises(ArtifactCorrupt):
-            store.load(d, registry=REGISTRY)
+            store.load(d, registry=REGISTRY, program=PROGRAM)
         # load_bytes is validation-free by contract.
         assert store.load_bytes(d) == blob[: len(blob) // 2]
 
@@ -155,7 +158,7 @@ class TestGoldenStore:
         store = GoldenStore(tmp_path)
         commit(store, (wrong, blob))
         with pytest.raises(ArtifactCorrupt, match="self-identifies"):
-            store.load(wrong, registry=REGISTRY)
+            store.load(wrong, registry=REGISTRY, program=PROGRAM)
 
     def test_unwritable_root_degrades_to_noop(self, tmp_path, encoded):
         # A plain file where the store root should be: every mkdir/open under
@@ -198,7 +201,7 @@ class TestGoldenStore:
         fresh = GoldenStore(tmp_path)
         assert fresh.scan() == 0
         assert fresh.load_bytes(d) == blob
-        assert fresh.load(d, registry=REGISTRY).digest == d
+        assert fresh.load(d, registry=REGISTRY, program=PROGRAM).digest == d
         # Either copy serves the same artifact; the newer pack shadows.
         assert fresh.packs()[-1] == newer
         assert fresh._index[d][0] == newer

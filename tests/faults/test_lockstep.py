@@ -4,11 +4,12 @@ The campaign's batch scan settles *dead* twins (flip overwritten before
 the next read, or never touched again) analytically and peels diverging
 twins into the per-trial path with their read point.  These tests
 hold the scan to the determinism contract: for every injection index and
-register — including RIP/RFLAGS and indices past the traced run — the
-batched records must be bit-identical to per-trial execution, and the
-``twin_batch`` knob must stay outside the config digest so journals
-interoperate.  Campaign records under the knob are pinned by
-``tests/test_equivalence.py``.
+register — including RIP/RFLAGS and indices past the traced run — its
+answers must equal a walk of the recorded stream
+(:mod:`tests.faults.stream_walk`), the batched records must be
+bit-identical to per-trial execution, and the ``twin_batch`` knob must stay
+outside the config digest so journals interoperate.  Campaign records under
+the knob are pinned by ``tests/test_equivalence.py``.
 """
 
 import dataclasses
@@ -16,6 +17,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.planner import plan_campaign
 from repro.faults import (
@@ -28,7 +31,9 @@ from repro.faults import (
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
 from repro.machine import lockstep
 from repro.machine.lockstep import DEAD, PEEL, TwinPlan, classify_twin
+from repro.machine.registers import ALL_REGISTERS, RegisterFile
 from repro.metrics import CampaignCounters, counted
+from tests.faults.stream_walk import walk_fates
 
 
 def act(name: str, *args: int, seq=0) -> Activation:
@@ -36,25 +41,19 @@ def act(name: str, *args: int, seq=0) -> Activation:
 
 
 def _plan(tops, reads, writes, n) -> TwinPlan:
-    """A hand-built plan with activity only on rbx (index used below)."""
-    from repro.machine.registers import ALL_REGISTERS, RegisterFile
-
-    empty = tuple(np.array([], dtype=np.int64) for _ in ALL_REGISTERS)
+    """A hand-built plan with activity only on rbx (index used below):
+    retirement ``i`` runs slot ``i``."""
+    masks = np.zeros((len(ALL_REGISTERS), n), dtype=np.uint8)
     rbx = RegisterFile.index_of("rbx")
-    reads_pos = list(empty)
-    writes_pos = list(empty)
-    reads_pos[rbx] = np.asarray(reads, dtype=np.int64)
-    writes_pos[rbx] = np.asarray(writes, dtype=np.int64)
+    masks[rbx, reads] |= lockstep._READ
+    masks[rbx, writes] |= lockstep._WRITE
     return TwinPlan(
-        tops=np.asarray(tops, dtype=np.int64),
-        reads_pos=tuple(reads_pos),
-        writes_pos=tuple(writes_pos),
-        instructions=n,
+        slots=np.arange(n), tops=np.asarray(tops, dtype=np.int64), masks=masks
     )
 
 
 class TestClassifyTwin:
-    """The scan's case analysis on hand-built position columns."""
+    """The scan's case analysis on hand-built slot streams."""
 
     PLAN = _plan(tops=[0, 1, 2, 3, 4, 5, 6, 7], reads=[2, 6], writes=[4], n=8)
 
@@ -69,6 +68,12 @@ class TestClassifyTwin:
     def test_write_first_is_dead(self):
         # Flip at 3: the write at 4 kills it before the read at 6.
         assert classify_twin(self.PLAN, "rbx", 3) == (DEAD, None)
+
+    def test_read_and_write_in_one_instruction_peels(self):
+        # An instruction that reads and writes the register reads first.
+        plan = _plan(tops=[0, 1, 2, 3], reads=[2], writes=[2], n=4)
+        assert classify_twin(plan, "rbx", 1) == (PEEL, 2)
+        assert classify_twin(plan, "rbx", 3) == (DEAD, None)
 
     def test_never_touched_again_is_dead(self):
         assert classify_twin(self.PLAN, "rbx", 7) == (DEAD, None)
@@ -92,7 +97,7 @@ class TestClassifyTwin:
 
 
 class TestBuildPlan:
-    """Lowering a real recorded activation into position columns."""
+    """Lowering a real recorded activation into its slot stream."""
 
     @pytest.fixture(scope="class")
     def plan(self):
@@ -106,12 +111,11 @@ class TestBuildPlan:
     def test_shape_and_monotonicity(self, plan):
         plan, golden = plan
         n = golden.result.instructions
-        assert plan.instructions == n
+        assert plan.instructions == len(plan.slots) == n
         assert 0 < len(plan.tops) <= n
         assert plan.tops[0] == 0
-        for arr in (plan.tops, *plan.reads_pos, *plan.writes_pos):
-            assert np.all(np.diff(arr) > 0)
-            assert len(arr) == 0 or (arr[0] >= 0 and arr[-1] < n)
+        assert np.all(np.diff(plan.tops) > 0) and plan.tops[-1] < n
+        assert plan.slots.min() >= 0 and plan.slots.max() < plan.masks.shape[1]
 
     @pytest.mark.parametrize("offset", [-4, 2, "end"])
     def test_addresses_outside_the_text_rejected(self, offset):
@@ -125,8 +129,51 @@ class TestBuildPlan:
         # The activation must actually read and write registers, or the
         # dead/peel split above would be vacuous.
         plan, _ = plan
-        assert any(len(a) for a in plan.reads_pos)
-        assert any(len(a) for a in plan.writes_pos)
+        touched = plan.masks[:, plan.slots]
+        assert (touched & lockstep._READ).any()
+        assert (touched & lockstep._WRITE).any()
+
+    def test_stored_columns_rebind_in_a_fresh_process(self, plan, monkeypatch):
+        # A process that only decodes plans has no mask columns filled:
+        # binding the columns fills them before any query.
+        plan, _ = plan
+        program = XenHypervisor(seed=23).program
+        monkeypatch.setattr(lockstep, "_MASK_TABLES", {})
+        bound = lockstep.plan_from_columns(program, plan.slots, plan.tops)
+        assert np.array_equal(bound.masks[:, plan.slots], plan.masks[:, plan.slots])
+        assert bound.masks is not plan.masks
+
+    @pytest.mark.parametrize("slots,tops", [
+        ([0, -1], [0, 1]), ([0, 1 << 20], [0, 1]), ([0, 1], [0, 2]), ([0, 1], []),
+    ])
+    def test_columns_outside_the_program_rejected(self, slots, tops):
+        program = XenHypervisor(seed=23).program
+        with pytest.raises(ValueError, match="leave"):
+            lockstep.plan_from_columns(
+                program, np.array(slots, dtype=np.int64), np.array(tops, dtype=np.int64)
+            )
+
+
+REASONS = sorted(r.name for r in REGISTRY)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    reason=st.sampled_from(REASONS),
+    args=st.tuples(st.integers(1, 4), st.integers(1, 2)),
+    seed=st.integers(0, 10_000),
+)
+@example(reason="grant_table_op", args=(4, 2), seed=5)  # a REP MOVS stream
+def test_scan_equals_a_walk_of_the_stream(reason, args, seed):
+    """Every register, every index in [0, n + 2]: the slot scan answers
+    what a walk of the recorded stream answers."""
+    hv = XenHypervisor(seed=seed)
+    golden = capture_golden(hv, act(reason, *args))
+    plan = lockstep.build_plan(hv.program, golden.trace)
+    fates = walk_fates(hv.program, golden.trace)
+    for register in ALL_REGISTERS:
+        got = [classify_twin(plan, register, i) for i in range(plan.instructions + 3)]
+        assert got == fates[register], register
 
 
 class TestTwinBatchEquivalence:

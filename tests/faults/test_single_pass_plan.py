@@ -1,18 +1,18 @@
 """Single-pass golden capture ≡ the restore-and-interpret replay.
 
-Production lowers the TwinPlan from the address stream the golden run
+Production keeps the TwinPlan from the address stream the golden run
 recorded while it executed (translated, full-trace).  The oracle here is the
 path that used to run in production: restore the golden checkpoint,
-re-execute the activation *interpreted* under the full tracer, and lower the
-stream address by address.  Over random activations of every benchmark
-profile, PV and HVM:
+re-execute the activation *interpreted* under the full tracer, and walk the
+stream address by address (:mod:`tests.faults.stream_walk`).  Over random
+activations of every benchmark profile, PV and HVM:
 
-* the single-pass plan equals the oracle's, column for column;
+* the single-pass plan classifies every register at every index the way
+  the walk of the replayed stream does;
 * recording is an observation: capture with it on and off yields equal
   results, follow-ups, outputs and heap images.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,12 +22,11 @@ from repro.faults.injector import trace_plan
 from repro.faults.propagation import materialize_followups
 from repro.hypervisor import XenHypervisor
 from repro.machine import translator
-from repro.machine.isa import instr_register_accesses
-from repro.machine.isa import Op
-from repro.machine.lockstep import TwinPlan
+from repro.machine.lockstep import classify_twin
 from repro.machine.registers import ALL_REGISTERS
 from repro.metrics import CampaignCounters, counted
 from repro.workloads import BENCHMARK_NAMES, VirtMode, WorkloadGenerator, get_profile
+from tests.faults.stream_walk import walk_fates
 
 _HV = XenHypervisor(seed=17)
 
@@ -41,38 +40,10 @@ def compile_on_first_dispatch():
         yield
 
 
-def lower_by_address(program, addresses) -> TwinPlan:
-    """Reference lowering: decode every retired address, one at a time."""
-    tops: list[int] = []
-    reads: list[list[int]] = [[] for _ in ALL_REGISTERS]
-    writes: list[list[int]] = [[] for _ in ALL_REGISTERS]
-    prev = None
-    for i, address in enumerate(addresses):
-        ins = program.instruction_at(address)
-        # Consecutive same-address REP entries are one dispatch.
-        if not (ins.op is Op.REP_MOVS and address == prev):
-            tops.append(i)
-        rd, wr = instr_register_accesses(ins)
-        for r in rd:
-            reads[r].append(i)
-        for r in wr:
-            writes[r].append(i)
-        prev = address
-
-    def column(positions):
-        return np.asarray(positions, dtype=np.int64)
-
-    return TwinPlan(
-        tops=column(tops),
-        reads_pos=tuple(column(p) for p in reads),
-        writes_pos=tuple(column(p) for p in writes),
-        instructions=len(addresses),
-    )
-
-
-def replay_plan(hv, activation, golden) -> TwinPlan:
+def replay_fates(hv, activation, golden) -> dict:
     """The retired production path: replay the golden activation from its
-    checkpoint, interpreted, with the full tracer recording."""
+    checkpoint, interpreted, with the full tracer recording, and walk the
+    replayed stream."""
     core = hv.cpu
     hv.restore(golden.checkpoint)
     core.clear_injection()
@@ -83,7 +54,7 @@ def replay_plan(hv, activation, golden) -> TwinPlan:
     finally:
         core.translate, core.tracer.light = True, True
     assert result == golden.result, "the replay must line up with the capture"
-    return lower_by_address(hv.program, addresses)
+    return walk_fates(hv.program, addresses)
 
 
 @st.composite
@@ -126,12 +97,8 @@ def test_single_pass_plan_matches_replay(group):
     assert recorded.heap_image == silent.heap_image
 
     plan = trace_plan(hv.program, recorded)
-    oracle = replay_plan(hv, activation, recorded)
-    assert plan.instructions == oracle.instructions == recorded.result.instructions
-    assert np.array_equal(plan.tops, oracle.tops)
-    assert len(plan.reads_pos) == len(oracle.reads_pos) == len(ALL_REGISTERS)
-    for mine, theirs in zip(
-        (*plan.reads_pos, *plan.writes_pos), (*oracle.reads_pos, *oracle.writes_pos)
-    ):
-        assert mine.dtype == theirs.dtype == np.int64
-        assert np.array_equal(mine, theirs)
+    fates = replay_fates(hv, activation, recorded)
+    assert plan.instructions == recorded.result.instructions
+    for register in ALL_REGISTERS:
+        got = [classify_twin(plan, register, i) for i in range(plan.instructions + 3)]
+        assert got == fates[register], register

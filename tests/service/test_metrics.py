@@ -377,6 +377,117 @@ class TestRegistry:
         json.dumps(CampaignCounters().golden_cache())
 
 
+class RecordingLock:
+    """A family lock that knows whether it is held."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.held = False
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.held = True
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.held = False
+        self._lock.release()
+
+
+class GuardedList(list):
+    """A counter column that logs, per write, whether its lock was held."""
+
+    def __init__(self, values, lock: RecordingLock, writes: list) -> None:
+        super().__init__(values)
+        self.lock, self.writes = lock, writes
+
+    def __setitem__(self, key, value) -> None:
+        self.writes.append(self.lock.held)
+        super().__setitem__(key, value)
+
+
+class GuardedArray(np.ndarray):
+    """An array column that logs, per write, whether its lock was held: item
+    assignment and in-place ``ufunc.at`` alike."""
+
+    def __array_finalize__(self, obj) -> None:
+        self.lock = getattr(obj, "lock", None)
+        self.writes = getattr(obj, "writes", None)
+
+    def __setitem__(self, key, value) -> None:
+        self.writes.append(self.lock.held)
+        super().__setitem__(key, value)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method == "at":
+            self.writes.append(self.lock.held)
+        inputs = [x.view(np.ndarray) if isinstance(x, GuardedArray) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def guarded(family) -> list[bool]:
+    """Give ``family``'s store a recording lock and columns that log each
+    write; return the log.  Call before creating children (a counter child
+    keeps its store's lock and list), for at most four of them (so no array
+    column is reallocated)."""
+    store = family._store
+    store.grow(4)
+    lock = store.lock = RecordingLock()
+    writes: list[bool] = []
+    for name in store._columns:
+        column = getattr(store, name)
+        if isinstance(column, list):
+            column = GuardedList(column, lock, writes)
+        else:
+            column = column.view(GuardedArray)
+            column.lock, column.writes = lock, writes
+        setattr(store, name, column)
+    return writes
+
+
+#: Every update path of the three metric types: (family type, update).
+UPDATE_PATHS = {
+    "Counter.Child.inc": (Counter, lambda family, child: child.inc(2)),
+    "Counter.inc_at": (Counter, lambda family, child: family.inc_at([child.slot], [2])),
+    "Gauge.Child.set": (Gauge, lambda family, child: child.set(2.0)),
+    "Gauge.Child.inc": (Gauge, lambda family, child: child.inc(2.0)),
+    "Gauge.set_at": (Gauge, lambda family, child: family.set_at([child.slot], [2.0])),
+    "Histogram.Child.observe": (Histogram, lambda family, child: child.observe(2.0)),
+    "Histogram.observe_grouped": (Histogram, lambda family, child: family.observe_grouped(
+        [child.slot], np.array([0, 0]), np.array([0.5, 1.5]))),
+}
+
+
+class TestFamilyLock:
+    """Each update path writes only while holding its family's lock.
+
+    Deterministic, where the threaded count checks above are not: CPython
+    switches threads only at calls and backward jumps, so one
+    ``values[slot] += amount`` never interleaves with another and those
+    counts come out right with the lock taken away."""
+
+    @pytest.mark.parametrize("path", UPDATE_PATHS)
+    def test_update_writes_only_under_the_family_lock(self, path):
+        kind, update = UPDATE_PATHS[path]
+        family = kind("m", "M.", ("k",))
+        writes = guarded(family)
+        family.labels(k="a")
+        child = family.labels(k="b")
+        update(family, child)
+        assert writes and all(writes), writes
+        # The guarded columns still count: the update landed in its child.
+        read = (lambda c: c.total) if kind is Histogram else (lambda c: c.value)
+        assert (read(family.labels(k="a")), read(child)) == (0, 2)
+
+    def test_an_unlocked_write_is_seen(self):
+        for kind in (Counter, Gauge):
+            family = kind("m", "M.", ("k",))
+            writes = guarded(family)
+            family.labels(k="a")
+            family._store.values[0] = 1
+            assert writes == [False]
+
+
 class TestServiceMetrics:
     def test_taxonomy_registers_once(self):
         metrics = ServiceMetrics()

@@ -8,16 +8,23 @@ The acceptance properties of the training-collection tentpole:
 * a collection killed mid-flight and resumed from its sample journal
   completes with the identical samples — none missing, none doubled;
 * quarantined shards abort the collection instead of silently truncating
-  the training set.
+  the training set;
+* the serial collection and CLI-shaped train/test collections match
+  digests committed in ``tests/training_digests.json``, so the pooled,
+  retried and resumed collections are checked against the science, not
+  only against a serial run of the same tree.
 
 Training chaos goes through the same ``run_shard`` tripwire as campaign
 chaos, so the CI chaos job re-runs this file under several
 ``REPRO_CHAOS_SEED`` values too; assertions hold for any seed.
 """
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis import dataset_from_journal, sample_journal_progress
@@ -28,6 +35,7 @@ from repro.engine import (
     SampleJournal,
     ShardFinished,
 )
+from repro.engine.planner import plan_training_shards
 from repro.errors import EngineError, JournalError
 from repro.hypervisor import XenHypervisor
 from repro.xentry import TrainingConfig, collect_dataset
@@ -38,6 +46,17 @@ CONFIG = TrainingConfig(
 # 2 benchmarks x (free, inj) parts.
 N_SHARDS = 4
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "3"))
+REFERENCE = json.loads(
+    (Path(__file__).parents[1] / "training_digests.json").read_text()
+)
+
+
+def dataset_digest(dataset) -> str:
+    """blake2b-16 of the features as little-endian int64, then the labels."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.ascontiguousarray(dataset.X, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(dataset.y, dtype="<i1").tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +80,26 @@ class KillAfter:
             self.remaining -= 1
             if self.remaining == 0:
                 raise KeyboardInterrupt
+
+
+class TestReferenceDigests:
+    def test_serial_dataset_matches_its_committed_digest(self, serial_dataset):
+        assert dataset_digest(serial_dataset) == REFERENCE["serial_dataset"]
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    @pytest.mark.parametrize("stream,free,injected", [
+        ("train", 2000, 7800), ("test", 1000, 3900),
+    ])
+    def test_cli_collections_match_their_committed_digests(
+        self, seed, stream, free, injected
+    ):
+        # The collections of ``repro train --scale 0.05 --seed <seed>``.
+        config = TrainingConfig(
+            fault_free_runs=int(free * 0.05), injection_runs=int(injected * 0.05),
+            seed=seed,
+        )
+        digest = dataset_digest(collect_dataset(config, stream=stream))
+        assert digest == REFERENCE[f"scale0.05-seed{seed}-{stream}"]
 
 
 class TestDeterminism:
@@ -170,6 +209,19 @@ class TestObservability:
         labels = manifest["outcomes"]["labels"]
         assert sum(labels.values()) == len(serial_dataset)
         assert labels["correct"] > 0 and labels["incorrect"] > 0
+        # Every planned injection went through the scan: settled without
+        # executing its faulty run, or peeled and executed.
+        injections = sum(
+            shard.n_runs
+            for shard in plan_training_shards(
+                CONFIG.benchmarks, CONFIG.fault_free_runs, CONFIG.injection_runs
+            )
+            if shard.part == "inj"
+        )
+        machine = manifest["machine"]
+        assert machine["twins"] == injections
+        assert machine["dead_twins"] + machine["peeled_twins"] == injections
+        assert machine["dead_twins"] > 0 and machine["trials"] == 0
 
     def test_analysis_rebuilds_dataset_from_journal(self, tmp_path, serial_dataset):
         journal = tmp_path / "samples.jsonl"

@@ -10,6 +10,7 @@ from repro.errors import CampaignConfigError, NotFittedError
 from repro.faults import FaultModel
 from repro.faults.outcomes import DetectionTechnique, FaultSpec
 from repro.hypervisor import Activation, REGISTRY, XenHypervisor
+from repro.metrics import CampaignCounters, counted
 from repro.ml import CORRECT, Dataset, DecisionTreeClassifier
 from repro.workloads import WorkloadGenerator, get_profile
 from repro.xentry import (
@@ -21,7 +22,11 @@ from repro.xentry import (
     train_and_evaluate,
 )
 from repro.xentry import training
-from tests.xentry.training_oracle import collect_inj_part_three_executions
+from tests.xentry.training_oracle import (
+    collect_inj_part_three_executions,
+    collect_inj_part_two_executions,
+    settled_injections,
+)
 
 
 def tiny_dataset(seed=0) -> Dataset:
@@ -189,7 +194,8 @@ class TestStreamBugfixes:
 
 
 class TestTwoExecutionCollector:
-    """Restoring the golden run's end state equals executing it a third time."""
+    """Restoring the golden run's end state equals executing it a third
+    time, and settling a dead injection equals executing it."""
 
     @staticmethod
     def _collect(config, monkeypatch, *, oracle: bool):
@@ -221,8 +227,51 @@ class TestTwoExecutionCollector:
         got, runs = self._collect(config, monkeypatch, oracle=False)
         assert got.X.tolist() == expected.X.tolist()
         assert got.y.tolist() == expected.y.tolist()
-        # One execution fewer per injected run.
-        assert oracle_runs - runs == config.injection_runs
+        # One execution fewer per injected run, and one more per injection
+        # the scan settles: its faulty run never executes.
+        settled = settled_injections(dataclasses.replace(config, fault_model=fault_model()))
+        assert oracle_runs - runs == config.injection_runs + settled
+        # The alternating model's faults are all read (or never strike).
+        assert (settled > 0) == (model == "default")
+
+
+#: Fault models whose settled injections must equal executed ones.
+SCAN_MODELS = {
+    "default": FaultModel,
+    "rip": lambda: FaultModel(registers=("rip",)),
+    "rflags": lambda: FaultModel(registers=("rflags",)),
+    "rsp": lambda: FaultModel(registers=("rsp",)),
+    "narrow-bits": lambda: FaultModel(bits=(40, 43)),
+    "alternating-kill": AlternatingKillFaultModel,
+}
+
+
+class TestSettledInjections:
+    """The scan-settled collection equals the two-execution collector,
+    which executes every faulty run.  postmark's handlers run REP MOVS."""
+
+    @pytest.mark.parametrize("model", SCAN_MODELS)
+    def test_datasets_equal_the_two_execution_oracle(self, model, monkeypatch):
+        config = TrainingConfig(
+            benchmarks=("mcf", "postmark"), fault_free_runs=2, injection_runs=160,
+            seed=9, fault_model=SCAN_MODELS[model](),
+        )
+        with monkeypatch.context() as m:
+            m.setattr(training, "_collect_inj_part", collect_inj_part_two_executions)
+            expected = collect_dataset(config)
+        config = dataclasses.replace(config, fault_model=SCAN_MODELS[model]())
+        got, counts = counted(collect_dataset, config)
+        assert got.X.tolist() == expected.X.tolist()
+        assert got.y.tolist() == expected.y.tolist()
+        machine = CampaignCounters.folded(counts).machine()
+        assert machine["twins"] == config.injection_runs
+        assert machine["dead_twins"] + machine["peeled_twins"] == machine["twins"]
+        settled = settled_injections(
+            dataclasses.replace(config, fault_model=SCAN_MODELS[model]())
+        )
+        assert machine["dead_twins"] == settled
+        # RIP and RFLAGS flips always execute; the others settle some.
+        assert (settled == 0) == (model in ("rip", "rflags", "alternating-kill"))
 
 
 class TestXentryFramework:
